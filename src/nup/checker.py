@@ -164,9 +164,17 @@ def _check_pair_equal(inv: Inventory, left_a, right_a, left_b, right_b) -> Optio
     return None
 
 
-def _report(kind, source, params, count, witness, fails) -> ClaimReport:
-    status = PASS if fails == 0 else FAIL
-    return ClaimReport(kind, source, params, status, count, witness)
+def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, quads) -> ClaimReport:
+    """One report over _check_pair_equal of every (left_a, right_a, left_b,
+    right_b) in quads; the witness is the first failure."""
+    count, fails, witness = 0, 0, None
+    for quad in quads:
+        w = _check_pair_equal(inv, *quad)
+        count += 1
+        if w is not None:
+            fails += 1
+            witness = witness or w
+    return ClaimReport(kind, source, params, PASS if fails == 0 else FAIL, count, witness)
 
 
 def check_diagonals(inv: Inventory, family: str) -> list[ClaimReport]:
@@ -174,90 +182,36 @@ def check_diagonals(inv: Inventory, family: str) -> list[ClaimReport]:
     if family not in ("X", "Y", "Z"):
         raise ValueError("family must be X, Y or Z")
     M = inv.M
+    # the diagonal pairs column c at j with column c2 at j + dj; the single Z
+    # progression steps along j instead
+    if family == "Z":
+        cols, (jlo, jhi) = [(0, 0, 1)], (-inv.D, inv.D - 1)
+    elif family == "Y":
+        cols, (jlo, jhi) = [(c, c + 1, 0) for c in range(M - 1)], inv.bounds[("Y", 0)]
+    else:
+        cols, (jlo, jhi) = [(c, c + 1, 0) for c in range(1, M - 1)], inv.bounds[("X", 1)]
     reports: list[ClaimReport] = []
     for (ufam, uidx) in inv.progressions():
         s, e = inv.bounds[(ufam, uidx)]
-        if family == "Z":
-            D = inv.D
-            count, fails, witness = 0, 0, None
-            for v in range(s, e):
-                for n in range(-D, D):
-                    w = _check_pair_equal(inv, (ufam, uidx, v + 1), ("Z", 0, n), (ufam, uidx, v), ("Z", 0, n + 1))
-                    count += 1
-                    if w is not None:
-                        fails += 1
-                        witness = witness or w
-            reports.append(
-                _report("DiagonalEquality", f"table:{ufam}{uidx}*Z", {"left": [ufam, uidx], "right_family": "Z"}, count, witness, fails)
-            )
-            continue
-        if family == "Y":
-            ylo, yhi = inv.bounds[("Y", 0)]
-            count, fails, witness = 0, 0, None
-            for v in range(s, e):
-                for c in range(M - 1):
-                    for j in range(ylo, yhi + 1):
-                        w = _check_pair_equal(inv, (ufam, uidx, v + 1), ("Y", c, j), (ufam, uidx, v), ("Y", c + 1, j))
-                        count += 1
-                        if w is not None:
-                            fails += 1
-                            witness = witness or w
-            reports.append(
-                _report("DiagonalEquality", f"table:{ufam}{uidx}*Y", {"left": [ufam, uidx], "right_family": "Y"}, count, witness, fails)
-            )
-            continue
-        # family == "X": diagonal equalities among the long columns, then the
-        # two short-column containments
-        xlo, xhi = inv.bounds[("X", 1)]
-        count, fails, witness = 0, 0, None
-        for v in range(s, e):
-            for c in range(1, M - 1):
-                for j in range(xlo, xhi + 1):
-                    w = _check_pair_equal(inv, (ufam, uidx, v + 1), ("X", c, j), (ufam, uidx, v), ("X", c + 1, j))
-                    count += 1
-                    if w is not None:
-                        fails += 1
-                        witness = witness or w
-        reports.append(
-            _report("DiagonalEquality", f"table:{ufam}{uidx}*X", {"left": [ufam, uidx], "right_family": "X"}, count, witness, fails)
+        u = (ufam, uidx)
+        quads = (
+            ((*u, v + 1), (family, c, j), (*u, v), (family, c2, j + dj))
+            for v in range(s, e)
+            for c, c2, dj in cols
+            for j in range(jlo, jhi + 1)
         )
+        params = {"left": [ufam, uidx], "right_family": family}
+        reports.append(_pair_claim(inv, "DiagonalEquality", f"table:{ufam}{uidx}*{family}", params, quads))
+        if family != "X":
+            continue
+        # the two short-column containments
         zlo, zhi = inv.bounds[("X", 0)]
-        count, fails, witness = 0, 0, None
-        for v in range(s, e):
-            for j in range(zlo, zhi + 1):
-                w = _check_pair_equal(inv, (ufam, uidx, v + 1), ("X", 0, j), (ufam, uidx, v), ("X", 1, j))
-                count += 1
-                if w is not None:
-                    fails += 1
-                    witness = witness or w
-        reports.append(
-            _report(
-                "X0Containment",
-                f"table:{ufam}{uidx}*X:lower",
-                {"left": [ufam, uidx], "containment": "u(v+1) X0 in u(v) X1"},
-                count,
-                witness,
-                fails,
-            )
-        )
-        count, fails, witness = 0, 0, None
-        for v in range(s, e):
-            for j in range(zlo, zhi + 1):
-                w = _check_pair_equal(inv, (ufam, uidx, v), ("X", 0, j), (ufam, uidx, v + 1), ("X", M - 1, j + M))
-                count += 1
-                if w is not None:
-                    fails += 1
-                    witness = witness or w
-        reports.append(
-            _report(
-                "X0Containment",
-                f"table:{ufam}{uidx}*X:upper",
-                {"left": [ufam, uidx], "containment": "u(v) X0 in u(v+1) X(M-1), j shifted by M"},
-                count,
-                witness,
-                fails,
-            )
-        )
+        lower = (((*u, v + 1), ("X", 0, j), (*u, v), ("X", 1, j)) for v in range(s, e) for j in range(zlo, zhi + 1))
+        params = {"left": [ufam, uidx], "containment": "u(v+1) X0 in u(v) X1"}
+        reports.append(_pair_claim(inv, "X0Containment", f"table:{ufam}{uidx}*X:lower", params, lower))
+        upper = (((*u, v), ("X", 0, j), (*u, v + 1), ("X", M - 1, j + M)) for v in range(s, e) for j in range(zlo, zhi + 1))
+        params = {"left": [ufam, uidx], "containment": "u(v) X0 in u(v+1) X(M-1), j shifted by M"}
+        reports.append(_pair_claim(inv, "X0Containment", f"table:{ufam}{uidx}*X:upper", params, upper))
     return reports
 
 
@@ -271,50 +225,20 @@ def check_z_endpoints(inv: Inventory) -> list[ClaimReport]:
         if ufam == "Z":
             continue
         s, e = inv.bounds[(ufam, uidx)]
-        count, fails, witness = 0, 0, None
-        for (row, zc, zc_alt) in ((s, -D, D), (e, D, -D)):
-            w = _check_pair_equal(inv, (ufam, uidx, row), ("Z", 0, zc), ("Z", 0, zc_alt), (ufam, uidx, row))
-            count += 1
-            if w is not None:
-                fails += 1
-                witness = witness or w
-        reports.append(
-            _report("ZEndpoint", f"endpoints:{ufam}{uidx}*Z", {"left": [ufam, uidx], "relocated_to": "Z*U"}, count, witness, fails)
-        )
+        quads = (((ufam, uidx, row), ("Z", 0, zc), ("Z", 0, -zc), (ufam, uidx, row)) for row, zc in ((s, -D), (e, D)))
+        params = {"left": [ufam, uidx], "relocated_to": "Z*U"}
+        reports.append(_pair_claim(inv, "ZEndpoint", f"endpoints:{ufam}{uidx}*Z", params, quads))
     # corners of the Z*Z table: b^(-2D) and b^(2D)
-    count, fails, witness = 0, 0, None
-    for (zsign, first, second) in (
-        (-1, ("Y", 0, top), ("X", M - 1, -q + 1)),
-        (1, ("X", M - 1, -q + 1), ("Y", 0, top)),
-    ):
-        w = _check_pair_equal(inv, ("Z", 0, zsign * D), ("Z", 0, zsign * D), first, second)
-        count += 1
-        if w is not None:
-            fails += 1
-            witness = witness or w
-    reports.append(
-        _report("ZEndpoint", "endpoints:Z*Z", {"left": ["Z", 0], "relocated_to": "mixed X/Y products"}, count, witness, fails)
-    )
+    y_top, x_bottom = ("Y", 0, top), ("X", M - 1, -q + 1)
+    quads = ((("Z", 0, -D), ("Z", 0, -D), y_top, x_bottom), (("Z", 0, D), ("Z", 0, D), x_bottom, y_top))
+    params = {"left": ["Z", 0], "relocated_to": "mixed X/Y products"}
+    reports.append(_pair_claim(inv, "ZEndpoint", "endpoints:Z*Z", params, quads))
     # leftover slices of the Z-row tables embed into W * Z
     for (wfam, widx, zexp) in (("Y", 0, -D), ("Y", M - 1, D), ("X", 1, -D), ("X", M - 1, D)):
         lo, hi = inv.bounds[(wfam, widx)]
-        count, fails, witness = 0, 0, None
-        for j in range(lo, hi + 1):
-            w = _check_pair_equal(inv, ("Z", 0, zexp), (wfam, widx, j), (wfam, widx, j), ("Z", 0, -zexp))
-            count += 1
-            if w is not None:
-                fails += 1
-                witness = witness or w
-        reports.append(
-            _report(
-                "ZEndpoint",
-                f"zslice:Z({zexp:+d})*{wfam}{widx}",
-                {"left": ["Z", 0, zexp], "slice": [wfam, widx], "relocated_to": f"{wfam}{widx}*Z"},
-                count,
-                witness,
-                fails,
-            )
-        )
+        quads = ((("Z", 0, zexp), (wfam, widx, j), (wfam, widx, j), ("Z", 0, -zexp)) for j in range(lo, hi + 1))
+        params = {"left": ["Z", 0, zexp], "slice": [wfam, widx], "relocated_to": f"{wfam}{widx}*Z"}
+        reports.append(_pair_claim(inv, "ZEndpoint", f"zslice:Z({zexp:+d})*{wfam}{widx}", params, quads))
     return reports
 
 
@@ -752,6 +676,8 @@ class CheckSummary:
     consistent: bool
     elapsed: float
     uncovered_sample: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def counts(self) -> dict:
@@ -781,10 +707,12 @@ class CheckSummary:
             "soundness_ok": self.soundness_ok,
             "consistent": self.consistent,
             "uncovered_sample": self.uncovered_sample,
+            "counters": self.counters,
+            "timings": self.timings,
         }
 
 
-def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None, workers: int = 1) -> CheckSummary:
+def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSummary:
     """Run every structured claim plus the end-to-end unique-product scan.
 
     The two must agree: all claims passing with full coverage implies a zero
@@ -793,10 +721,13 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None, workers: in
     t0 = time.perf_counter()
     if gset is None:
         gset = build_family(spec)
+    t1 = time.perf_counter()
     inv = Inventory(spec, gset)
     claims = run_all_claims(inv)
-    table = product_table(gset, gset, workers=workers)
+    t2 = time.perf_counter()
+    table = product_table(gset, gset)
     uniques = unique_products(gset, gset, table=table)
+    t3 = time.perf_counter()
     # soundness: a marked pair exhibits a second factorization, so its product
     # can never sit in the table with multiplicity one
     soundness_ok = all(not inv.is_marked(i, j) for _, (i, j) in uniques)
@@ -818,4 +749,6 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None, workers: in
         consistent=consistent,
         elapsed=time.perf_counter() - t0,
         uncovered_sample=[list(t) for t in inv.uncovered()],
+        counters=table.counters(),
+        timings={"build_s": round(t1 - t0, 6), "scan_s": round(t3 - t2, 6), "claims_s": round(t2 - t1, 6)},
     )

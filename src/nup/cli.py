@@ -15,37 +15,25 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 
 from . import __version__
 from .checker import verify_family
-from .families import FamilySpec, build_family, expected_cardinality
+from .families import FamilySpec, build_family, check_family_size, expected_cardinality
 from .search import SearchConfig, run_search
 from .sets import product_table, save_set_file, unique_products
 from .words import GroupParams, ParseError, from_string, to_string
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("NUP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _family_spec(args) -> FamilySpec:
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q must be given together")
-    if args.p is None:
-        return FamilySpec(args.k)
-    return FamilySpec(args.k, args.p, args.q)
+    spec = FamilySpec(args.k) if args.p is None else FamilySpec(args.k, args.p, args.q)
+    check_family_size(spec)
+    return spec
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -58,14 +46,16 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
     gset = build_family(spec)
-    table = product_table(gset, gset, workers=_threads(args))
+    t1 = time.perf_counter()
+    table = product_table(gset, gset)
     uniques = unique_products(gset, gset, table=table)
-    elapsed = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    elapsed = t2 - t0
     expected = expected_cardinality(spec)
     ok = len(uniques) == 0 and len(gset) == expected and gset.duplicates_removed == 0
     print(f"set: {spec.describe()}")
     print(f"size: {len(gset)} (formula: {expected}), duplicates removed: {gset.duplicates_removed}")
-    print(f"square: {len(gset) ** 2} factorizations over {len(table)} distinct products")
+    print(f"square: {table.total_pairs()} factorizations over {len(table)} distinct products")
     print(f"unique products: {len(uniques)}")
     for z, (i, j) in uniques[:10]:
         print(f"  witness: {to_string(z)} = ({to_string(gset[i])}) * ({to_string(gset[j])})")
@@ -76,7 +66,7 @@ def cmd_verify(args) -> int:
             {
                 "version": __version__,
                 "command": "verify",
-                "parameters": {"k": spec.k, "p": spec.p, "q": spec.q, "threads": _threads(args)},
+                "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
                 "set_size": len(gset),
                 "expected_size": expected,
                 "duplicates_removed": gset.duplicates_removed,
@@ -84,6 +74,8 @@ def cmd_verify(args) -> int:
                 "total_factorizations": table.total_pairs(),
                 "unique_count": len(uniques),
                 "witnesses": [[to_string(z), [i, j]] for z, (i, j) in uniques],
+                "counters": table.counters(),
+                "timings": {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6), "claims_s": 0.0},
                 "wall_time_s": round(elapsed, 6),
                 "exit_status": 0 if ok else 1,
             },
@@ -93,7 +85,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _family_spec(args)
-    summary = verify_family(spec, workers=_threads(args))
+    summary = verify_family(spec)
     counts = summary.counts
     print(f"set: {spec.describe()}")
     print(f"size: {summary.set_size} (formula: {summary.expected_size}), duplicates removed: {summary.duplicates_removed}")
@@ -114,7 +106,7 @@ def cmd_check(args) -> int:
         payload = summary.as_dict()
         payload["version"] = __version__
         payload["command"] = "check"
-        payload["parameters"] = {"k": spec.k, "p": spec.p, "q": spec.q, "threads": _threads(args)}
+        payload["parameters"] = {"k": spec.k, "p": spec.p, "q": spec.q}
         payload["wall_time_s"] = round(summary.elapsed, 6)
         payload["exit_status"] = 0 if ok else 1
         _write_json(args.json, payload)
@@ -144,19 +136,7 @@ def cmd_search(args) -> int:
     else:
         if args.size is None:
             raise ValueError("--size is required (or use --config)")
-        config = SearchConfig(
-            k=args.k,
-            size=args.size,
-            word_length_cap=args.length_cap,
-            symmetric=args.symmetric,
-            seed=args.seed,
-            budget=args.budget,
-            restarts=args.restarts,
-            temp0=args.temp0,
-            cooling=args.cooling,
-            neighborhood=args.neighborhood,
-            init=args.init,
-        )
+        config = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
     t0 = time.perf_counter()
     result = run_search(config)
     elapsed = time.perf_counter() - t0
@@ -170,19 +150,7 @@ def cmd_search(args) -> int:
         payload = {
             "version": __version__,
             "command": "search",
-            "parameters": {
-                "k": config.k,
-                "size": config.size,
-                "word_length_cap": config.word_length_cap,
-                "symmetric": config.symmetric,
-                "seed": config.seed,
-                "budget": config.budget,
-                "restarts": config.restarts,
-                "temp0": config.temp0,
-                "cooling": config.cooling,
-                "neighborhood": config.neighborhood,
-                "init": config.init,
-            },
+            "parameters": dataclasses.asdict(config),
             "result": result.as_dict(),
             "exit_status": 0 if result.score == 0 else 1,
         }
@@ -208,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if pq:
             p.add_argument("--p", type=int, default=None, help="odd scale of the a-exponent")
             p.add_argument("--q", type=int, default=None, help="odd progression scale, q ≡ 1 mod 2^k")
-        p.add_argument("--threads", type=int, default=None, help="worker cap (default: NUP_THREADS or 1)")
 
     p = sub.add_parser("verify", help="build the set and scan its square for unique products")
     common(p)
@@ -231,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", help="JSON file of SearchConfig fields (overrides flags)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--length-cap", type=int, default=5, dest="length_cap")
+    p.add_argument("--length-cap", type=int, default=5, dest="word_length_cap")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2000)

@@ -54,8 +54,9 @@ class FamilySpec:
                 raise ValueError(f"p must be a positive odd integer, got {self.p}")
             if self.q < 1 or self.q % 2 == 0:
                 raise ValueError(f"q must be a positive odd integer, got {self.q}")
-            if (self.q - 1) % (1 << self.k) != 0:
-                raise ValueError(f"q - 1 = {self.q - 1} must be a multiple of 2^k = {1 << self.k}")
+            # bit lengths first, so that a huge k never builds 2^k
+            if self.q > 1 and ((self.q - 1).bit_length() <= self.k or (self.q - 1) % (1 << self.k)):
+                raise ValueError(f"q - 1 = {self.q - 1} must be a multiple of 2^{self.k}")
 
     @property
     def scaled(self) -> bool:
@@ -107,6 +108,21 @@ def expected_cardinality(spec: FamilySpec) -> int:
     if not spec.scaled:
         return 2 * M * M + 4 * M + 1
     return (2 * M * M + 5 * M + 2) * spec.q - (M + 1)
+
+
+# Largest family the CLI builds.  verify --k 6 (8449 elements) fits; the
+# check command's coverage bitmap alone takes |T|^2 bytes.
+MAX_FAMILY_SIZE = 1 << 14
+
+
+def check_family_size(spec: FamilySpec) -> int:
+    """The closed-form size of the family; ValueError above MAX_FAMILY_SIZE."""
+    if spec.k > 64:  # |T| > 2^(2k+1): say so without computing 2^k
+        raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above the limit of {MAX_FAMILY_SIZE}")
+    size = expected_cardinality(spec)
+    if size > MAX_FAMILY_SIZE:
+        raise ValueError(f"{spec.describe()} would have {size} elements, above the limit of {MAX_FAMILY_SIZE}")
+    return size
 
 
 def _slice_element(params: GroupParams, p: int, fam: str, idx: int, j: int) -> NormalForm:

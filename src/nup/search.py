@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .families import build_base_set
-from .sets import GroupSet, make_set, unique_products
+from .sets import GroupSet, make_set, product_table
 from .words import GroupParams, NormalForm, generator, identity
 
 _NEIGHBORHOODS = ("swap-one", "mutate-one")
@@ -102,7 +102,7 @@ def score(S: GroupSet) -> int:
     """Number of uniquely represented elements of S*S; 0 means success."""
     if len(S) == 0:
         raise ValueError("empty set")
-    return len(unique_products(S, S))
+    return product_table(S, S).unique_count()
 
 
 def _restart_seed(master: int, r: int) -> int:
@@ -123,7 +123,9 @@ class _State:
         return make_set(self.params, [self.universe[i] for i in idxs])
 
     def score(self, idxs) -> int:
-        return score(self.as_set(idxs))
+        # the universe is canonically ordered and idxs is sorted, so the
+        # elements already form a GroupSet; make_set would only re-sort them
+        return score(GroupSet(self.params, tuple(self.universe[i] for i in idxs), None, 0))
 
     def random_state(self, rng, size) -> tuple:
         chosen: set[int] = set()

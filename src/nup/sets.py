@@ -1,10 +1,21 @@
-"""Finite subsets of the group, product tables with full factorization lists.
+"""Finite subsets of the group and the factorizations of their products.
 
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
 element.  A FactorizationTable records, for every element z of the product
-set X*Y, the complete list of index pairs (i, j) with X[i] * Y[j] = z, so
-callers can count multiplicities and extract witnesses.
+set X*Y, every index pair (i, j) with X[i] * Y[j] = z, so callers can count
+multiplicities and extract witnesses.
+
+The table rests on one fact about normal forms.  Right multiplication by b^e
+leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
+
+    n = s * 2^k * v + beta,    s = -1 if alpha + len(syllables) is odd, else +1,
+
+so (prefix, n) names an element exactly.  Y therefore splits into maximal
+b-runs y, y*b, ..., y*b^(L-1), and x times such a run is the interval
+[n0, n0 + L) of a single prefix, found with one multiply.  A sweep over the
+intervals of each prefix gives the distinct products, the multiplicities and
+the uniquely represented products; pair lists are rebuilt only on demand.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -100,81 +111,165 @@ def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Option
     return GroupSet(params, tuple(out), None, dups)
 
 
+def b_key(w: NormalForm) -> tuple[tuple, int]:
+    """The b-coordinates (prefix, n) of w; w * b^e has (prefix, n + e)."""
+    syl = w.syllables
+    n = w.v << w.k
+    if (w.alpha + len(syl)) & 1:
+        n = -n
+    return (w.u, w.alpha, syl), n + w.beta
+
+
+def _from_b_key(k: int, prefix: tuple, n: int) -> NormalForm:
+    u, alpha, syl = prefix
+    beta = n & ((1 << k) - 1)
+    v = (n - beta) >> k
+    if (alpha + len(syl)) & 1:
+        v = -v
+    return NormalForm._make(k, u, v, alpha, syl, beta)
+
+
+def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
+    """Indices of distinct elements split into maximal runs y, y*b, y*b^2, ...,
+    in (prefix, n) order."""
+    runs: list[list[int]] = []
+    prev = None
+    for (prefix, n), j in sorted((b_key(w), j) for j, w in enumerate(elements)):
+        if prev == (prefix, n - 1):
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+        prev = (prefix, n)
+    return runs
+
+
+def _cover(bucket: list) -> tuple[int, int]:
+    """(points covered, points covered exactly once) by a bucket's intervals."""
+    if len(bucket) == 1:  # most buckets of a small random set
+        return bucket[0][1], bucket[0][1]
+    # an event is pos << 1 | is_start, so the ints sort by position
+    events = [n << 1 | 1 for n, _, _, _ in bucket]
+    events += [(n + length) << 1 for n, length, _, _ in bucket]
+    events.sort()
+    covered = once = count = prev = 0
+    for e in events:
+        pos = e >> 1
+        if count:
+            covered += pos - prev
+            if count == 1:
+                once += pos - prev
+        count += 1 if e & 1 else -1
+        prev = pos
+    return covered, once
+
+
 class FactorizationTable:
-    """All factorizations of the product set X*Y, keyed by product element."""
+    """All factorizations of the product set X*Y, stored as b-intervals.
 
-    __slots__ = ("x", "y", "entries")
+    Y splits into maximal b-runs; the products of x with a run of length L
+    are the interval [n0, n0 + L) of one prefix, where (prefix, n0) = b_key(x
+    times the run's first element).  ``buckets`` maps each prefix to its
+    intervals (n0, L, i, r) in row order; pair lists are rebuilt on demand,
+    one bucket at a time.
+    """
 
-    def __init__(self, x: GroupSet, y: GroupSet, entries: dict):
+    __slots__ = ("x", "y", "runs", "buckets", "_distinct")
+
+    def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
         self.y = y
-        self.entries = entries
+        self.runs = b_runs(y.elements)
+        heads = [(y.elements[run[0]], len(run), r) for r, run in enumerate(self.runs)]
+        k = x.params.k
+        buckets: dict = {}
+        get = buckets.get
+        for i, xe in enumerate(x.elements):
+            for head, length, r in heads:
+                z = xe * head
+                # b_key(z), inlined: this loop is the whole scan
+                alpha, syl = z.alpha, z.syllables
+                n = -(z.v << k) if (alpha + len(syl)) & 1 else z.v << k
+                prefix = (z.u, alpha, syl)
+                bucket = get(prefix)
+                if bucket is None:
+                    buckets[prefix] = [(n + z.beta, length, i, r)]
+                else:
+                    bucket.append((n + z.beta, length, i, r))
+        self.buckets = buckets
+        self._distinct = None
+
+    def counters(self) -> dict:
+        multiplies = len(self.x) * len(self.runs)
+        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": multiplies, "distinct_products": len(self)}
 
     def total_pairs(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    def multiplicity(self, z: NormalForm) -> int:
-        return len(self.entries.get(z, ()))
+        return len(self.x) * len(self.y)
 
     def __len__(self):
-        return len(self.entries)
+        if self._distinct is None:
+            self._distinct = sum(_cover(bucket)[0] for bucket in self.buckets.values())
+        return self._distinct
+
+    def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
+        """Every (i, j) with X[i] * Y[j] = z, sorted."""
+        prefix, n = b_key(z)
+        out = []
+        for n0, length, i, r in self.buckets.get(prefix, ()):
+            if n0 <= n < n0 + length:
+                out.append((i, self.runs[r][n - n0]))
+        return out
+
+    def multiplicity(self, z: NormalForm) -> int:
+        return len(self.factorizations(z))
+
+    def _points(self, prefix: tuple, bucket: list) -> list[tuple[NormalForm, list]]:
+        """Every product of one bucket with its factorizations."""
+        at: dict = {}
+        # the bucket is in row order and a row covers a point at most once,
+        # so every pair list comes out sorted
+        for n0, length, i, r in bucket:
+            run = self.runs[r]
+            for t in range(length):
+                at.setdefault(n0 + t, []).append((i, run[t]))
+        k = self.x.params.k
+        return [(_from_b_key(k, prefix, n), pairs) for n, pairs in at.items()]
+
+    def items(self) -> list[tuple[NormalForm, list]]:
+        """Every product with its sorted factorizations, in canonical order."""
+        out = [item for prefix, bucket in self.buckets.items() for item in self._points(prefix, bucket)]
+        out.sort(key=lambda t: t[0].sort_key())
+        return out
+
+    def unique_count(self) -> int:
+        """Number of products with exactly one factorization."""
+        return sum(_cover(bucket)[1] for bucket in self.buckets.values())
+
+    def uniques(self) -> list:
+        """(z, (i, j)) for every product with exactly one factorization, in
+        canonical order; only the buckets that hold one are expanded."""
+        out = [
+            (z, pairs[0])
+            for prefix, bucket in self.buckets.items()
+            if _cover(bucket)[1]
+            for z, pairs in self._points(prefix, bucket)
+            if len(pairs) == 1
+        ]
+        out.sort(key=lambda t: t[0].sort_key())
+        return out
 
 
-def _rows_worker(args):
-    x_chunk, y_elems, offset = args
-    entries: dict = {}
-    for di, x in enumerate(x_chunk):
-        i = offset + di
-        for j, y in enumerate(y_elems):
-            z = x * y
-            entries.setdefault(z, []).append((i, j))
-    return entries
-
-
-def product_table(X: GroupSet, Y: GroupSet, workers: int = 1) -> FactorizationTable:
-    """Complete factorization table of X*Y, deterministically ordered.
-
-    With workers > 1 the row range is split across processes and the partial
-    tables are merged in row order, so the result is identical to the
-    sequential one.
-    """
+def product_table(X: GroupSet, Y: GroupSet) -> FactorizationTable:
+    """Complete factorization table of X*Y with one multiply per (x, b-run of Y)."""
     if X.params != Y.params:
         raise ValueError("product of sets over different groups")
-    if workers > 1 and len(X) >= 4 * workers:
-        chunks = []
-        step = (len(X) + workers - 1) // workers
-        for lo in range(0, len(X), step):
-            chunks.append((X.elements[lo : lo + step], Y.elements, lo))
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_rows_worker, chunks))
-        except (OSError, ValueError):  # no usable process pool; fall back
-            partials = [_rows_worker(c) for c in chunks]
-        entries: dict = {}
-        for part in partials:
-            for z, pairs in part.items():
-                entries.setdefault(z, []).extend(pairs)
-        for pairs in entries.values():
-            pairs.sort()
-        return FactorizationTable(X, Y, entries)
-    entries = {}
-    y_elems = Y.elements
-    for i, x in enumerate(X.elements):
-        for j, y in enumerate(y_elems):
-            z = x * y
-            entries.setdefault(z, []).append((i, j))
-    return FactorizationTable(X, Y, entries)
+    return FactorizationTable(X, Y)
 
 
 def unique_products(X: GroupSet, Y: GroupSet, table: Optional[FactorizationTable] = None) -> list:
-    """The table entries with exactly one factorization, in canonical order."""
+    """The products with exactly one factorization, in canonical order."""
     if table is None:
         table = product_table(X, Y)
-    singles = [(z, pairs[0]) for z, pairs in table.entries.items() if len(pairs) == 1]
-    singles.sort(key=lambda t: t[0].sort_key())
-    return singles
+    return table.uniques()
 
 
 def is_nonunique_square(S: GroupSet) -> tuple[bool, Optional[tuple]]:

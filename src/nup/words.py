@@ -67,20 +67,15 @@ class _Accum:
 
     __slots__ = ("M", "u", "v", "alpha", "syl", "beta", "ssum")
 
-    def __init__(self, M: int):
+    def __init__(self, M: int, w: "NormalForm | None" = None):
         self.M = M
-        self.u = 0
-        self.v = 0
-        self.alpha = 0
-        self.syl: list[int] = []
-        self.beta = 0
-        self.ssum = 0
-
-    def seed(self, w: "NormalForm") -> "_Accum":
-        self.u, self.v, self.alpha, self.beta = w.u, w.v, w.alpha, w.beta
-        self.syl = list(w.syllables)
-        self.ssum = sum(self.syl)
-        return self
+        if w is None:
+            self.u = self.v = self.alpha = self.beta = self.ssum = 0
+            self.syl: list[int] = []
+        else:  # start from the normal form w
+            self.u, self.v, self.alpha, self.beta = w.u, w.v, w.alpha, w.beta
+            self.syl = list(w.syllables)
+            self.ssum = sum(self.syl)
 
     def push_b(self, e: int) -> None:
         # right-multiply by b^e; overflow multiples of M bubble left past the
@@ -252,7 +247,7 @@ class NormalForm:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("cannot multiply elements of different groups")
-        acc = _Accum(1 << self.k).seed(self)
+        acc = _Accum(1 << self.k, self)
         if other.u:
             acc.push_a2(other.u)
         if other.v:
@@ -299,7 +294,7 @@ class NormalForm:
         """Right-multiply by a single generator letter a, a^-1, b or b^-1."""
         if gen not in ("a", "b") or sign not in (1, -1):
             raise ValueError(f"bad generator letter {gen!r}^{sign}")
-        acc = _Accum(1 << self.k).seed(self)
+        acc = _Accum(1 << self.k, self)
         acc.push_token(gen, sign)
         return acc.freeze(self.k)
 
@@ -396,14 +391,6 @@ def generator(params: GroupParams, gen: str, sign: int = 1) -> NormalForm:
 
 def mul_gen(w: NormalForm, gen: str, sign: int = 1) -> NormalForm:
     return w.times_gen(gen, sign)
-
-
-def mul(w1: NormalForm, w2: NormalForm) -> NormalForm:
-    return w1 * w2
-
-
-def inv(w: NormalForm) -> NormalForm:
-    return w.inverse()
 
 
 def sigma_a(w: NormalForm) -> int:

@@ -1,10 +1,15 @@
 import json
+import time
+from pathlib import Path
 
+import pytest
 
 from nup.cli import main
-from nup.families import build_base_set
+from nup.families import MAX_FAMILY_SIZE, FamilySpec, build_base_set, check_family_size, expected_cardinality
 from nup.sets import load_set_file
 from nup.words import GroupParams
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestEval:
@@ -96,6 +101,14 @@ class TestSearchCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert json1.read_bytes() == json2.read_bytes()
 
+    @pytest.mark.parametrize("mode, flags", [("symmetric", ["--symmetric"]), ("mutate-one", ["--neighborhood", "mutate-one"])])
+    def test_golden_report(self, mode, flags, tmp_path, capsys):
+        # reports written by the pair-list implementation of the square scan
+        path = tmp_path / "report.json"
+        args = ["search", "--k", "1", "--size", "14", "--seed", "11", "--budget", "300", *flags, "--json", str(path)]
+        assert main(args) == 1
+        assert path.read_bytes() == (DATA / f"search_k1_s14_seed11_{mode}.json").read_bytes()
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 1, "size": 17, "init": "base", "seed": 1, "budget": 5}))
@@ -133,15 +146,74 @@ class TestUsage:
 
 
 class TestThreads:
-    def test_threads_flag_same_result(self, tmp_path):
-        solo, multi = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--k", "1", "--json", str(solo)]) == 0
-        assert main(["verify", "--k", "1", "--threads", "2", "--json", str(multi)]) == 0
-        a = json.loads(solo.read_text())
-        b = json.loads(multi.read_text())
-        for key in ("set_size", "unique_count", "product_size", "total_factorizations"):
-            assert a[key] == b[key]
+    """The process pool and its --threads / NUP_THREADS knob are gone."""
 
-    def test_env_fallback(self, monkeypatch, capsys):
+    def test_threads_flag_exits_2(self, capsys):
+        assert main(["verify", "--k", "1", "--threads", "2"]) == 2
+        assert main(["check", "--k", "1", "--threads", "1"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_env_ignored(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("NUP_THREADS", "2")
-        assert main(["verify", "--k", "1"]) == 0
+        path = tmp_path / "report.json"
+        assert main(["verify", "--k", "1", "--json", str(path)]) == 0
+        assert "threads" not in json.loads(path.read_text())["parameters"]
+
+
+class TestOversized:
+    """Specs above the size limit exit 2 from the closed form, building nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--k", "30"],
+            ["check", "--k", "30"],
+            ["export-set", "--k", "30", "-o", "unused.txt"],
+            ["verify", "--k", "1000000"],
+            ["verify", "--k", "100000000", "--p", "1", "--q", "1"],
+            ["verify", "--k", "1", "--p", "1", "--q", str(10**30 + 1)],
+            ["check", "--k", "2", "--p", "3", "--q", str(4 * 10**40 + 1)],
+        ],
+    )
+    def test_refused_fast(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert f"above the limit of {MAX_FAMILY_SIZE}" in err
+        assert not (tmp_path / "unused.txt").exists()
+
+    def test_huge_k_with_q_names_the_rule(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["verify", "--k", "100000000", "--p", "1", "--q", "3"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "q - 1 = 2 must be a multiple of 2^100000000" in capsys.readouterr().err
+
+    def test_predicted_size_printed(self, capsys):
+        assert main(["verify", "--k", "30"]) == 2
+        assert str(expected_cardinality(FamilySpec(30))) in capsys.readouterr().err
+
+    def test_limit_admits_k6(self):
+        assert check_family_size(FamilySpec(6)) == 8449
+        with pytest.raises(ValueError):
+            check_family_size(FamilySpec(7))
+
+
+class TestReportBlocks:
+    def test_verify_counters_and_timings(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        assert main(["verify", "--k", "2", "--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 49 * 9, "distinct_products": data["product_size"]}
+        assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
+        assert data["timings"]["claims_s"] == 0.0
+
+    def test_check_counters_and_timings(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        assert main(["check", "--k", "2", "--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["counters"]["elements"] == 49 and data["counters"]["runs"] == 9
+        assert data["counters"]["distinct_products"] == 462
+        assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
+        assert all(t >= 0 for t in data["timings"].values())
