@@ -1,5 +1,6 @@
 import pytest
 
+import claims_oracle
 from nup.checker import (
     FAIL,
     PASS,
@@ -11,8 +12,9 @@ from nup.checker import (
     run_all_claims,
     verify_family,
 )
-from nup.families import FamilySpec, build_family
-from nup.sets import make_set, product_table
+from nup.cli import main
+from nup.families import FamilySpec, SliceLabel, build_family
+from nup.sets import load_set_file, make_set, product_table
 from nup.words import GroupParams, from_string, from_word
 
 
@@ -23,6 +25,30 @@ def tampered_family(spec, drop_word):
     keep = [(w, lab) for w, lab in zip(full.elements, full.labels) if w != victim]
     assert len(keep) == len(full) - 1
     return make_set(spec.params, [w for w, _ in keep], [lab for _, lab in keep])
+
+
+def relabeled(spec, changes):
+    """The labeled set with each label in changes replaced by its value."""
+    full = build_family(spec)
+    return make_set(spec.params, full.elements, [changes.get(lab, lab) for lab in full.labels])
+
+
+def swapped_labels(spec, key, j1, j2):
+    """The labeled set with the labels (key, j1) and (key, j2) exchanged."""
+    a, b = SliceLabel(*key, j1), SliceLabel(*key, j2)
+    return relabeled(spec, {a: b, b: a})
+
+
+def coverage_bytes(inv):
+    """The coverage as one byte per pair (i, j), row-major."""
+    n = inv.size
+    return bytearray(inv.is_marked(i, j) for i in range(n) for j in range(n))
+
+
+def claims_and_oracle(spec, gset):
+    """The table-read claims and the element-wise oracle's, each on a fresh Inventory."""
+    ours, theirs = Inventory(spec, gset), Inventory(spec, gset)
+    return (ours, run_all_claims(ours)), (theirs, claims_oracle.run_all_claims(theirs))
 
 
 class TestClaimSuites:
@@ -188,3 +214,71 @@ class TestCoverageAccounting:
             for j in range(n):
                 if inv.is_marked(i, j):
                     assert table.multiplicity(gset[i] * gset[j]) >= 2
+
+
+DIFFERENTIAL_POINTS = [(1,), (2,), (3,), (4,), (1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5)]
+
+
+class TestTableReadMatchesOracle:
+    @pytest.mark.parametrize("point", DIFFERENTIAL_POINTS, ids=lambda p: "-".join(map(str, p)))
+    def test_reports_and_coverage_identical(self, point):
+        spec = FamilySpec(*point)
+        (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, build_family(spec))
+        assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+        assert coverage_bytes(inv) == coverage_bytes(oracle_inv)
+
+    @pytest.mark.parametrize(
+        "spec, make",
+        [
+            # labels that no longer follow b-offsets inside one progression
+            (FamilySpec(2), lambda spec: swapped_labels(spec, ("Y", 1), 2, 3)),
+            (FamilySpec(1, 1, 3), lambda spec: swapped_labels(spec, ("X", 1), 0, 4)),
+            # an interior element dropped, so the progression's span breaks its run
+            (FamilySpec(2), lambda spec: tampered_family(spec, "b^2 a b^3")),
+            (FamilySpec(1, 1, 3), lambda spec: tampered_family(spec, "b A b^5")),
+            # an element of a chart target labeled into another progression,
+            # so its run holds a column outside the target block
+            (FamilySpec(2), lambda spec: relabeled(spec, {SliceLabel("X", 1, 4): SliceLabel("Y", 9, 4)})),
+        ],
+        ids=["swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "foreign-progression-k2"],
+    )
+    def test_tampered_sets(self, spec, make):
+        broken = make(spec)
+        (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, broken)
+        assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+        assert coverage_bytes(inv) == coverage_bytes(oracle_inv)
+        failed = [c for c in ours if c.status == FAIL]
+        assert failed and all(c.witness is not None for c in failed)
+        summary = verify_family(spec, gset=broken)
+        assert summary.soundness_ok
+        assert summary.consistent
+
+    def test_claims_do_not_multiply(self, monkeypatch):
+        spec = FamilySpec(2, 1, 5)
+        inv = Inventory(spec, build_family(spec))
+        from nup.words import NormalForm
+
+        def refuse(self, other):
+            raise AssertionError("a claim multiplied two elements")
+
+        monkeypatch.setattr(NormalForm, "__mul__", refuse)
+        claims = run_all_claims(inv)
+        assert inv.coverage() == 1.0
+        assert all(c.status != FAIL for c in claims)
+
+
+class TestLabelValidation:
+    @pytest.mark.parametrize("suffix, shown", [("", "None"), (" | foo", "'foo'")], ids=["unlabeled", "foreign"])
+    def test_bad_label_names_the_element(self, suffix, shown, tmp_path, capsys):
+        path = tmp_path / "t1.txt"
+        assert main(["export-set", "--k", "1", "-o", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        # the first element line loses its label or gets a foreign one
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first] = lines[first].split("|")[0].strip() + suffix
+        path.write_text("\n".join(lines) + "\n")
+        spec = FamilySpec(1)
+        gset = load_set_file(path, spec.params)
+        bad = gset.labels.index(None if not suffix else "foo")
+        with pytest.raises(ValueError, match=rf"element {bad} .*has label {shown}"):
+            Inventory(spec, gset)
