@@ -34,26 +34,24 @@ each mark records a second, distinct factorization of the same product)
 implies that no element of the square is uniquely represented.  That
 implication is cross-checked against the actual factorization table.
 
-No claim multiplies two elements: every product is read from that table.
-X[i] * Y[j] is named exactly by (prefix id, n0 + offset of j in its b-run),
-where (prefix id, n0) is the table's cell for row i and j's run (see
-nup.sets).  When both right factors of a claim range over consecutive
-elements of one run, the claim holds for the whole range exactly when the
-first two products agree, so one comparison settles it; any other range is
-walked pair by pair.  A chart row finds a product in its target block by
-interval containment on the cells.
+No claim multiplies two elements: every product is read from that table,
+which names X[i] * Y[j] exactly by a key (see nup.sets).  When both right
+factors of a claim range over consecutive elements of one b-run, the claim
+holds for the whole range exactly when the first two products agree, so one
+comparison settles it; any other range is walked pair by pair.  A chart row
+finds a product in its target block by interval containment on the table's
+cells.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .families import FamilySpec, SliceLabel, build_family, expected_cardinality, z_halfwidth
-from .sets import FactorizationTable, GroupSet, _from_b_key, b_key, product_table, unique_products
-from .words import NormalForm, from_word
+from .sets import FactorizationTable, GroupSet, product_table, unique_products
+from .words import from_word
 
 PASS = "pass"
 FAIL = "fail"
@@ -85,20 +83,24 @@ class ClaimReport:
 
 
 class Inventory:
-    """Labeled-set view used by all claims: progression lookup, the products
-    of the square read from its factorization table, and coverage.
+    """Labeled-set view used by all claims: progression lookup by label, the
+    square's factorization table, and coverage.
 
     table is the factorization table of gset * gset, built when not given.
-    Its cells sit in two flat arrays indexed by i * runs + run; coverage is
-    one int per row i whose bit j marks the pair (i, j).
+    Coverage is one int per row i whose bit j marks the pair (i, j).
     """
 
     def __init__(self, spec: FamilySpec, gset: GroupSet, table: Optional[FactorizationTable] = None):
         if gset.labels is None:
             raise ValueError("checker needs a labeled set")
+        self.prog: dict[tuple[str, int], dict[int, int]] = {}
         for i, lab in enumerate(gset.labels):
             if not isinstance(lab, SliceLabel) or lab.family not in _ORDER:
                 raise ValueError(f"element {i} ({gset.elements[i]}) has label {lab!r}, not a slice label 'X|Y|Z INDEX J'")
+            js = self.prog.setdefault((lab.family, lab.index), {})
+            if lab.j in js:
+                raise ValueError(f"elements {js[lab.j]} and {i} share the label '{lab.family} {lab.index} {lab.j}'")
+            js[lab.j] = i
         self.spec = spec
         self.gset = gset
         self.params = spec.params
@@ -108,29 +110,9 @@ class Inventory:
         self.top = (self.M + 1) * self.q  # largest X/Y trailing exponent
         self.D = z_halfwidth(spec)
         self.size = len(gset)
-        self.prog: dict[tuple[str, int], dict[int, int]] = {}
-        for i, lab in enumerate(gset.labels):
-            self.prog.setdefault((lab.family, lab.index), {})[lab.j] = i
         self.bounds = {key: (min(js), max(js)) for key, js in self.prog.items()}
+        self.table = product_table(gset, gset) if table is None else table
         self._rows = [0] * self.size
-        if table is None:
-            table = product_table(gset, gset)
-        self.runs = table.runs
-        self.n_runs = len(self.runs)
-        self.run_of = array("i", [0]) * self.size
-        self.offset = array("i", [0]) * self.size
-        for r, run in enumerate(self.runs):
-            for t, j in enumerate(run):
-                self.run_of[j] = r
-                self.offset[j] = t
-        self.prefixes = list(table.buckets)
-        self.prefix_id = {prefix: pid for pid, prefix in enumerate(self.prefixes)}
-        self.cell_pid = array("i", [0]) * (self.size * self.n_runs)
-        self.cell_n0 = array("q", [0]) * (self.size * self.n_runs)
-        for pid, bucket in enumerate(table.buckets.values()):
-            for n0, _, i, r in bucket:
-                self.cell_pid[i * self.n_runs + r] = pid
-                self.cell_n0[i * self.n_runs + r] = n0
         self._spans: dict = {}
 
     def progressions(self):
@@ -139,8 +121,8 @@ class Inventory:
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
 
-    def span(self, fam: str, idx: int, j: int, length: int) -> Optional[tuple[int, int, int]]:
-        """(run, position, column bits) of the labels (fam, idx, j .. j+length-1)
+    def span(self, fam: str, idx: int, j: int, length: int) -> Optional[tuple[int, int]]:
+        """(first column, column bits) of the labels (fam, idx, j .. j+length-1)
         when their elements are consecutive elements y, y*b, ... of one run,
         read from the elements themselves; else None.  Cached."""
         key = (fam, idx, j, length)
@@ -150,25 +132,12 @@ class Inventory:
             cols = [js.get(j + t) for t in range(length)]
             found = None
             if None not in cols:
-                r, t0 = self.run_of[cols[0]], self.offset[cols[0]]
-                if self.runs[r][t0 : t0 + length] == cols:
-                    found = (r, t0, sum(1 << c for c in cols))
+                run_of, offset = self.table.columns()
+                r, t0 = run_of[cols[0]], offset[cols[0]]
+                if self.table.runs[r][t0 : t0 + length] == cols:
+                    found = (cols[0], sum(1 << c for c in cols))
             self._spans[key] = found
         return found
-
-    def product(self, i: int, j: int) -> tuple[int, int]:
-        """The name (prefix id, n) of element(i) * element(j)."""
-        cell = i * self.n_runs + self.run_of[j]
-        return self.cell_pid[cell], self.cell_n0[cell] + self.offset[j]
-
-    def key_of(self, w: NormalForm) -> tuple[int, int]:
-        """(prefix id, n) of w; prefix id -1 when no product has w's prefix."""
-        prefix, n = b_key(w)
-        return self.prefix_id.get(prefix, -1), n
-
-    def element_of(self, key: tuple[int, int]) -> NormalForm:
-        pid, n = key
-        return _from_b_key(self.spec.k, self.prefixes[pid], n)
 
     def mark(self, i: int, j: int) -> None:
         self._rows[i] |= 1 << j
@@ -203,9 +172,9 @@ def _pair_witness(inv: Inventory, left_a, right_a, left_b, right_b) -> Optional[
     missing = [name for name, i in (("left_a", ia), ("right_a", ja), ("left_b", ib), ("right_b", jb)) if i is None]
     if missing:
         return {"reason": "missing element", "missing": missing, "pairs": pairs}
-    za, zb = inv.product(ia, ja), inv.product(ib, jb)
+    za, zb = inv.table.product(ia, ja), inv.table.product(ib, jb)
     if za != zb:
-        return {"reason": "products differ", "left": str(inv.element_of(za)), "right": str(inv.element_of(zb)), "pairs": pairs}
+        return {"reason": "products differ", "left": str(inv.table.element_of(za)), "right": str(inv.table.element_of(zb)), "pairs": pairs}
     if (ia, ja) == (ib, jb):
         return {"reason": "identical factorization", "pairs": pairs[:1]}
     inv.mark(ia, ja)
@@ -218,11 +187,11 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
     (left_a, left_b), right pair (right_a, right_b) and t < length, the claim
     left_a * right_a = left_b * right_b with both right labels shifted by t.
     Factors are labels (family, index, j).  Where both right spans are
-    consecutive elements of one run, a left pair is checked by comparing two
-    cells once; anything else is walked pair by pair.  The witness is the
-    first failure."""
+    consecutive elements of one run, a left pair is checked by comparing its
+    first two products; anything else is walked pair by pair.  The witness is
+    the first failure."""
     count, fails, witness = 0, 0, None
-    rows, n_runs, cell_pid, cell_n0 = inv._rows, inv.n_runs, inv.cell_pid, inv.cell_n0
+    rows, product = inv._rows, inv.table.product
     for lefts, rights, length in blocks:
         spans = [(inv.span(*ra, length), inv.span(*rb, length)) for ra, rb in rights]
         for la, lb in lefts:
@@ -230,11 +199,10 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
             for (ra, rb), (span_a, span_b) in zip(rights, spans):
                 count += length
                 if span_a and span_b and ia is not None and ib is not None and ia != ib:
-                    ca, cb = ia * n_runs + span_a[0], ib * n_runs + span_b[0]
                     # a row times a run is one interval, so the first products decide
-                    if cell_pid[ca] == cell_pid[cb] and cell_n0[ca] + span_a[1] == cell_n0[cb] + span_b[1]:
-                        rows[ia] |= span_a[2]
-                        rows[ib] |= span_b[2]
+                    if product(ia, span_a[0]) == product(ib, span_b[0]):
+                        rows[ia] |= span_a[1]
+                        rows[ib] |= span_b[1]
                         continue
                 for t in range(length):
                     w = _pair_witness(inv, la, (*ra[:2], ra[2] + t), lb, (*rb[:2], rb[2] + t))
@@ -406,50 +374,39 @@ class _Ctx:
         self.n = n
 
 
-def _var_values(kind: str, M: int) -> list[int]:
-    if kind == "zero":
-        return [0]
-    if kind == "last":
-        return [M - 1]
-    if kind == "l":
-        return list(range(1, M - 2, 2))
-    if kind == "m":
-        return list(range(2, M - 1, 2))
-    if kind == "n":
-        return list(range(M))
-    if kind == "n_nonzero":
-        return list(range(1, M))
-    raise ValueError(kind)
+# the values of a chart row's free index n, by the row's var, for M = 2^k
+_VAR_VALUES: dict[str, Callable[[int], range]] = {
+    "zero": lambda M: range(0, 1),
+    "last": lambda M: range(M - 1, M),
+    "l": lambda M: range(1, M - 2, 2),
+    "m": lambda M: range(2, M - 1, 2),
+    "n": lambda M: range(M),
+    "n_nonzero": lambda M: range(1, M),
+}
 
 
 def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, tgt_runs, residue, exclude_pair):
-    """Locate the product z = (prefix id, n) as u' * w' inside the target
-    block with (u', w') != exclude_pair.
+    """Locate the product with key z as u' * w' inside the target block with
+    (u', w') != exclude_pair.
 
     Left factors are restricted to trailing exponents congruent to residue
     mod M when a residue is given; tgt_runs are the runs that hold the target
     block's right factors.  Returns the index pair or None."""
     lo, hi = inv.bounds[tgt_left]
-    M = inv.M
-    if residue is None:
-        cs = range(lo, hi + 1)
-    else:
-        start = lo + ((residue - lo) % M)
-        cs = range(start, hi + 1, M)
+    if residue is not None:
+        lo += (residue - lo) % inv.M
+    cs = range(lo, hi + 1, 1 if residue is None else inv.M)
     row = inv.prog[tgt_left]
     memb = inv.prog[tgt_right]
     labels = inv.gset.labels
-    pid, n = z
     for c in cs:
         li = row.get(c)
         if li is None:
             continue
         # u' * w' = z for at most one w', in the run whose cell holds z
         for r in tgt_runs:
-            cell = li * inv.n_runs + r
-            t = n - inv.cell_n0[cell]
-            if inv.cell_pid[cell] == pid and 0 <= t < len(inv.runs[r]):
-                ri = inv.runs[r][t]
+            ri = inv.table.right_factor(li, r, z)
+            if ri is not None:
                 if memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair:
                     return (li, ri)
                 break
@@ -459,9 +416,9 @@ def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, t
 def check_chart(inv: Inventory) -> list[ClaimReport]:
     """Verify every instantiated chart row against the built set."""
     reports: list[ClaimReport] = []
-    M = inv.M
+    M, table = inv.M, inv.table
     for row in _CHART:
-        for n in _var_values(row.var, M):
+        for n in _VAR_VALUES[row.var](M):
             ctx = _Ctx(inv, n)
             lfam, lidx, lexp = row.left(ctx)
             rfam, ridx = row.right(ctx)
@@ -493,7 +450,7 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 if ri is None:
                     missing = {"reason": "missing slice element", "j": i}
                     break
-                src_pairs.append((li, ri, inv.product(li, ri)))
+                src_pairs.append((li, ri, table.product(li, ri)))
             if missing:
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, 0, missing))
                 continue
@@ -503,14 +460,14 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 lo, hi = rng
                 if hi - lo + 1 != len(src_sorted):
                     return False
-                return sorted(inv.key_of(from_word(row.shape(ctx, j), inv.params)) for j in range(lo, hi + 1)) == src_sorted
+                return sorted(table.key_of(from_word(row.shape(ctx, j), inv.params)) for j in range(lo, hi + 1)) == src_sorted
 
             if range_matches(printed_rng):
                 used, suspect = printed_rng, False
             elif printed_rng != pattern_rng and range_matches(pattern_rng):
                 used, suspect = pattern_rng, True
             else:
-                elements = sorted((inv.element_of(z) for z in src_sorted), key=lambda w: w.sort_key())
+                elements = sorted((table.element_of(z) for z in src_sorted), key=lambda w: w.sort_key())
                 witness = {
                     "reason": "rewritten slice does not match the claimed range",
                     "printed_range": list(printed_rng),
@@ -521,7 +478,8 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 continue
             params["range_used"] = list(used)
             # membership of every rewritten element in the target block
-            tgt_runs = sorted({inv.run_of[i] for i in inv.prog[tgt_right].values()})
+            run_of = table.columns()[0]
+            tgt_runs = sorted({run_of[i] for i in inv.prog[tgt_right].values()})
             witness = None
             fails = 0
             for (si, ri, z) in src_pairs:
@@ -531,7 +489,7 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                     if witness is None:
                         witness = {
                             "reason": "no alternative factorization in target block",
-                            "element": str(inv.element_of(z)),
+                            "element": str(table.element_of(z)),
                             "source_pair": [si, ri],
                         }
                     continue
@@ -603,12 +561,10 @@ class CheckSummary:
         }
 
 
-def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSummary:
-    """Run every structured claim plus the end-to-end unique-product scan.
-
-    The two must agree: all claims passing with full coverage implies a zero
-    unique-product count.
-    """
+def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:
+    """Build the family (unless gset is given), the factorization table of
+    its square and its unique products.  Returns (gset, table, uniques,
+    timings of the build and the scan)."""
     t0 = time.perf_counter()
     if gset is None:
         gset = build_family(spec)
@@ -616,9 +572,21 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSum
     table = product_table(gset, gset)
     uniques = unique_products(gset, gset, table=table)
     t2 = time.perf_counter()
+    return gset, table, uniques, {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6)}
+
+
+def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSummary:
+    """Run every structured claim plus the end-to-end unique-product scan.
+
+    The two must agree: all claims passing with full coverage implies a zero
+    unique-product count.
+    """
+    t0 = time.perf_counter()
+    gset, table, uniques, timings = scan_family(spec, gset)
+    t1 = time.perf_counter()
     inv = Inventory(spec, gset, table)
     claims = run_all_claims(inv)
-    t3 = time.perf_counter()
+    timings["claims_s"] = round(time.perf_counter() - t1, 6)
     # soundness: a marked pair exhibits a second factorization, so its product
     # can never sit in the table with multiplicity one
     soundness_ok = all(not inv.is_marked(i, j) for _, (i, j) in uniques)
@@ -641,5 +609,5 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSum
         elapsed=time.perf_counter() - t0,
         uncovered_sample=[list(t) for t in inv.uncovered()],
         counters=table.counters(),
-        timings={"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6), "claims_s": round(t3 - t2, 6)},
+        timings=timings,
     )

@@ -111,7 +111,7 @@ def expected_cardinality(spec: FamilySpec) -> int:
 
 
 # Largest family the CLI builds.  verify --k 6 (8449 elements) fits; the
-# check command's coverage bitmap alone takes |T|^2 bytes.
+# check command's coverage alone takes |T|^2 bits, one int per row.
 MAX_FAMILY_SIZE = 1 << 14
 
 

@@ -2,9 +2,9 @@
 
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
-element.  A FactorizationTable records, for every element z of the product
-set X*Y, every index pair (i, j) with X[i] * Y[j] = z, so callers can count
-multiplicities and extract witnesses.
+element.  A FactorizationTable holds the product set X*Y with every index
+pair (i, j) of X[i] * Y[j], so callers can count multiplicities, extract
+witnesses and compare products without multiplying.
 
 The table rests on one fact about normal forms.  Right multiplication by b^e
 leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
@@ -13,9 +13,13 @@ leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
 
 so (prefix, n) names an element exactly.  Y therefore splits into maximal
 b-runs y, y*b, ..., y*b^(L-1), and x times such a run is the interval
-[n0, n0 + L) of a single prefix, found with one multiply.  A sweep over the
-intervals of each prefix gives the distinct products, the multiplicities and
-the uniquely represented products; pair lists are rebuilt only on demand.
+[n0, n0 + L) of a single prefix, found with one multiply.  The table stores
+the square once, as one cell per row and run: the cell's n0 sits in a flat
+array, and each prefix, numbered in scan order, lists its cells.  The
+product of row i and column j is the key (prefix id, n0 + offset of j in its
+run).  A sweep over the cells of each prefix gives the distinct
+products, the multiplicities and the uniquely represented products; pair
+lists are rebuilt only on demand.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -25,6 +29,7 @@ starts a comment, blank lines are ignored, and an optional trailing
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Iterable, Optional, Sequence
 
 from .words import GroupParams, NormalForm, from_string, to_string
@@ -79,7 +84,8 @@ class GroupSet:
 def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Optional[Sequence] = None) -> GroupSet:
     """Sort and deduplicate; the number of duplicates removed is recorded.
 
-    Callers that rely on distinctness assert ``duplicates_removed == 0``.
+    A repeated element keeps the label of its first occurrence.  Callers that
+    rely on distinctness assert ``duplicates_removed == 0``.
     """
     elems = list(elements)
     for w in elems:
@@ -89,26 +95,14 @@ def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Option
         labels = list(labels)
         if len(labels) != len(elems):
             raise ValueError(f"{len(labels)} labels for {len(elems)} elements")
-        pairs = sorted(zip(elems, labels), key=lambda t: t[0].sort_key())
-        out_e: list[NormalForm] = []
-        out_l: list = []
-        dups = 0
-        for w, lab in pairs:
-            if out_e and out_e[-1] == w:
-                dups += 1
-                continue
+    pairs = sorted(zip(elems, labels or [None] * len(elems)), key=lambda t: t[0].sort_key())
+    out_e: list[NormalForm] = []
+    out_l: list = []
+    for w, lab in pairs:
+        if not out_e or out_e[-1] != w:
             out_e.append(w)
             out_l.append(lab)
-        return GroupSet(params, tuple(out_e), tuple(out_l), dups)
-    elems.sort(key=lambda w: w.sort_key())
-    out: list[NormalForm] = []
-    dups = 0
-    for w in elems:
-        if out and out[-1] == w:
-            dups += 1
-            continue
-        out.append(w)
-    return GroupSet(params, tuple(out), None, dups)
+    return GroupSet(params, tuple(out_e), None if labels is None else tuple(out_l), len(elems) - len(out_e))
 
 
 def b_key(w: NormalForm) -> tuple[tuple, int]:
@@ -143,13 +137,20 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
-def _cover(bucket: list) -> tuple[int, int]:
-    """(points covered, points covered exactly once) by a bucket's intervals."""
-    if len(bucket) == 1:  # most buckets of a small random set
-        return bucket[0][1], bucket[0][1]
+def _cover(cells: list, n0: array, lens: list) -> tuple[int, int]:
+    """(points covered, points covered exactly once) by the intervals of one
+    prefix's cells; lens holds the length of every run."""
+    R = len(lens)
+    if len(cells) == 1:  # one interval, covered once
+        length = lens[cells[0] % R]
+        return length, length
     # an event is pos << 1 | is_start, so the ints sort by position
-    events = [n << 1 | 1 for n, _, _, _ in bucket]
-    events += [(n + length) << 1 for n, length, _, _ in bucket]
+    events: list[int] = []
+    add = events.append
+    for c in cells:
+        start = n0[c]
+        add(start << 1 | 1)
+        add((start + lens[c % R]) << 1)
     events.sort()
     covered = once = count = prev = 0
     for e in events:
@@ -164,39 +165,53 @@ def _cover(bucket: list) -> tuple[int, int]:
 
 
 class FactorizationTable:
-    """All factorizations of the product set X*Y, stored as b-intervals.
+    """All factorizations of the product set X*Y, stored as one cell per
+    (row i, b-run r of Y).
 
-    Y splits into maximal b-runs; the products of x with a run of length L
-    are the interval [n0, n0 + L) of one prefix, where (prefix, n0) = b_key(x
-    times the run's first element).  ``buckets`` maps each prefix to its
-    intervals (n0, L, i, r) in row order; pair lists are rebuilt on demand,
-    one bucket at a time.
+    Cell c = i * len(runs) + r is the product of X[i] with the run's first
+    element: cell_n0[c] is its n, and cells_of lists the cells of each prefix
+    in row order, prefixes numbered in scan order.  X[i] times the t-th
+    element of the run is then (prefix id of c, cell_n0[c] + t), and the
+    run's products are the interval [n0, n0 + len(run)) of one prefix.  Keys
+    (prefix id, n) name products exactly.  The lookups by key (product,
+    key_of, right_factor) read cell_pid, the prefix id of every cell, and the
+    run and offset of every column; these are indexed on first use, so a
+    table that is only counted never builds them.  cell_n0 holds 64-bit
+    ints; a product beyond that is refused with a ValueError.
     """
 
-    __slots__ = ("x", "y", "runs", "buckets", "_distinct")
+    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "cell_pid", "_prefix_id", "_columns", "_distinct")
 
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
         self.y = y
         self.runs = b_runs(y.elements)
-        heads = [(y.elements[run[0]], len(run), r) for r, run in enumerate(self.runs)]
+        heads = [y.elements[run[0]] for run in self.runs]
         k = x.params.k
-        buckets: dict = {}
-        get = buckets.get
-        for i, xe in enumerate(x.elements):
-            for head, length, r in heads:
-                z = xe * head
-                # b_key(z), inlined: this loop is the whole scan
-                alpha, syl = z.alpha, z.syllables
-                n = -(z.v << k) if (alpha + len(syl)) & 1 else z.v << k
-                prefix = (z.u, alpha, syl)
-                bucket = get(prefix)
-                if bucket is None:
-                    buckets[prefix] = [(n + z.beta, length, i, r)]
-                else:
-                    bucket.append((n + z.beta, length, i, r))
-        self.buckets = buckets
-        self._distinct = None
+        cells_at: dict = {}
+        self.cell_n0 = array("q")
+        get, add_n0 = cells_at.get, self.cell_n0.append
+        c = 0
+        try:
+            for xe in x.elements:
+                for head in heads:
+                    z = xe * head
+                    # b_key(z), inlined: this loop is the whole scan
+                    alpha, syl = z.alpha, z.syllables
+                    n = -(z.v << k) if (alpha + len(syl)) & 1 else z.v << k
+                    prefix = (z.u, alpha, syl)
+                    cells = get(prefix)
+                    if cells is None:
+                        cells_at[prefix] = [c]
+                    else:
+                        cells.append(c)
+                    add_n0(n + z.beta)
+                    c += 1
+        except OverflowError:
+            raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
+        self.prefixes = list(cells_at)
+        self.cells_of = list(cells_at.values())
+        self.cell_pid = self._prefix_id = self._columns = self._distinct = None
 
     def counters(self) -> dict:
         multiplies = len(self.x) * len(self.runs)
@@ -207,51 +222,107 @@ class FactorizationTable:
 
     def __len__(self):
         if self._distinct is None:
-            self._distinct = sum(_cover(bucket)[0] for bucket in self.buckets.values())
+            self._distinct = sum(cover[0] for cover in self._covers())
         return self._distinct
+
+    def _covers(self):
+        """(points covered, points covered once) of every prefix, in id order."""
+        n0, lens = self.cell_n0, [len(run) for run in self.runs]
+        return (_cover(cells, n0, lens) for cells in self.cells_of)
+
+    # -- products by key ------------------------------------------------------
+
+    def columns(self) -> tuple[array, array]:
+        """(run of j, offset of j in its run) for every column j; builds the
+        key index on first use."""
+        if self._columns is None:
+            self.cell_pid = array("i", [0]) * len(self.cell_n0)
+            for pid, cells in enumerate(self.cells_of):
+                for c in cells:
+                    self.cell_pid[c] = pid
+            self._prefix_id = {prefix: pid for pid, prefix in enumerate(self.prefixes)}
+            run_of = array("i", [0]) * len(self.y)
+            offset = array("i", [0]) * len(self.y)
+            for r, run in enumerate(self.runs):
+                for t, j in enumerate(run):
+                    run_of[j] = r
+                    offset[j] = t
+            self._columns = run_of, offset
+        return self._columns
+
+    def product(self, i: int, j: int) -> tuple[int, int]:
+        """The key of X[i] * Y[j]."""
+        run_of, offset = self._columns or self.columns()
+        c = i * len(self.runs) + run_of[j]
+        return self.cell_pid[c], self.cell_n0[c] + offset[j]
+
+    def right_factor(self, i: int, r: int, key: tuple[int, int]) -> Optional[int]:
+        """The j in run r with X[i] * Y[j] named by key, else None."""
+        self.columns()
+        c = i * len(self.runs) + r
+        t = key[1] - self.cell_n0[c]
+        if self.cell_pid[c] == key[0] and 0 <= t < len(self.runs[r]):
+            return self.runs[r][t]
+        return None
+
+    def key_of(self, w: NormalForm) -> tuple[int, int]:
+        """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
+        self.columns()
+        prefix, n = b_key(w)
+        return self._prefix_id.get(prefix, -1), n
+
+    def element_of(self, key: tuple[int, int]) -> NormalForm:
+        pid, n = key
+        return _from_b_key(self.x.params.k, self.prefixes[pid], n)
+
+    # -- pair lists, rebuilt on demand ----------------------------------------
 
     def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
         """Every (i, j) with X[i] * Y[j] = z, sorted."""
-        prefix, n = b_key(z)
+        key = self.key_of(z)
+        if key[0] < 0:
+            return []
         out = []
-        for n0, length, i, r in self.buckets.get(prefix, ()):
-            if n0 <= n < n0 + length:
-                out.append((i, self.runs[r][n - n0]))
+        # cells are in row order and a row covers a point at most once
+        for c in self.cells_of[key[0]]:
+            i, r = divmod(c, len(self.runs))
+            j = self.right_factor(i, r, key)
+            if j is not None:
+                out.append((i, j))
         return out
 
     def multiplicity(self, z: NormalForm) -> int:
         return len(self.factorizations(z))
 
-    def _points(self, prefix: tuple, bucket: list) -> list[tuple[NormalForm, list]]:
-        """Every product of one bucket with its factorizations."""
+    def _points(self, pid: int) -> list[tuple[NormalForm, list]]:
+        """Every product of one prefix with its sorted factorizations."""
         at: dict = {}
-        # the bucket is in row order and a row covers a point at most once,
-        # so every pair list comes out sorted
-        for n0, length, i, r in bucket:
-            run = self.runs[r]
-            for t in range(length):
-                at.setdefault(n0 + t, []).append((i, run[t]))
-        k = self.x.params.k
-        return [(_from_b_key(k, prefix, n), pairs) for n, pairs in at.items()]
+        R = len(self.runs)
+        for c in self.cells_of[pid]:
+            i, r = divmod(c, R)
+            n0 = self.cell_n0[c]
+            for t, j in enumerate(self.runs[r]):
+                at.setdefault(n0 + t, []).append((i, j))
+        return [(self.element_of((pid, n)), pairs) for n, pairs in at.items()]
 
     def items(self) -> list[tuple[NormalForm, list]]:
         """Every product with its sorted factorizations, in canonical order."""
-        out = [item for prefix, bucket in self.buckets.items() for item in self._points(prefix, bucket)]
+        out = [item for pid in range(len(self.cells_of)) for item in self._points(pid)]
         out.sort(key=lambda t: t[0].sort_key())
         return out
 
     def unique_count(self) -> int:
         """Number of products with exactly one factorization."""
-        return sum(_cover(bucket)[1] for bucket in self.buckets.values())
+        return sum(cover[1] for cover in self._covers())
 
     def uniques(self) -> list:
         """(z, (i, j)) for every product with exactly one factorization, in
-        canonical order; only the buckets that hold one are expanded."""
+        canonical order; only the prefixes that hold one are expanded."""
         out = [
             (z, pairs[0])
-            for prefix, bucket in self.buckets.items()
-            if _cover(bucket)[1]
-            for z, pairs in self._points(prefix, bucket)
+            for pid, cover in enumerate(self._covers())
+            if cover[1]
+            for z, pairs in self._points(pid)
             if len(pairs) == 1
         ]
         out.sort(key=lambda t: t[0].sort_key())

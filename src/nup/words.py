@@ -117,24 +117,6 @@ class _Accum:
         else:
             self.alpha = 1
 
-    def push_a_inv(self) -> None:
-        if self.beta:
-            # a^-1 = a^-2 * a; the a^-2 bubbles left first
-            self.u += 1 if ((self.ssum + self.beta) & 1) else -1
-            self.syl.append(self.beta)
-            self.ssum += self.beta
-            self.beta = 0
-        elif self.syl:
-            # cancel the final letter a, promote s_l to trailing position
-            last = self.syl.pop()
-            self.ssum -= last
-            self.beta = last
-        elif self.alpha:
-            self.alpha = 0
-        else:
-            self.u -= 1
-            self.alpha = 1
-
     def push_token(self, gen: str, exp: int) -> None:
         if gen == "b":
             self.push_b(exp)
@@ -266,10 +248,10 @@ class NormalForm:
         if self.beta:
             acc.push_b(-self.beta)
         for s in reversed(self.syllables):
-            acc.push_a_inv()
+            acc.push_token("a", -1)
             acc.push_b(-s)
         if self.alpha:
-            acc.push_a_inv()
+            acc.push_token("a", -1)
         if self.v:
             acc.push_b(-(self.v << self.k))
         if self.u:
@@ -387,26 +369,6 @@ def generator(params: GroupParams, gen: str, sign: int = 1) -> NormalForm:
     if gen not in ("a", "b") or sign not in (1, -1):
         raise ValueError(f"bad generator letter {gen!r}^{sign}")
     return _atom(params.k, gen, sign)
-
-
-def mul_gen(w: NormalForm, gen: str, sign: int = 1) -> NormalForm:
-    return w.times_gen(gen, sign)
-
-
-def sigma_a(w: NormalForm) -> int:
-    return w.sigma_a()
-
-
-def sigma_b(w: NormalForm) -> int:
-    return w.sigma_b()
-
-
-def abelianization(w: NormalForm) -> tuple[int, int]:
-    return w.abelianization()
-
-
-def classify(w: NormalForm) -> str:
-    return w.classify()
 
 
 def from_word(word: Iterable[Token], params: GroupParams) -> NormalForm:

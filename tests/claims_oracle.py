@@ -10,7 +10,7 @@ differ only in how a product is named and compared.
 
 from __future__ import annotations
 
-from nup.checker import FAIL, PASS, TYPO_SUSPECT, _CHART, ClaimReport, _Ctx, _var_values
+from nup.checker import FAIL, PASS, TYPO_SUSPECT, _CHART, _VAR_VALUES, ClaimReport, _Ctx
 from nup.words import from_word
 
 
@@ -139,7 +139,7 @@ def check_chart(view):
     reports = []
     M = inv.M
     for row in _CHART:
-        for n in _var_values(row.var, M):
+        for n in _VAR_VALUES[row.var](M):
             ctx = _Ctx(inv, n)
             lfam, lidx, lexp = row.left(ctx)
             rfam, ridx = row.right(ctx)

@@ -282,3 +282,15 @@ class TestLabelValidation:
         bad = gset.labels.index(None if not suffix else "foo")
         with pytest.raises(ValueError, match=rf"element {bad} .*has label {shown}"):
             Inventory(spec, gset)
+
+    def test_repeated_label_names_both_elements(self, tmp_path):
+        path = tmp_path / "t1.txt"
+        assert main(["export-set", "--k", "1", "-o", str(path)]) == 0
+        text = path.read_text()
+        assert text.count("| Y 1 2\n") == 1
+        path.write_text(text.replace("| Y 1 2\n", "| Y 1 3\n"))
+        spec = FamilySpec(1)
+        gset = load_set_file(path, spec.params)
+        first, second = [i for i, lab in enumerate(gset.labels) if lab == SliceLabel("Y", 1, 3)]
+        with pytest.raises(ValueError, match=rf"elements {first} and {second} share the label 'Y 1 3'"):
+            Inventory(spec, gset)

@@ -2,7 +2,8 @@
 
 tests/brute_square.py multiplies every pair; product_table does one multiply
 per (x, b-run of Y).  They must agree on every pair list, multiplicity,
-unique product (order and witness) and on the pair total.
+unique product (order and witness), on the pair total and on the key
+(prefix id, n) of every pair.
 """
 
 import random
@@ -27,6 +28,11 @@ def assert_same_as_brute(X, Y):
     assert dict(items) == brute
     assert len(table) == len(brute)
     assert table.total_pairs() == sum(len(p) for p in brute.values()) == len(X) * len(Y)
+    # every pair's key names its product, both ways
+    for z, pairs in brute.items():
+        key = table.key_of(z)
+        assert table.element_of(key) == z
+        assert all(table.product(i, j) == key for i, j in pairs)
     for z in random.Random(len(brute)).sample(sorted(brute, key=lambda z: z.sort_key()), min(len(brute), 1500)):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
@@ -141,6 +147,26 @@ class TestAgainstBrute:
             table = product_table(X, Y)
             assert len(table) == table.total_pairs() == table.unique_count() == 0
             assert table.items() == [] and table.uniques() == []
+
+
+@pytest.mark.parametrize("point", [(2,), (1, 3, 5)])
+def test_right_factor_finds_only_the_pair(point):
+    # a row meets each product at most once, so a key is found in its own
+    # run at its own column and in no other run of the row
+    T = build_family(FamilySpec(*point))
+    table = product_table(T, T)
+    for i in range(len(T)):
+        for j in range(len(T)):
+            key = table.product(i, j)
+            found = [table.right_factor(i, r, key) for r in range(len(table.runs))]
+            assert [f for f in found if f is not None] == [j]
+
+
+def test_b_coordinate_beyond_64_bits_refused():
+    P = GroupParams(1)
+    S = make_set(P, [from_string(f"b^{2**64}", P), generator(P, "a")])
+    with pytest.raises(ValueError, match="64 bits"):
+        product_table(S, S)
 
 
 def test_one_multiply_per_row_and_run(monkeypatch):
