@@ -16,12 +16,12 @@ cell-slice is matched inside its own table:
 
 The leftover corner slices are handled by a fixed chart of rewrite rows:
 each row names a slice, a rewritten shape with a claimed j-range, and a
-target product block that must contain it.  A row is verified by (a) checking
-the rewrite as an exact group identity, slice element by slice element,
-(b) checking that the claimed j-range reproduces the slice exactly, and
-(c) locating every rewritten element inside the target block among the left
-factors whose trailing exponent is compatible with the shape (those congruent
-to a fixed residue mod M; only such factors can collapse to the shape).
+target product block that must contain it.  A row is verified by (a)
+checking that the rewritten shape over the claimed j-range reproduces the
+slice exactly, as a set of group elements, and (b) locating every slice
+element inside the target block among the left factors whose trailing
+exponent is compatible with the shape (those congruent to a fixed residue
+mod M; only such factors can collapse to the shape).
 
 Two chart rows carry printed j-ranges that do not fit the pattern of their
 siblings; the checker tests the printed range first and only on failure
@@ -38,9 +38,9 @@ No claim multiplies two elements: every product is read from that table,
 which names X[i] * Y[j] exactly by a key (see nup.sets).  When both right
 factors of a claim range over consecutive elements of one b-run, the claim
 holds for the whole range exactly when the first two products agree, so one
-comparison settles it; any other range is walked pair by pair.  A chart row
-finds a product in its target block by interval containment on the table's
-cells.
+comparison settles it; any other range is walked pair by pair.  Every chart
+shape ends in b^j, so a claimed range lo..hi is one rewrite: its keys are
+(pid, n + t), where (pid, n) is the key of the shape at j = lo.
 """
 
 from __future__ import annotations
@@ -131,11 +131,8 @@ class Inventory:
             js = self.prog.get((fam, idx), _NONE)
             cols = [js.get(j + t) for t in range(length)]
             found = None
-            if None not in cols:
-                run_of, offset = self.table.columns()
-                r, t0 = run_of[cols[0]], offset[cols[0]]
-                if self.table.runs[r][t0 : t0 + length] == cols:
-                    found = (cols[0], sum(1 << c for c in cols))
+            if None not in cols and self.table.is_run(cols):
+                found = (cols[0], sum(1 << c for c in cols))
             self._spans[key] = found
         return found
 
@@ -385,13 +382,12 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, tgt_runs, residue, exclude_pair):
+def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, residue, exclude_pair):
     """Locate the product with key z as u' * w' inside the target block with
     (u', w') != exclude_pair.
 
     Left factors are restricted to trailing exponents congruent to residue
-    mod M when a residue is given; tgt_runs are the runs that hold the target
-    block's right factors.  Returns the index pair or None."""
+    mod M when a residue is given.  Returns the index pair or None."""
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
@@ -403,13 +399,9 @@ def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, t
         li = row.get(c)
         if li is None:
             continue
-        # u' * w' = z for at most one w', in the run whose cell holds z
-        for r in tgt_runs:
-            ri = inv.table.right_factor(li, r, z)
-            if ri is not None:
-                if memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair:
-                    return (li, ri)
-                break
+        ri = inv.table.right_factor(li, z)
+        if ri is not None and memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair:
+            return (li, ri)
     return None
 
 
@@ -460,7 +452,8 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 lo, hi = rng
                 if hi - lo + 1 != len(src_sorted):
                     return False
-                return sorted(table.key_of(from_word(row.shape(ctx, j), inv.params)) for j in range(lo, hi + 1)) == src_sorted
+                pid, n = table.key_of(from_word(row.shape(ctx, lo), inv.params))  # shapes end in b^j
+                return src_sorted == [(pid, n + t) for t in range(hi - lo + 1)]
 
             if range_matches(printed_rng):
                 used, suspect = printed_rng, False
@@ -478,12 +471,10 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 continue
             params["range_used"] = list(used)
             # membership of every rewritten element in the target block
-            run_of = table.columns()[0]
-            tgt_runs = sorted({run_of[i] for i in inv.prog[tgt_right].values()})
             witness = None
             fails = 0
             for (si, ri, z) in src_pairs:
-                alt = _find_alternative(inv, z, tgt_left, tgt_right, tgt_runs, row.residue, (si, ri))
+                alt = _find_alternative(inv, z, tgt_left, tgt_right, row.residue, (si, ri))
                 if alt is None:
                     fails += 1
                     if witness is None:

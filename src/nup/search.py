@@ -1,15 +1,15 @@
 """Stochastic search for non-unique product sets: random restarts + annealing.
 
-The candidate universe is every distinct element reachable by a generator
-word of bounded length, enumerated once per run.  A state is a fixed-size
-subset of the universe; its score is the number of uniquely represented
-elements of its square, so score 0 means a non-unique product set.  Moves
-replace one element (swap-one) or multiply one element by a random generator
-(mutate-one); with the symmetric flag the state stays closed under inversion
-and moves act on inverse-closed pairs.  Acceptance follows simulated
-annealing with geometric cooling.  Runs are deterministic functions of the
-seed; restarts draw their seeds from the master seed by a fixed splitting
-rule and ties go to the lowest restart index.
+The candidate universe is the ball of elements within a bounded word length
+of the identity in the Cayley graph on a, b, a^-1, b^-1, walked once per run.
+A state is a fixed-size subset of the universe; its score is the number of
+uniquely represented elements of its square, so score 0 means a non-unique
+product set.  Moves replace one element (swap-one) or multiply one element by
+a random generator (mutate-one); with the symmetric flag the state stays
+closed under inversion and moves act on inverse-closed pairs.  Acceptance
+follows simulated annealing with geometric cooling.  Runs are deterministic
+functions of the seed; restarts draw their seeds from the master seed by a
+fixed splitting rule and ties go to the lowest restart index.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .words import GroupParams, NormalForm, generator, identity
 
 _NEIGHBORHOODS = ("swap-one", "mutate-one")
 _INITS = ("random", "base")
+# the largest universe a search builds; the ball grows by about 3x per unit
+# of word length (134,637 elements at k=3, length 12)
+MAX_UNIVERSE_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,17 @@ class SearchConfig:
     init: str = "random"
 
     def __post_init__(self):
+        # values arrive from JSON config files too, so check their types
+        for name in ("k", "size", "word_length_cap", "seed", "budget", "restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be true or false, not {self.symmetric!r}")
+        for name in ("temp0", "cooling"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         GroupParams(self.k)
         if self.size < 2:
             raise ValueError("set size must be >= 2")
@@ -79,21 +93,24 @@ class SearchResult:
 
 
 def candidate_universe(params: GroupParams, length_cap: int) -> list[NormalForm]:
-    """Distinct normal forms of all generator words of length <= length_cap,
-    in canonical order."""
-    atoms = [generator(params, "a", 1), generator(params, "a", -1), generator(params, "b", 1), generator(params, "b", -1)]
-    inverse_of = {0: 1, 1: 0, 2: 3, 3: 2}
+    """Every element of word length <= length_cap, in canonical order.
+
+    A breadth-first walk of the Cayley graph: each level multiplies only the
+    elements first seen at the level before.  A ball of more than
+    MAX_UNIVERSE_SIZE elements is refused with a ValueError."""
+    atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
     seen = {identity(params)}
-    frontier = [(identity(params), -1)]
+    frontier = list(seen)
     for _ in range(length_cap):
         nxt = []
-        for w, last in frontier:
-            for ai, atom in enumerate(atoms):
-                if last >= 0 and ai == inverse_of[last]:
-                    continue  # freely reduced words only
+        for w in frontier:
+            for atom in atoms:
                 w2 = w * atom
-                nxt.append((w2, ai))
-                seen.add(w2)
+                if w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
+            if len(seen) > MAX_UNIVERSE_SIZE:
+                raise ValueError(f"the universe of word length <= {length_cap} holds more than {MAX_UNIVERSE_SIZE} elements; lower the length cap")
         frontier = nxt
     return sorted(seen, key=lambda w: w.sort_key())
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .words import GroupParams, NormalForm, from_string, to_string
@@ -173,14 +174,15 @@ class FactorizationTable:
     in row order, prefixes numbered in scan order.  X[i] times the t-th
     element of the run is then (prefix id of c, cell_n0[c] + t), and the
     run's products are the interval [n0, n0 + len(run)) of one prefix.  Keys
-    (prefix id, n) name products exactly.  The lookups by key (product,
-    key_of, right_factor) read cell_pid, the prefix id of every cell, and the
-    run and offset of every column; these are indexed on first use, so a
-    table that is only counted never builds them.  cell_n0 holds 64-bit
-    ints; a product beyond that is refused with a ValueError.
+    (prefix id, n) name products exactly.  A row's cells of one prefix are a
+    bisected slice of its cell list, which right_factor reads; product, key_of
+    and is_run read the prefix id of every cell (cell_pid) and the run and
+    offset of every column, indexed on first use.  The first count sweeps each
+    prefix once.  cell_n0 holds 64-bit ints; a product beyond that is refused
+    with a ValueError.
     """
 
-    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "cell_pid", "_prefix_id", "_columns", "_distinct")
+    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "cell_pid", "_prefix_id", "_cols", "_counts")
 
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
@@ -211,7 +213,23 @@ class FactorizationTable:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(cells_at)
         self.cells_of = list(cells_at.values())
-        self.cell_pid = self._prefix_id = self._columns = self._distinct = None
+        self.cell_pid = self._prefix_id = self._cols = self._counts = None
+
+    def _sweep(self) -> tuple[int, int, list]:
+        """(distinct products, unique products, ids of the prefixes holding a
+        unique product), from one sweep of every prefix's cells."""
+        if self._counts is None:
+            n0, lens = self.cell_n0, [len(run) for run in self.runs]
+            distinct = unique = 0
+            pids = []
+            for pid, cells in enumerate(self.cells_of):
+                covered, once = _cover(cells, n0, lens)
+                distinct += covered
+                if once:
+                    unique += once
+                    pids.append(pid)
+            self._counts = distinct, unique, pids
+        return self._counts
 
     def counters(self) -> dict:
         multiplies = len(self.x) * len(self.runs)
@@ -221,21 +239,14 @@ class FactorizationTable:
         return len(self.x) * len(self.y)
 
     def __len__(self):
-        if self._distinct is None:
-            self._distinct = sum(cover[0] for cover in self._covers())
-        return self._distinct
-
-    def _covers(self):
-        """(points covered, points covered once) of every prefix, in id order."""
-        n0, lens = self.cell_n0, [len(run) for run in self.runs]
-        return (_cover(cells, n0, lens) for cells in self.cells_of)
+        return self._sweep()[0]
 
     # -- products by key ------------------------------------------------------
 
-    def columns(self) -> tuple[array, array]:
+    def _columns(self) -> tuple[array, array]:
         """(run of j, offset of j in its run) for every column j; builds the
         key index on first use."""
-        if self._columns is None:
+        if self._cols is None:
             self.cell_pid = array("i", [0]) * len(self.cell_n0)
             for pid, cells in enumerate(self.cells_of):
                 for c in cells:
@@ -247,27 +258,35 @@ class FactorizationTable:
                 for t, j in enumerate(run):
                     run_of[j] = r
                     offset[j] = t
-            self._columns = run_of, offset
-        return self._columns
+            self._cols = run_of, offset
+        return self._cols
 
     def product(self, i: int, j: int) -> tuple[int, int]:
         """The key of X[i] * Y[j]."""
-        run_of, offset = self._columns or self.columns()
+        run_of, offset = self._cols or self._columns()
         c = i * len(self.runs) + run_of[j]
         return self.cell_pid[c], self.cell_n0[c] + offset[j]
 
-    def right_factor(self, i: int, r: int, key: tuple[int, int]) -> Optional[int]:
-        """The j in run r with X[i] * Y[j] named by key, else None."""
-        self.columns()
-        c = i * len(self.runs) + r
-        t = key[1] - self.cell_n0[c]
-        if self.cell_pid[c] == key[0] and 0 <= t < len(self.runs[r]):
-            return self.runs[r][t]
+    def is_run(self, cols: list) -> bool:
+        """True when the columns cols are consecutive elements, in order, of one b-run."""
+        run_of, offset = self._cols or self._columns()
+        t0 = offset[cols[0]]
+        return self.runs[run_of[cols[0]]][t0 : t0 + len(cols)] == cols
+
+    def right_factor(self, i: int, key: tuple[int, int]) -> Optional[int]:
+        """The j with X[i] * Y[j] named by key, else None."""
+        pid, n = key
+        cells, R = self.cells_of[pid] if pid >= 0 else [], len(self.runs)
+        # row i's cells are one slice, and a row meets each product at most once
+        for c in cells[bisect_left(cells, i * R) : bisect_left(cells, (i + 1) * R)]:
+            t = n - self.cell_n0[c]
+            if 0 <= t < len(self.runs[c % R]):
+                return self.runs[c % R][t]
         return None
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
         """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
-        self.columns()
+        self._columns()
         prefix, n = b_key(w)
         return self._prefix_id.get(prefix, -1), n
 
@@ -282,14 +301,9 @@ class FactorizationTable:
         key = self.key_of(z)
         if key[0] < 0:
             return []
-        out = []
-        # cells are in row order and a row covers a point at most once
-        for c in self.cells_of[key[0]]:
-            i, r = divmod(c, len(self.runs))
-            j = self.right_factor(i, r, key)
-            if j is not None:
-                out.append((i, j))
-        return out
+        R = len(self.runs)
+        rows = dict.fromkeys(c // R for c in self.cells_of[key[0]])  # in row order
+        return [(i, j) for i in rows if (j := self.right_factor(i, key)) is not None]
 
     def multiplicity(self, z: NormalForm) -> int:
         return len(self.factorizations(z))
@@ -313,18 +327,12 @@ class FactorizationTable:
 
     def unique_count(self) -> int:
         """Number of products with exactly one factorization."""
-        return sum(cover[1] for cover in self._covers())
+        return self._sweep()[1]
 
     def uniques(self) -> list:
         """(z, (i, j)) for every product with exactly one factorization, in
         canonical order; only the prefixes that hold one are expanded."""
-        out = [
-            (z, pairs[0])
-            for pid, cover in enumerate(self._covers())
-            if cover[1]
-            for z, pairs in self._points(pid)
-            if len(pairs) == 1
-        ]
+        out = [(z, pairs[0]) for pid in self._sweep()[2] for z, pairs in self._points(pid) if len(pairs) == 1]
         out.sort(key=lambda t: t[0].sort_key())
         return out
 

@@ -1,6 +1,7 @@
 import pytest
 
 import claims_oracle
+from nup import checker
 from nup.checker import (
     FAIL,
     PASS,
@@ -199,6 +200,42 @@ class TestRewriteIdentities:
                             mid = word(P, ("b", n), ("a", eps * p), ("b", M), ("a", -eps * p), ("b", i))
                             flat = word(P, ("b", n - M + i))
                             assert mid == flat
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda row: row._replace(rng=lambda c: (row.rng(c)[0] + 1, row.rng(c)[1] + 1)),
+            lambda row: row._replace(shape=checker._lo(1, 2, 1)),
+        ],
+        ids=["range-shifted", "shape-exponent"],
+    )
+    def test_chart_row_rewrite_is_checked(self, mutate, monkeypatch):
+        # a claimed range of the right length that names other elements
+        # fails the row in both checkers
+        tag = "y(0,lo)Y0"
+        chart = [mutate(row) if row.tag == tag else row for row in checker._CHART]
+        monkeypatch.setattr(checker, "_CHART", chart)
+        monkeypatch.setattr(claims_oracle, "_CHART", chart)
+        spec = FamilySpec(2)
+        (_, ours), (_, theirs) = claims_and_oracle(spec, build_family(spec))
+        for claims in (ours, theirs):
+            (report,) = [c for c in claims if c.source == f"chart:{tag}"]
+            assert report.status == FAIL
+            assert report.witness["reason"] == "rewritten slice does not match the claimed range"
+        assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+
+
+    def test_chart_target_excludes_the_source_pair(self, monkeypatch):
+        # a row whose target block is its own slice's block finds each
+        # element's own pair first; the checker must skip it, as the oracle does
+        tag = "y(0,lo)Y0"
+        chart = [row._replace(target=lambda c: (("Y", 0), ("Y", 0)), residue=None) if row.tag == tag else row for row in checker._CHART]
+        monkeypatch.setattr(checker, "_CHART", chart)
+        monkeypatch.setattr(claims_oracle, "_CHART", chart)
+        spec = FamilySpec(2)
+        (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, build_family(spec))
+        assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+        assert coverage_bytes(inv) == coverage_bytes(oracle_inv)
 
 
 class TestCoverageAccounting:

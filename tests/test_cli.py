@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nup import search
 from nup.cli import main
 from nup.families import MAX_FAMILY_SIZE, FamilySpec, build_base_set, check_family_size, expected_cardinality
 from nup.sets import load_set_file
@@ -118,6 +119,29 @@ class TestSearchCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 1, "size": 1}))
         assert main(["search", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 2.5), ("word_length_cap", 2.5), ("size", 14.5), ("symmetric", "no"), ("budget", "300")],
+    )
+    def test_mistyped_config_exits_2(self, field, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1, "size": 6, "seed": 1, "budget": 20, field: value}))
+        assert main(["search", "--config", str(cfg)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--temp0", "--cooling"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_exits_2(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["search", "--k", "1", "--size", "6", "--budget", "20", flag, value, "--json", str(path)]) == 2
+        assert f"{flag[2:]} must be a finite number" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_oversized_universe_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(search, "MAX_UNIVERSE_SIZE", 100)
+        assert main(["search", "--k", "1", "--size", "6", "--length-cap", "5"]) == 2
+        assert "more than 100 elements" in capsys.readouterr().err
 
     def test_missing_size_exits_2(self):
         assert main(["search", "--k", "1"]) == 2

@@ -1,9 +1,24 @@
 import pytest
 
+from nup import search
 from nup.families import build_base_set
 from nup.search import SearchConfig, candidate_universe, run_search, score
 from nup.sets import make_set, unique_products
-from nup.words import GroupParams, from_string, identity
+from nup.words import GroupParams, from_string, generator, identity
+
+
+def word_balls(params, length_cap):
+    """The distinct normal forms of all freely reduced words of length <= L,
+    for L = 0..length_cap, by enumerating the words one letter at a time."""
+    atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
+    seen = {identity(params)}
+    words = [(identity(params), None)]
+    balls = [set(seen)]
+    for _ in range(length_cap):
+        words = [(w * atom, ai) for w, last in words for ai, atom in enumerate(atoms) if last is None or ai != last ^ 1]
+        seen.update(w for w, _ in words)
+        balls.append(set(seen))
+    return balls
 
 
 class TestConfig:
@@ -17,11 +32,27 @@ class TestConfig:
             dict(k=1, size=4, init="oracle"),
             dict(k=1, size=4, cooling=0.0),
             dict(k=0, size=4),
+            dict(k=1, size=4, restarts=2.5),
+            dict(k=1, size=4, word_length_cap=2.5),
+            dict(k=1, size=14.5),
+            dict(k=1.0, size=4),
+            dict(k=1, size=4, seed="11"),
+            dict(k=1, size=4, budget=True),
+            dict(k=1, size=4, symmetric="no"),
+            dict(k=1, size=4, symmetric=1),
+            dict(k=1, size=4, temp0=float("nan")),
+            dict(k=1, size=4, temp0=float("inf")),
+            dict(k=1, size=4, cooling=float("nan")),
+            dict(k=1, size=4, temp0="2"),
+            dict(k=1, size=4, cooling=True),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    def test_int_temperatures_accepted(self):
+        assert SearchConfig(k=1, size=4, temp0=2, cooling=1).temp0 == 2
 
 
 class TestUniverse:
@@ -40,6 +71,20 @@ class TestUniverse:
     def test_closed_under_inversion(self):
         U = set(candidate_universe(GroupParams(2), 4))
         assert all(w.inverse() in U for w in U)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ball_equals_word_enumeration(self, k):
+        P = GroupParams(k)
+        for cap, ball in enumerate(word_balls(P, 7)):
+            if cap:
+                U = candidate_universe(P, cap)
+                assert len(U) == len(ball) and set(U) == ball
+
+    def test_oversized_ball_refused(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_UNIVERSE_SIZE", 100)
+        assert len(candidate_universe(GroupParams(1), 3)) <= 100
+        with pytest.raises(ValueError, match="more than 100 elements"):
+            candidate_universe(GroupParams(1), 5)
 
 
 class TestScore:

@@ -12,6 +12,7 @@ import pytest
 
 from brute_square import brute_counts, brute_pairs, brute_uniques
 from conftest import random_element
+from nup import sets
 from nup.families import FamilySpec, build_family
 from nup.search import candidate_universe
 from nup.sets import b_key, b_runs, make_set, product_table, unique_products
@@ -151,15 +152,56 @@ class TestAgainstBrute:
 
 @pytest.mark.parametrize("point", [(2,), (1, 3, 5)])
 def test_right_factor_finds_only_the_pair(point):
-    # a row meets each product at most once, so a key is found in its own
-    # run at its own column and in no other run of the row
+    # a row meets each product at most once: the key of (i, j) leads row i
+    # back to j, and a key from another row to no column or to one whose
+    # product in row i is that key
     T = build_family(FamilySpec(*point))
     table = product_table(T, T)
-    for i in range(len(T)):
-        for j in range(len(T)):
+    n = len(T)
+    rng = random.Random(n)
+    hits = 0
+    for i in range(n):
+        for j in range(n):
             key = table.product(i, j)
-            found = [table.right_factor(i, r, key) for r in range(len(table.runs))]
-            assert [f for f in found if f is not None] == [j]
+            assert table.right_factor(i, key) == j
+            for other in rng.sample(range(n), 3):
+                found = table.right_factor(other, key)
+                if found is not None:
+                    hits += other != i
+                    assert table.product(other, found) == key
+    assert hits  # the other rows do meet some of these products
+    # prefix id -1 (key_of's answer for a prefix no product has) is no prefix,
+    # not the last one
+    i, j = next((i, j) for i in range(n) for j in range(n) if table.product(i, j)[0] == len(table.cells_of) - 1)
+    assert table.right_factor(i, (-1, table.product(i, j)[1])) is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_family(FamilySpec(2, 1, 5)),
+        lambda: make_set(GroupParams(1), [from_string(t, GroupParams(1)) for t in ("1", "a", "b", "ab", "B^2", "bAb")]),
+    ],
+    ids=["T(2,1,5)", "with-uniques"],
+)
+def test_one_sweep_per_prefix(make, monkeypatch):
+    # every count reads the one sweep of the first
+    S = make()
+    table = product_table(S, S)
+    calls = 0
+    cover = sets._cover
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cover(*args)
+
+    monkeypatch.setattr(sets, "_cover", counting)
+    counts = brute_counts(S, S)
+    assert table.uniques() == brute_uniques(counts)
+    assert len(table) == table.counters()["distinct_products"] == len(counts)
+    assert table.unique_count() == len(brute_uniques(counts))
+    assert calls == len(table.cells_of)
 
 
 def test_b_coordinate_beyond_64_bits_refused():
