@@ -10,12 +10,22 @@ closed under inversion and moves act on inverse-closed pairs.  Acceptance
 follows simulated annealing with geometric cooling.  Runs are deterministic
 functions of the seed; restarts draw their seeds from the master seed by a
 fixed splitting rule and ties go to the lowest restart index.
+
+A move is scored without building its square.  A table of product ids over
+the universe is filled lazily, one multiply per pair on first use, and the
+counts of the current square are updated only on the pairs that meet the
+removed and added elements; a rejected move is undone from the same ids.
+The table drops its rows once it holds more than
+max(2 * size, MAX_UNIVERSE_SIZE // len(universe)) of them, so its memory does
+not grow with the budget.  score() stays the exact recheck of the answer.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,8 +35,8 @@ from .words import GroupParams, NormalForm, generator, identity
 
 _NEIGHBORHOODS = ("swap-one", "mutate-one")
 _INITS = ("random", "base")
-# the largest universe a search builds; the ball grows by about 3x per unit
-# of word length (134,637 elements at k=3, length 12)
+# the largest universe a search builds; the ball grows by about 2.1x per unit
+# of word length (30,255, 64,007 and 134,637 elements at k=3, lengths 11-13)
 MAX_UNIVERSE_SIZE = 1 << 20
 
 
@@ -65,6 +75,8 @@ class SearchConfig:
             raise ValueError("word length cap must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.restarts > self.budget:
+            raise ValueError(f"restarts ({self.restarts}) must not exceed budget ({self.budget})")
         if self.neighborhood not in _NEIGHBORHOODS:
             raise ValueError(f"neighborhood must be one of {_NEIGHBORHOODS}")
         if self.init not in _INITS:
@@ -139,11 +151,6 @@ class _State:
     def as_set(self, idxs) -> GroupSet:
         return make_set(self.params, [self.universe[i] for i in idxs])
 
-    def score(self, idxs) -> int:
-        # the universe is canonically ordered and idxs is sorted, so the
-        # elements already form a GroupSet; make_set would only re-sort them
-        return score(GroupSet(self.params, tuple(self.universe[i] for i in idxs), None, 0))
-
     def random_state(self, rng, size) -> tuple:
         chosen: set[int] = set()
         n = len(self.universe)
@@ -215,6 +222,80 @@ class _State:
         return tuple(sorted(current))
 
 
+class _Counts:
+    """Multiplicities of a state's square, read from a lazily filled table of
+    product ids: row i of the table is created on first use, and entry (i, j)
+    is multiplied once, on first use."""
+
+    def __init__(self, universe, size):
+        self.universe = universe
+        self.max_rows = max(2 * size, MAX_UNIVERSE_SIZE // len(universe))
+        # universe index -> array of product ids, -1 until multiplied
+        self.rows = defaultdict(lambda: array("i", [-1]) * len(universe))
+        self.ids = {}  # product -> id
+        self.counts = []  # id -> multiplicity in the current square
+        self.once = 0  # products of multiplicity 1: the score
+        self.last = ([], [])  # ids the last move removed and added
+
+    def _block(self, rows_of, cols_of) -> list:
+        """Product ids of rows_of x cols_of, multiplying the entries not yet filled."""
+        rows = self.rows
+        ids = [rows[i][j] for i in rows_of for j in cols_of]
+        if -1 in ids:
+            ids = [self._id(i, j) for i in rows_of for j in cols_of]
+        return ids
+
+    def _id(self, i, j) -> int:
+        row = self.rows[i]
+        if row[j] < 0:
+            p = row[j] = self.ids.setdefault(self.universe[i] * self.universe[j], len(self.ids))
+            if p == len(self.counts):
+                self.counts.append(0)
+        return row[j]
+
+    def _count(self, ids, step) -> None:
+        """Add step (+1 or -1) to the multiplicity of each id."""
+        counts, once = self.counts, self.once
+        for p in ids:
+            c = counts[p] = counts[p] + step
+            if c == 1:
+                once += 1
+            elif c == step + 1:
+                once -= 1
+        self.once = once
+
+    def reset(self, idxs) -> int:
+        """Count the square of idxs from scratch; the table is dropped first
+        when it holds more than max_rows rows."""
+        if len(self.rows) > self.max_rows:
+            self.rows.clear()
+            self.ids = {}
+        self.counts = [0] * len(self.ids)
+        self.once = 0
+        self._count(self._block(idxs, idxs), 1)
+        return self.once
+
+    def apply(self, idxs, proposal) -> int:
+        """Move the counts from the square of idxs to that of proposal."""
+        if len(self.rows) > self.max_rows:
+            self.reset(idxs)
+        old, new = set(idxs), set(proposal)
+        kept, removed, added = old & new, old - new, new - old
+        gone = self._block(removed, old) + self._block(kept, removed)
+        came = self._block(added, new) + self._block(kept, added)
+        self._count(gone, -1)
+        self._count(came, 1)
+        self.last = (gone, came)
+        return self.once
+
+    def undo(self) -> int:
+        """Return the counts to the state before the last apply."""
+        gone, came = self.last
+        self._count(gone, 1)
+        self._count(came, -1)
+        return self.once
+
+
 def run_search(config: SearchConfig) -> SearchResult:
     params = GroupParams(config.k)
     universe = candidate_universe(params, config.word_length_cap)
@@ -236,14 +317,15 @@ def run_search(config: SearchConfig) -> SearchResult:
             raise ValueError("initial set lies outside the word-length-capped universe; raise the cap")
         init_idxs = tuple(sorted(uindex[w] for w in T))
 
-    per_restart = max(1, config.budget // config.restarts)
+    counts = _Counts(universe, config.size)
+    per_restart = config.budget // config.restarts
     best_overall = None  # (score, restart, iterations, idxs)
     restart_scores = []
     total_iters = 0
     for r in range(config.restarts):
         rng = random.Random(_restart_seed(config.seed, r))
         idxs = init_idxs if init_idxs is not None else state.random_state(rng, config.size)
-        cur_score = state.score(idxs)
+        cur_score = counts.reset(idxs)
         best_score, best_idxs, best_at = cur_score, idxs, 0
         temp = config.temp0
         it = 0
@@ -251,12 +333,14 @@ def run_search(config: SearchConfig) -> SearchResult:
             it += 1
             proposal = state.neighbor(rng, idxs, config.neighborhood, atoms, uindex)
             if proposal is not None:
-                new_score = state.score(proposal)
+                new_score = counts.apply(idxs, proposal)
                 delta = new_score - cur_score
                 if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
                     idxs, cur_score = proposal, new_score
                     if cur_score < best_score:
                         best_score, best_idxs, best_at = cur_score, idxs, it
+                else:
+                    counts.undo()
             temp *= config.cooling
         total_iters += it
         restart_scores.append(best_score)

@@ -102,13 +102,39 @@ class TestSearchCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert json1.read_bytes() == json2.read_bytes()
 
-    @pytest.mark.parametrize("mode, flags", [("symmetric", ["--symmetric"]), ("mutate-one", ["--neighborhood", "mutate-one"])])
-    def test_golden_report(self, mode, flags, tmp_path, capsys):
-        # reports written by the pair-list implementation of the square scan
+    # report -> flags; the k=1 reports were written by the pair-list
+    # implementation of the square scan, the others by the b-run table
+    GOLDEN = {
+        "k1_s14_seed11_symmetric": "--k 1 --size 14 --seed 11 --budget 300 --symmetric",
+        "k1_s14_seed11_mutate-one": "--k 1 --size 14 --seed 11 --budget 300 --neighborhood mutate-one",
+        "k2_s10_seed3_symmetric_mutate-one": "--k 2 --size 10 --length-cap 3 --symmetric --neighborhood mutate-one --budget 300 --seed 3",
+        "k3_s8_seed5": "--k 3 --size 8 --length-cap 4 --budget 300 --seed 5",
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_golden_report(self, name, tmp_path, capsys):
         path = tmp_path / "report.json"
-        args = ["search", "--k", "1", "--size", "14", "--seed", "11", "--budget", "300", *flags, "--json", str(path)]
-        assert main(args) == 1
-        assert path.read_bytes() == (DATA / f"search_k1_s14_seed11_{mode}.json").read_bytes()
+        assert main(["search", *self.GOLDEN[name].split(), "--json", str(path)]) == 1
+        assert path.read_bytes() == (DATA / f"search_{name}.json").read_bytes()
+
+    def test_golden_reports_with_table_dropped(self, monkeypatch, tmp_path, capsys):
+        # the largest of the four universes (147 elements) still fits, and the
+        # row bound falls to 2 * size, so the table is dropped and rebuilt
+        monkeypatch.setattr(search, "MAX_UNIVERSE_SIZE", 147)
+        drops = []
+        reset = search._Counts.reset
+
+        def counting_reset(counts, idxs):
+            drops.append(len(counts.rows) > counts.max_rows)
+            return reset(counts, idxs)
+
+        monkeypatch.setattr(search._Counts, "reset", counting_reset)
+        path = tmp_path / "report.json"
+        for name, flags in self.GOLDEN.items():
+            drops.clear()
+            assert main(["search", *flags.split(), "--json", str(path)]) == 1
+            assert path.read_bytes() == (DATA / f"search_{name}.json").read_bytes()
+            assert sum(drops) > 0, name
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -142,6 +168,12 @@ class TestSearchCommand:
         monkeypatch.setattr(search, "MAX_UNIVERSE_SIZE", 100)
         assert main(["search", "--k", "1", "--size", "6", "--length-cap", "5"]) == 2
         assert "more than 100 elements" in capsys.readouterr().err
+
+    def test_restarts_over_budget_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["search", "--k", "1", "--size", "4", "--budget", "1", "--restarts", "5", "--json", str(path)]) == 2
+        assert "restarts (5) must not exceed budget (1)" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_missing_size_exits_2(self):
         assert main(["search", "--k", "1"]) == 2

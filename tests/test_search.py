@@ -45,11 +45,15 @@ class TestConfig:
             dict(k=1, size=4, cooling=float("nan")),
             dict(k=1, size=4, temp0="2"),
             dict(k=1, size=4, cooling=True),
+            dict(k=1, size=4, budget=1, restarts=5),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    def test_restarts_equal_to_budget_accepted(self):
+        assert SearchConfig(k=1, size=4, budget=2, restarts=2).restarts == 2
 
     def test_int_temperatures_accepted(self):
         assert SearchConfig(k=1, size=4, temp0=2, cooling=1).temp0 == 2
@@ -103,6 +107,43 @@ class TestScore:
             picks = {U[rng.randrange(len(U))] for _ in range(6)}
             S = make_set(P, picks)
             assert score(S) == len(unique_products(S, S))
+
+
+class TestCounts:
+    """The incremental counts against a fresh score() of every state."""
+
+    @pytest.mark.parametrize("low_bound", [False, True], ids=["table-kept", "table-dropped"])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("neighborhood", ["swap-one", "mutate-one"])
+    @pytest.mark.parametrize("k, cap, size", [(1, 4, 8), (2, 3, 7), (3, 3, 8)])
+    def test_apply_and_undo_match_score(self, k, cap, size, neighborhood, symmetric, low_bound, rng):
+        P = GroupParams(k)
+        U = candidate_universe(P, cap)
+        uindex = {w: i for i, w in enumerate(U)}
+        atoms = [generator(P, g, s) for g in ("a", "b") for s in (1, -1)]
+        state = search._State(U, [uindex[w.inverse()] for w in U], P, symmetric)
+        counts = search._Counts(U, size)
+        if low_bound:
+            counts.max_rows = size
+        fresh = lambda idxs: score(make_set(P, [U[i] for i in idxs]))
+        idxs = state.random_state(rng, size)
+        assert counts.reset(idxs) == fresh(idxs)
+        moves = dropped = 0
+        while moves < 300:
+            proposal = state.neighbor(rng, idxs, neighborhood, atoms, uindex)
+            if proposal is None:
+                continue
+            moves += 1
+            dropped += len(counts.rows) > counts.max_rows
+            assert counts.apply(idxs, proposal) == fresh(proposal)
+            # memory: one move adds at most two rows, and every id is named by a filled entry
+            assert len(counts.rows) <= counts.max_rows + 2
+            assert len(counts.ids) <= sum(len(row) - row.count(-1) for row in counts.rows.values())
+            if rng.random() < 0.5:
+                idxs = proposal
+            else:
+                assert counts.undo() == fresh(idxs)
+        assert (dropped > 0) == low_bound
 
 
 class TestRunSearch:
