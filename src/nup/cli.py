@@ -21,18 +21,18 @@ import sys
 import time
 
 from . import __version__
-from .checker import scan_family, verify_family
-from .families import FamilySpec, build_family, check_family_size, expected_cardinality
-from .search import SearchConfig, run_search
+
+# checker and search are imported by the commands that run them
+from .families import FamilySpec, build_family, check_memory, expected_cardinality
 from .sets import save_set_file
 from .words import GroupParams, ParseError, from_string, to_string
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_spec(args, claims: bool = False) -> FamilySpec:
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q must be given together")
     spec = FamilySpec(args.k) if args.p is None else FamilySpec(args.k, args.p, args.q)
-    check_family_size(spec)
+    check_memory(spec, claims)
     return spec
 
 
@@ -43,6 +43,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .checker import scan_family
+
     t0 = time.perf_counter()
     spec = _family_spec(args)
     gset, table, uniques, timings = scan_family(spec)
@@ -80,7 +82,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _family_spec(args)
+    from .checker import verify_family
+
+    spec = _family_spec(args, claims=True)
     summary = verify_family(spec)
     counts = summary.counts
     print(f"set: {spec.describe()}")
@@ -122,6 +126,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchConfig, run_search
+
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

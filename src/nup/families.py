@@ -110,19 +110,33 @@ def expected_cardinality(spec: FamilySpec) -> int:
     return (2 * M * M + 5 * M + 2) * spec.q - (M + 1)
 
 
-# Largest family the CLI builds.  verify --k 6 (8449 elements) fits; the
-# check command's coverage alone takes |T|^2 bits, one int per row.
-MAX_FAMILY_SIZE = 1 << 14
+# Largest predicted peak memory the CLI admits, in bytes.  The prediction is
+# 400 B per element and 13 B per cell of the square's table (an 8-byte n0, a
+# 4-byte entry in its prefix's cell array and the arrays' slack), fitted to
+# the peak RSS of verify at base k = 5, 6 and 7 (20, 34 and 139 MiB) less the
+# interpreter's 18 MiB.  A family has one b-run per progression, 2^(k+1) + 1
+# of them, and the table one cell per row and run.  check adds its |T|^2-bit
+# coverage and a 4-byte prefix id per cell.  This admits verify and check
+# --k 7 (118 and 283 MiB predicted) and refuses verify --k 8 (890 MiB).
+MEMORY_BUDGET = 512 << 20
+_ELEMENT_BYTES = 400
+_CELL_BYTES = 13
 
 
-def check_family_size(spec: FamilySpec) -> int:
-    """The closed-form size of the family; ValueError above MAX_FAMILY_SIZE."""
+def check_memory(spec: FamilySpec, claims: bool = False) -> int:
+    """The predicted peak bytes of scanning the family's square, and of its
+    claims too when claims is set; ValueError above MEMORY_BUDGET."""
+    limit = f"the budget of {MEMORY_BUDGET >> 20} MiB"
     if spec.k > 64:  # |T| > 2^(2k+1): say so without computing 2^k
-        raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above the limit of {MAX_FAMILY_SIZE}")
+        raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
-    if size > MAX_FAMILY_SIZE:
-        raise ValueError(f"{spec.describe()} would have {size} elements, above the limit of {MAX_FAMILY_SIZE}")
-    return size
+    cells = size * (2 * (1 << spec.k) + 1)
+    predicted = size * _ELEMENT_BYTES + cells * _CELL_BYTES
+    if claims:
+        predicted += size * size // 8 + 4 * cells
+    if predicted > MEMORY_BUDGET:
+        raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
+    return predicted
 
 
 def _slice_element(params: GroupParams, p: int, fam: str, idx: int, j: int) -> NormalForm:

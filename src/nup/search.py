@@ -144,7 +144,7 @@ class _State:
 
     def __init__(self, universe, inv_index, params, symmetric):
         self.universe = universe
-        self.inv_index = inv_index  # universe index -> index of the inverse
+        self.inv_index = inv_index  # universe index -> index of the inverse; None unless symmetric
         self.params = params
         self.symmetric = symmetric
 
@@ -300,7 +300,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     params = GroupParams(config.k)
     universe = candidate_universe(params, config.word_length_cap)
     uindex = {w: i for i, w in enumerate(universe)}
-    inv_index = [uindex[w.inverse()] for w in universe]
+    inv_index = [uindex[w.inverse()] for w in universe] if config.symmetric else None
     atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
     state = _State(universe, inv_index, params, config.symmetric)
 

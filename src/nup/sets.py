@@ -15,7 +15,8 @@ so (prefix, n) names an element exactly.  Y therefore splits into maximal
 b-runs y, y*b, ..., y*b^(L-1), and x times such a run is the interval
 [n0, n0 + L) of a single prefix, found with one multiply.  The table stores
 the square once, as one cell per row and run: the cell's n0 sits in a flat
-array, and each prefix, numbered in scan order, lists its cells.  The
+array of 64-bit ints, and each prefix, numbered in scan order, lists its
+cells in an array of 32-bit ints, so a cell costs about 13 bytes.  The
 product of row i and column j is the key (prefix id, n0 + offset of j in its
 run).  A sweep over the cells of each prefix gives the distinct
 products, the multiplicities and the uniquely represented products; pair
@@ -138,7 +139,7 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
-def _cover(cells: list, n0: array, lens: list) -> tuple[int, int]:
+def _cover(cells: array, n0: array, lens: list) -> tuple[int, int]:
     """(points covered, points covered exactly once) by the intervals of one
     prefix's cells; lens holds the length of every run."""
     R = len(lens)
@@ -170,10 +171,14 @@ class FactorizationTable:
     (row i, b-run r of Y).
 
     Cell c = i * len(runs) + r is the product of X[i] with the run's first
-    element: cell_n0[c] is its n, and cells_of lists the cells of each prefix
-    in row order, prefixes numbered in scan order.  X[i] times the t-th
-    element of the run is then (prefix id of c, cell_n0[c] + t), and the
-    run's products are the interval [n0, n0 + len(run)) of one prefix.  Keys
+    element: cell_n0[c] is its n, and cells_of holds the cells of each prefix
+    as an array('i') in row order, prefixes numbered in scan order.  With
+    the 8-byte n0 a cell takes about 13 bytes; tracemalloc gives 22, 18 and
+    15 at base k = 4, 5 and 6, where the arrays' headers still count.  Cell
+    ids are 32-bit ints; the CLI's memory budget admits about 41M cells.
+    X[i] times the t-th element of the run is then (prefix id of c,
+    cell_n0[c] + t), and the run's products are the interval
+    [n0, n0 + len(run)) of one prefix.  Keys
     (prefix id, n) name products exactly.  A row's cells of one prefix are a
     bisected slice of its cell list, which right_factor reads; product, key_of
     and is_run read the prefix id of every cell (cell_pid) and the run and
@@ -204,7 +209,7 @@ class FactorizationTable:
                     prefix = (z.u, alpha, syl)
                     cells = get(prefix)
                     if cells is None:
-                        cells_at[prefix] = [c]
+                        cells_at[prefix] = array("i", (c,))
                     else:
                         cells.append(c)
                     add_n0(n + z.beta)

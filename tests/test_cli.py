@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from nup import search
+from nup import checker, families, search
 from nup.cli import main
-from nup.families import MAX_FAMILY_SIZE, FamilySpec, build_base_set, check_family_size, expected_cardinality
-from nup.sets import load_set_file
+from nup.families import MEMORY_BUDGET, FamilySpec, build_base_set, build_family, check_memory, expected_cardinality
+from nup.sets import load_set_file, product_table
 from nup.words import GroupParams
 
 DATA = Path(__file__).parent / "data"
@@ -217,7 +217,7 @@ class TestThreads:
 
 
 class TestOversized:
-    """Specs above the size limit exit 2 from the closed form, building nothing."""
+    """Specs above the memory budget exit 2 from the closed form, building nothing."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -229,6 +229,10 @@ class TestOversized:
             ["verify", "--k", "100000000", "--p", "1", "--q", "1"],
             ["verify", "--k", "1", "--p", "1", "--q", str(10**30 + 1)],
             ["check", "--k", "2", "--p", "3", "--q", str(4 * 10**40 + 1)],
+            ["verify", "--k", "8"],
+            ["check", "--k", "8"],
+            ["verify", "--k", "9"],
+            ["export-set", "--k", "9", "-o", "unused.txt"],
         ],
     )
     def test_refused_fast(self, argv, tmp_path, monkeypatch, capsys):
@@ -237,7 +241,7 @@ class TestOversized:
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
-        assert f"above the limit of {MAX_FAMILY_SIZE}" in err
+        assert f"above the budget of {MEMORY_BUDGET >> 20} MiB" in err
         assert not (tmp_path / "unused.txt").exists()
 
     def test_huge_k_with_q_names_the_rule(self, capsys):
@@ -250,10 +254,38 @@ class TestOversized:
         assert main(["verify", "--k", "30"]) == 2
         assert str(expected_cardinality(FamilySpec(30))) in capsys.readouterr().err
 
-    def test_limit_admits_k6(self):
-        assert check_family_size(FamilySpec(6)) == 8449
-        with pytest.raises(ValueError):
-            check_family_size(FamilySpec(7))
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_predicted_memory_printed(self, k, capsys):
+        with pytest.raises(ValueError) as refusal:
+            check_memory(FamilySpec(k))
+        assert main(["verify", "--k", str(k)]) == 2
+        assert str(refusal.value) in capsys.readouterr().err
+
+    def test_budget_admits_k7(self):
+        assert check_memory(FamilySpec(7)) < check_memory(FamilySpec(7), claims=True) <= MEMORY_BUDGET
+        for k in (8, 9):
+            for claims in (False, True):
+                with pytest.raises(ValueError, match=r"need about [\d,]+ MiB"):
+                    check_memory(FamilySpec(k), claims)
+
+    def test_check_budget_counts_the_coverage(self, monkeypatch, capsys):
+        # 80,017 elements in 5 runs: the scan fits, the |T|^2-bit coverage does not
+        assert check_memory(FamilySpec(1, 1, 4001)) <= MEMORY_BUDGET
+        monkeypatch.setattr(checker, "verify_family", lambda spec: pytest.fail("check built the family"))
+        t0 = time.perf_counter()
+        assert main(["check", "--k", "1", "--p", "1", "--q", "4001"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "80017 elements and need about 800 MiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [FamilySpec(1), FamilySpec(3), FamilySpec(1, 3, 5), FamilySpec(2, 1, 5), FamilySpec(3, 1, 9)])
+    def test_prediction_counts_every_cell(self, spec):
+        # one b-run per progression, so the table has |T| (2^(k+1) + 1) cells
+        T = build_family(spec)
+        runs = product_table(T, T).counters()["runs"]
+        assert runs == 2 * 2**spec.k + 1
+        cells = len(T) * runs
+        assert check_memory(spec) == len(T) * families._ELEMENT_BYTES + cells * families._CELL_BYTES
+        assert check_memory(spec, claims=True) == check_memory(spec) + len(T) ** 2 // 8 + 4 * cells
 
 
 class TestReportBlocks:

@@ -4,7 +4,7 @@ from nup import search
 from nup.families import build_base_set
 from nup.search import SearchConfig, candidate_universe, run_search, score
 from nup.sets import make_set, unique_products
-from nup.words import GroupParams, from_string, generator, identity
+from nup.words import GroupParams, NormalForm, from_string, generator, identity
 
 
 def word_balls(params, length_cap):
@@ -182,6 +182,21 @@ class TestRunSearch:
         elems = set(r.best.elements)
         assert identity(GroupParams(1)) in elems
         assert all(w.inverse() in elems for w in elems)
+
+    @pytest.mark.parametrize("symmetric, neighborhood", [(False, "swap-one"), (False, "mutate-one"), (True, "swap-one")])
+    def test_only_symmetric_search_inverts(self, symmetric, neighborhood, monkeypatch):
+        # the inverse of every universe element is read only by symmetric moves
+        calls = 0
+        inverse = NormalForm.inverse
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return inverse(self)
+
+        monkeypatch.setattr(NormalForm, "inverse", counting)
+        run_search(SearchConfig(k=2, size=6, seed=1, budget=100, symmetric=symmetric, neighborhood=neighborhood))
+        assert (calls > 0) == symmetric
 
     def test_mutate_one_neighborhood(self):
         r = run_search(SearchConfig(k=1, size=6, seed=4, budget=200, neighborhood="mutate-one"))

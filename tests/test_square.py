@@ -7,6 +7,7 @@ unique product (order and witness), on the pair total and on the key
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -226,3 +227,18 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     assert calls == 577 * 33
     assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 577 * 33, "distinct_products": len(table)}
     assert calls == 577 * 33  # len() and counters() multiply nothing
+
+
+def test_cells_are_machine_ints():
+    # an 8-byte n0 and a 4-byte entry in the prefix's cell array per cell, plus
+    # the arrays' slack; cells as lists of int objects took about 58 B
+    T = build_family(FamilySpec(4))
+    tracemalloc.start()
+    try:
+        table = product_table(T, T)
+        len(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(cells.typecode == "i" for cells in table.cells_of)
+    assert peak <= 30 * len(T) * len(table.runs)
