@@ -49,8 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .families import FamilySpec, SliceLabel, build_family, expected_cardinality, z_halfwidth
-from .sets import FactorizationTable, GroupSet, product_table, unique_products
+from .families import FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
+from .sets import FactorizationTable, GroupSet, product_table
 from .words import from_word
 
 PASS = "pass"
@@ -550,20 +550,6 @@ class CheckSummary:
             "counters": self.counters,
             "timings": self.timings,
         }
-
-
-def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:
-    """Build the family (unless gset is given), the factorization table of
-    its square and its unique products.  Returns (gset, table, uniques,
-    timings of the build and the scan)."""
-    t0 = time.perf_counter()
-    if gset is None:
-        gset = build_family(spec)
-    t1 = time.perf_counter()
-    table = product_table(gset, gset)
-    uniques = unique_products(gset, gset, table=table)
-    t2 = time.perf_counter()
-    return gset, table, uniques, {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6)}
 
 
 def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSummary:

@@ -23,7 +23,7 @@ import time
 from . import __version__
 
 # checker and search are imported by the commands that run them
-from .families import FamilySpec, build_family, check_memory, expected_cardinality
+from .families import FamilySpec, build_family, check_memory, expected_cardinality, scan_family
 from .sets import save_set_file
 from .words import GroupParams, ParseError, from_string, to_string
 
@@ -43,8 +43,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .checker import scan_family
-
     t0 = time.perf_counter()
     spec = _family_spec(args)
     gset, table, uniques, timings = scan_family(spec)

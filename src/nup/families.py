@@ -18,15 +18,18 @@ q >= 1 with M | q-1 and stretches every progression:
 of total size (2M^2 + 5M + 2)q - (M+1); at p = q = 1 the two families agree
 elementwise.  Every element carries a SliceLabel (family, index, j) so the
 checker can address progressions symbolically; element identity, not the
-label, drives set semantics.
+label, drives set semantics.  scan_family builds a family and scans its
+square; it lives here, not in the checker, so that verify never imports the
+checker.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .sets import GroupSet, make_set
+from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
 from .words import GroupParams, NormalForm, from_word
 
 
@@ -116,11 +119,16 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # the peak RSS of verify at base k = 5, 6 and 7 (20, 34 and 139 MiB) less the
 # interpreter's 18 MiB.  A family has one b-run per progression, 2^(k+1) + 1
 # of them, and the table one cell per row and run.  check adds its |T|^2-bit
-# coverage and a 4-byte prefix id per cell.  This admits verify and check
-# --k 7 (118 and 283 MiB predicted) and refuses verify --k 8 (890 MiB).
+# coverage and 9 B per cell: a 4-byte prefix id (cell_pid) and 5 B for the
+# rest of the claim phase (the prefix-id dict, the span cache, the coverage
+# ints rebuilt by every mark), fitted to the peak RSS of check at base k = 5,
+# 6 and 7 (22.0, 50.6 and 324.0 MiB) less the interpreter's 17.8 MiB.  This
+# admits verify and check --k 7 (118 and 324 MiB predicted) and refuses
+# verify --k 8 (890 MiB).
 MEMORY_BUDGET = 512 << 20
 _ELEMENT_BYTES = 400
 _CELL_BYTES = 13
+_CLAIM_CELL_BYTES = 9
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:
@@ -133,7 +141,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     cells = size * (2 * (1 << spec.k) + 1)
     predicted = size * _ELEMENT_BYTES + cells * _CELL_BYTES
     if claims:
-        predicted += size * size // 8 + 4 * cells
+        predicted += size * size // 8 + cells * _CLAIM_CELL_BYTES
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted
@@ -174,3 +182,17 @@ def build_base_set(k: int) -> GroupSet:
 
 def build_scaled_set(k: int, p: int, q: int) -> GroupSet:
     return build_family(FamilySpec(k, p, q))
+
+
+def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:
+    """Build the family (unless gset is given), the factorization table of
+    its square and its unique products.  Returns (gset, table, uniques,
+    timings of the build and the scan)."""
+    t0 = time.perf_counter()
+    if gset is None:
+        gset = build_family(spec)
+    t1 = time.perf_counter()
+    table = product_table(gset, gset)
+    uniques = unique_products(gset, gset, table=table)
+    t2 = time.perf_counter()
+    return gset, table, uniques, {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6)}

@@ -13,14 +13,28 @@ leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
 
 so (prefix, n) names an element exactly.  Y therefore splits into maximal
 b-runs y, y*b, ..., y*b^(L-1), and x times such a run is the interval
-[n0, n0 + L) of a single prefix, found with one multiply.  The table stores
-the square once, as one cell per row and run: the cell's n0 sits in a flat
-array of 64-bit ints, and each prefix, numbered in scan order, lists its
-cells in an array of 32-bit ints, so a cell costs about 13 bytes.  The
-product of row i and column j is the key (prefix id, n0 + offset of j in its
-run).  A sweep over the cells of each prefix gives the distinct
-products, the multiplicities and the uniquely represented products; pair
-lists are rebuilt only on demand.
+[n0, n0 + L) of a single prefix, the key of x times the run's head h.
+
+That key needs few multiplies.  Split h as words,
+
+    h = a^(2u_h) * b^(c_h) * r_h * b^(beta_h),
+
+with c_h = M*v_h, plus s_1 when alpha_h = 0, and r_h the a-letter core of h
+(empty for a power of b).  Then x * h = x' * r_h * b^(beta_h) with
+x' = x * a^(2u_h) * b^(c_h), whose key is x's with u moved by -/+ u_h (by the
+parity of x's b letters) and n by c_h.  Only x' * r_h is a NormalForm
+multiply, and it is made once per distinct (x', r_h) in a block of rows that
+share u, v, alpha and the syllables: the rows of a block differ only in beta,
+and the heads of a family are a few cores shifted along b, so the products
+repeat.  At base k = 5 that is 12,414 multiplies for 141,505 cells.
+
+The table stores the square once, as one cell per row and run: the cell's n0
+sits in a flat array of 64-bit ints, and each prefix, numbered in scan order,
+lists its cells in an array of 32-bit ints, so a cell costs about 13 bytes.
+The product of row i and column j is the key (prefix id, n0 + offset of j in
+its run).  A sweep over the cells of each prefix gives the distinct products,
+the multiplicities and the uniquely represented products; pair lists are
+rebuilt only on demand.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -139,6 +153,10 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
+# cell ids are 32-bit ints
+MAX_CELLS = (1 << 31) - 1
+
+
 def _cover(cells: array, n0: array, lens: list) -> tuple[int, int]:
     """(points covered, points covered exactly once) by the intervals of one
     prefix's cells; lens holds the length of every run."""
@@ -172,52 +190,101 @@ class FactorizationTable:
 
     Cell c = i * len(runs) + r is the product of X[i] with the run's first
     element: cell_n0[c] is its n, and cells_of holds the cells of each prefix
-    as an array('i') in row order, prefixes numbered in scan order.  With
-    the 8-byte n0 a cell takes about 13 bytes; tracemalloc gives 22, 18 and
-    15 at base k = 4, 5 and 6, where the arrays' headers still count.  Cell
-    ids are 32-bit ints; the CLI's memory budget admits about 41M cells.
-    X[i] times the t-th element of the run is then (prefix id of c,
+    as an array('i') in row order, prefixes numbered in scan order.  X[i]
+    times the t-th element of the run is then (prefix id of c,
     cell_n0[c] + t), and the run's products are the interval
-    [n0, n0 + len(run)) of one prefix.  Keys
-    (prefix id, n) name products exactly.  A row's cells of one prefix are a
-    bisected slice of its cell list, which right_factor reads; product, key_of
-    and is_run read the prefix id of every cell (cell_pid) and the run and
-    offset of every column, indexed on first use.  The first count sweeps each
-    prefix once.  cell_n0 holds 64-bit ints; a product beyond that is refused
+    [n0, n0 + len(run)) of one prefix.  Keys (prefix id, n) name products
+    exactly.
+
+    The scan multiplies once per distinct (x', core) of a block of rows (see
+    the module docstring), and multiplies counts the multiplies made.  Its
+    memo holds one block's products and is dropped when the next block
+    starts.  With the 8-byte n0 a cell takes about 13 bytes; tracemalloc
+    gives 22, 18 and 15 at base k = 4, 5 and 6, where the arrays' headers
+    still count.  Cell ids are 32-bit ints, so more than MAX_CELLS cells are
+    refused with a ValueError before the scan; the CLI's memory budget admits
+    about 41M.  cell_n0 holds 64-bit ints; a product beyond that is refused
     with a ValueError.
+
+    A row's cells of one prefix are a bisected slice of its cell list, which
+    right_factor reads; product, key_of and is_run read the prefix id of
+    every cell (cell_pid) and the run and offset of every column, indexed on
+    first use.  The first count sweeps each prefix once.
     """
 
-    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "cell_pid", "_prefix_id", "_cols", "_counts")
+    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "multiplies", "cell_pid", "_prefix_id", "_cols", "_counts")
 
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
         self.y = y
         self.runs = b_runs(y.elements)
-        heads = [y.elements[run[0]] for run in self.runs]
+        if len(x) * len(self.runs) > MAX_CELLS:
+            raise ValueError(f"{len(x)} rows times {len(self.runs)} b-runs is {len(x) * len(self.runs):,} cells, above the {MAX_CELLS:,} that 32-bit cell ids name")
         k = x.params.k
+        mask = (1 << k) - 1
+        # A head is (memo key offset, beta_h, (u shift, c_h, core)), listed
+        # for rows with an even and an odd number of b letters; core is None
+        # for a power of b.  The offset packs c_h above an id of (u shift,
+        # core), below 2 * runs, so within one block (n << shift) + offset
+        # names x' * core exactly.
+        shift = (2 * len(self.runs)).bit_length()
+        ids: dict = {}
+        even, odd = [], []
+        for run in self.runs:
+            h = y.elements[run[0]]
+            syl, c_h = h.syllables, h.v << k
+            if not h.alpha and syl:
+                c_h += syl[0]
+                syl = syl[1:]
+            core = NormalForm._make(k, 0, 0, 1, syl, 0) if h.alpha or h.syllables else None
+            for heads, du in ((even, h.u), (odd, -h.u)):
+                heads.append(((c_h << shift) + ids.setdefault((du, core), len(ids)), h.beta, (du, c_h, core)))
         cells_at: dict = {}
         self.cell_n0 = array("q")
         get, add_n0 = cells_at.get, self.cell_n0.append
-        c = 0
+        memo: dict = {}
+        memo_get = memo.get
+        block = None
+        multiplies = c = 0
         try:
             for xe in x.elements:
-                for head in heads:
-                    z = xe * head
-                    # b_key(z), inlined: this loop is the whole scan
-                    alpha, syl = z.alpha, z.syllables
-                    n = -(z.v << k) if (alpha + len(syl)) & 1 else z.v << k
-                    prefix = (z.u, alpha, syl)
-                    cells = get(prefix)
-                    if cells is None:
-                        cells_at[prefix] = array("i", (c,))
-                    else:
-                        cells.append(c)
-                    add_n0(n + z.beta)
+                u, alpha, syl = xe.u, xe.alpha, xe.syllables
+                if block != (u, xe.v, alpha, syl):
+                    # the memo keys assume one block; a new block starts empty
+                    block = (u, xe.v, alpha, syl)
+                    memo.clear()
+                    a_odd = (alpha + len(syl)) & 1
+                    syl_sum = sum(syl)
+                n = (-(xe.v << k) if a_odd else xe.v << k) + xe.beta
+                row_key = n << shift
+                for offset, beta, head in odd if (syl_sum + xe.beta) & 1 else even:
+                    hit = memo_get(row_key + offset)
+                    if hit is None:
+                        # x' = x * a^(2u_h) * b^(c_h) has u + du and n + c_h
+                        du, c_h, core = head
+                        nz = n + c_h
+                        if core is None:
+                            prefix = (u + du, alpha, syl)
+                        else:
+                            v1 = (nz - (nz & mask)) >> k
+                            z = NormalForm._make(k, u + du, -v1 if a_odd else v1, alpha, syl, nz & mask) * core
+                            multiplies += 1
+                            # b_key(z), inlined
+                            z_syl = z.syllables
+                            nz = (-(z.v << k) if (z.alpha + len(z_syl)) & 1 else z.v << k) + z.beta
+                            prefix = (z.u, z.alpha, z_syl)
+                        cells = get(prefix)
+                        if cells is None:
+                            cells = cells_at[prefix] = array("i")
+                        hit = memo[row_key + offset] = (cells.append, nz)
+                    hit[0](c)
+                    add_n0(hit[1] + beta)
                     c += 1
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(cells_at)
         self.cells_of = list(cells_at.values())
+        self.multiplies = multiplies
         self.cell_pid = self._prefix_id = self._cols = self._counts = None
 
     def _sweep(self) -> tuple[int, int, list]:
@@ -237,8 +304,7 @@ class FactorizationTable:
         return self._counts
 
     def counters(self) -> dict:
-        multiplies = len(self.x) * len(self.runs)
-        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": multiplies, "distinct_products": len(self)}
+        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": self.multiplies, "distinct_products": len(self)}
 
     def total_pairs(self) -> int:
         return len(self.x) * len(self.y)

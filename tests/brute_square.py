@@ -2,10 +2,31 @@
 
 Every one of the |X| * |Y| pairs is multiplied with NormalForm arithmetic and
 filed under its product in row-major order, so each pair list comes out
-sorted.
+sorted.  reference_cells builds the table's cell store with one multiply per
+row and b-run of Y, the oracle for the table's shared multiplies.
 """
 
 from __future__ import annotations
+
+from array import array
+
+from nup.sets import b_key, b_runs
+
+
+def reference_cells(X, Y) -> tuple[list, list, array]:
+    """(prefixes, cells_of, cell_n0) of X*Y, multiplying every row by every
+    run head: cell c = i * runs + r, prefixes numbered in scan order."""
+    heads = [Y.elements[run[0]] for run in b_runs(Y.elements)]
+    cells_at: dict = {}
+    cell_n0 = array("q")
+    c = 0
+    for x in X.elements:
+        for head in heads:
+            prefix, n = b_key(x * head)
+            cells_at.setdefault(prefix, array("i")).append(c)
+            cell_n0.append(n)
+            c += 1
+    return list(cells_at), list(cells_at.values()), cell_n0
 
 
 def brute_pairs(X, Y) -> dict:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import nup
 from nup import checker, families, search
 from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_base_set, build_family, check_memory, expected_cardinality
@@ -11,6 +15,25 @@ from nup.sets import load_set_file, product_table
 from nup.words import GroupParams
 
 DATA = Path(__file__).parent / "data"
+
+
+def test_verify_loads_neither_checker_nor_search():
+    # what `python -m nup verify` imports, in a fresh interpreter
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['nup', 'verify', '--k', '1', '--p', '1', '--q', '3']\n"
+        "try:\n"
+        "    runpy.run_module('nup', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('nup'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nup.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert "nup.families" in loaded and "nup.sets" in loaded
+    assert "nup.checker" not in loaded and "nup.search" not in loaded
 
 
 class TestEval:
@@ -275,7 +298,7 @@ class TestOversized:
         t0 = time.perf_counter()
         assert main(["check", "--k", "1", "--p", "1", "--q", "4001"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "80017 elements and need about 800 MiB" in capsys.readouterr().err
+        assert "80017 elements and need about 802 MiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [FamilySpec(1), FamilySpec(3), FamilySpec(1, 3, 5), FamilySpec(2, 1, 5), FamilySpec(3, 1, 9)])
     def test_prediction_counts_every_cell(self, spec):
@@ -285,7 +308,15 @@ class TestOversized:
         assert runs == 2 * 2**spec.k + 1
         cells = len(T) * runs
         assert check_memory(spec) == len(T) * families._ELEMENT_BYTES + cells * families._CELL_BYTES
-        assert check_memory(spec, claims=True) == check_memory(spec) + len(T) ** 2 // 8 + 4 * cells
+        assert check_memory(spec, claims=True) == check_memory(spec) + len(T) ** 2 // 8 + 9 * cells
+
+    # peak RSS of `python -m nup check --k K` on a 2-vCPU VM, Python 3.11, in
+    # MiB; the interpreter alone (check --k 1) peaks at 17.8 MiB
+    CHECK_PEAK_MIB = {5: 22.0, 6: 50.6, 7: 324.0}
+
+    @pytest.mark.parametrize("k", sorted(CHECK_PEAK_MIB))
+    def test_check_prediction_covers_measured_peak(self, k):
+        assert check_memory(FamilySpec(k), claims=True) / 2**20 + 17.8 >= self.CHECK_PEAK_MIB[k]
 
 
 class TestReportBlocks:
@@ -293,7 +324,8 @@ class TestReportBlocks:
         path = tmp_path / "v.json"
         assert main(["verify", "--k", "2", "--json", str(path)]) == 0
         data = json.loads(path.read_text())
-        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 49 * 9, "distinct_products": data["product_size"]}
+        # one multiply per distinct (x', core) of a block of rows, not 49 * 9
+        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 206, "distinct_products": data["product_size"]}
         assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
         assert data["timings"]["claims_s"] == 0.0
 

@@ -1,9 +1,10 @@
 """Differential tests of the b-interval product table against the plain scan.
 
 tests/brute_square.py multiplies every pair; product_table does one multiply
-per (x, b-run of Y).  They must agree on every pair list, multiplicity,
-unique product (order and witness), on the pair total and on the key
-(prefix id, n) of every pair.
+per distinct (x', core) of a block of rows.  They must agree on every pair
+list, multiplicity, unique product (order and witness), on the pair total and
+on the key (prefix id, n) of every pair.  The cell store itself must equal
+brute_square.reference_cells, which multiplies every row by every run head.
 """
 
 import random
@@ -11,15 +12,17 @@ import tracemalloc
 
 import pytest
 
-from brute_square import brute_counts, brute_pairs, brute_uniques
+from brute_square import brute_counts, brute_pairs, brute_uniques, reference_cells
 from conftest import random_element
 from nup import sets
 from nup.families import FamilySpec, build_family
 from nup.search import candidate_universe
-from nup.sets import b_key, b_runs, make_set, product_table, unique_products
-from nup.words import GroupParams, NormalForm, from_string, generator
+from nup.sets import MAX_CELLS, b_key, b_runs, make_set, product_table, unique_products
+from nup.words import GroupParams, NormalForm, from_string, from_word, generator
 
 ACCEPTANCE_06 = [(1, 1, 3), (1, 3, 3), (1, 1, 5), (2, 1, 5), (2, 3, 5)]
+# acceptance 08 adds no point outside the base sets and ACCEPTANCE_06
+REFERENCE_POINTS = [(k,) for k in range(1, 6)] + ACCEPTANCE_06 + [(3, 1, 9), (3, 3, 9)]
 
 
 def assert_same_as_brute(X, Y):
@@ -212,7 +215,22 @@ def test_b_coordinate_beyond_64_bits_refused():
         product_table(S, S)
 
 
+def test_cell_ids_beyond_32_bits_refused(monkeypatch):
+    # 32,768 rows times 65,536 one-element runs is 2^31 cells: refused before
+    # the scan multiplies anything (each head has the core a, so the first
+    # cell would multiply)
+    P = GroupParams(1)
+    X = make_set(P, [from_word([("b", 2 * j)], P) for j in range(1, (1 << 15) + 1)])
+    Y = make_set(P, [from_word([("a", 1), ("b", 2 * j)], P) for j in range(1, (1 << 16) + 1)])
+    assert len(b_runs(Y.elements)) == 1 << 16
+    monkeypatch.setattr(NormalForm, "__mul__", lambda self, other: pytest.fail("the scan started"))
+    with pytest.raises(ValueError, match=f"2,147,483,648 cells, above the {MAX_CELLS:,} that 32-bit cell ids name"):
+        product_table(X, Y)
+
+
 def test_one_multiply_per_row_and_run(monkeypatch):
+    # one multiply per distinct (x', core) of a block, not per row and run,
+    # and the count reported is the count made
     T = build_family(FamilySpec(4))
     calls = 0
     mul = NormalForm.__mul__
@@ -224,9 +242,59 @@ def test_one_multiply_per_row_and_run(monkeypatch):
 
     monkeypatch.setattr(NormalForm, "__mul__", counting)
     table = product_table(T, T)
-    assert calls == 577 * 33
-    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 577 * 33, "distinct_products": len(table)}
-    assert calls == 577 * 33  # len() and counters() multiply nothing
+    assert calls == 3134 < 577 * 33
+    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 3134, "distinct_products": len(table)}
+    assert calls == 3134  # len() and counters() multiply nothing
+
+
+def assert_same_cells(X, Y):
+    table = product_table(X, Y)
+    prefixes, cells_of, cell_n0 = reference_cells(X, Y)
+    assert table.prefixes == prefixes
+    assert [cells.typecode for cells in table.cells_of] == ["i"] * len(cells_of)
+    assert table.cells_of == cells_of
+    assert table.cell_n0.typecode == "q" and table.cell_n0 == cell_n0
+    return table
+
+
+class TestSharedMultiplies:
+    """The table multiplies each row by a run head's a-letter core once per
+    distinct (x', core) of a block of rows; its cells must equal those of one
+    multiply per row and run."""
+
+    @pytest.mark.parametrize("point", REFERENCE_POINTS)
+    def test_family(self, point):
+        T = build_family(FamilySpec(*point))
+        table = assert_same_cells(T, T)
+        assert table.multiplies < len(T) * len(table.runs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ball_progressions(self, k):
+        # unions of b-progressions of Cayley-ball elements: heads of every
+        # shape, and rows of one prefix that run across several values of v
+        P = GroupParams(k)
+        M = 1 << k
+        U = candidate_universe(P, 4)
+        b = generator(P, "b")
+        rng = random.Random(40 + k)
+        shapes = set()
+        for _ in range(25):
+            elements = []
+            for w in rng.sample(U, rng.randrange(1, 6)):
+                elements.append(w)
+                for _ in range(rng.choice((0, 1, M, 2 * M + 3))):
+                    elements.append(elements[-1] * b)
+            X = make_set(P, elements)
+            Y = make_set(P, rng.sample(U, rng.randrange(1, 30)))
+            for A, B in ((X, X), (X, Y), (Y, X)):
+                assert_same_cells(A, B)
+            for run in b_runs(X.elements):
+                h = X[run[0]]
+                shapes.add("alpha = 1" if h.alpha else "leading syllable" if h.syllables else "b-power, v != 0" if h.v else "b-power")
+                shapes.add("u != 0" if h.u else "u = 0")
+                if len({X[j].v for j in run}) > 1:
+                    shapes.add("rows cross a block")
+        assert shapes == {"alpha = 1", "leading syllable", "b-power, v != 0", "b-power", "u != 0", "u = 0", "rows cross a block"}
 
 
 def test_cells_are_machine_ints():
