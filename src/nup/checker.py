@@ -49,14 +49,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .families import FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
+from .families import FAMILY_ORDER, FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
 from .sets import FactorizationTable, GroupSet, product_table
 from .words import from_word
 
 PASS = "pass"
 FAIL = "fail"
 TYPO_SUSPECT = "typo-suspect"
-_ORDER = {"X": 0, "Y": 1, "Z": 2}  # progression order of the claims
 _NONE: dict = {}  # the progression of an absent label
 
 
@@ -95,7 +94,7 @@ class Inventory:
             raise ValueError("checker needs a labeled set")
         self.prog: dict[tuple[str, int], dict[int, int]] = {}
         for i, lab in enumerate(gset.labels):
-            if not isinstance(lab, SliceLabel) or lab.family not in _ORDER:
+            if not isinstance(lab, SliceLabel) or lab.family not in FAMILY_ORDER:
                 raise ValueError(f"element {i} ({gset.elements[i]}) has label {lab!r}, not a slice label 'X|Y|Z INDEX J'")
             js = self.prog.setdefault((lab.family, lab.index), {})
             if lab.j in js:
@@ -116,7 +115,7 @@ class Inventory:
         self._spans: dict = {}
 
     def progressions(self):
-        return sorted(self.prog, key=lambda key: (_ORDER[key[0]], key[1]))
+        return sorted(self.prog, key=lambda key: (FAMILY_ORDER[key[0]], key[1]))
 
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
@@ -124,7 +123,11 @@ class Inventory:
     def span(self, fam: str, idx: int, j: int, length: int) -> Optional[tuple[int, int]]:
         """(first column, column bits) of the labels (fam, idx, j .. j+length-1)
         when their elements are consecutive elements y, y*b, ... of one run,
-        read from the elements themselves; else None.  Cached."""
+        read from the elements themselves; else None, also for one column,
+        whose pair is simply walked.  Cached; the Z claims ask for about
+        4(M+1)q single columns, whose masks would hold q * |T| bits."""
+        if length == 1:
+            return None
         key = (fam, idx, j, length)
         found = self._spans.get(key, False)
         if found is False:
@@ -382,27 +385,25 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _find_alternative(inv: Inventory, z: tuple[int, int], tgt_left, tgt_right, residue, exclude_pair):
-    """Locate the product with key z as u' * w' inside the target block with
-    (u', w') != exclude_pair.
-
-    Left factors are restricted to trailing exponents congruent to residue
-    mod M when a residue is given.  Returns the index pair or None."""
+def _target_block(inv: Inventory, tgt_left, tgt_right, residue) -> tuple[list, list, dict]:
+    """(left rows in scope, b-runs of the right progression, its columns by j)
+    of a chart row's target block; with a residue, only left trailing
+    exponents congruent to it mod M are in scope."""
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
-    cs = range(lo, hi + 1, 1 if residue is None else inv.M)
-    row = inv.prog[tgt_left]
-    memb = inv.prog[tgt_right]
+    row, memb = inv.prog[tgt_left], inv.prog[tgt_right]
+    lefts = [li for c in range(lo, hi + 1, 1 if residue is None else inv.M) if (li := row.get(c)) is not None]
+    return lefts, inv.table.runs_of(memb.values()), memb
+
+
+def _find_alternative(inv: Inventory, z: tuple[int, int], block, exclude_pair) -> Optional[tuple[int, int]]:
+    """The index pair (u', w') != exclude_pair of the product with key z in
+    a _target_block, or None: one forward cell read per left row and run."""
+    lefts, runs, memb = block
     labels = inv.gset.labels
-    for c in cs:
-        li = row.get(c)
-        if li is None:
-            continue
-        ri = inv.table.right_factor(li, z)
-        if ri is not None and memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair:
-            return (li, ri)
-    return None
+    pairs = inv.table.factors_in(lefts, runs, z)
+    return next(((li, ri) for li, ri in pairs if memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair), None)
 
 
 def check_chart(inv: Inventory) -> list[ClaimReport]:
@@ -435,17 +436,12 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
             rlo, rhi = inv.bounds[(rfam, ridx)]
             if row.src == "short":
                 rlo = inv.top - M + 1
-            src_pairs = []
-            missing = None
-            for i in range(rlo, rhi + 1):
-                ri = inv.lookup(rfam, ridx, i)
-                if ri is None:
-                    missing = {"reason": "missing slice element", "j": i}
-                    break
-                src_pairs.append((li, ri, table.product(li, ri)))
-            if missing:
+            cols = [inv.lookup(rfam, ridx, j) for j in range(rlo, rhi + 1)]
+            if None in cols:
+                missing = {"reason": "missing slice element", "j": rlo + cols.index(None)}
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, 0, missing))
                 continue
+            src_pairs = [(li, ri, table.product(li, ri)) for ri in cols]
             src_sorted = sorted(z for _, _, z in src_pairs)
 
             def range_matches(rng):
@@ -473,8 +469,9 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
             # membership of every rewritten element in the target block
             witness = None
             fails = 0
+            block = _target_block(inv, tgt_left, tgt_right, row.residue)
             for (si, ri, z) in src_pairs:
-                alt = _find_alternative(inv, z, tgt_left, tgt_right, row.residue, (si, ri))
+                alt = _find_alternative(inv, z, block, (si, ri))
                 if alt is None:
                     fails += 1
                     if witness is None:
@@ -525,10 +522,6 @@ class CheckSummary:
         for c in self.claims:
             out[c.status] += 1
         return out
-
-    @property
-    def all_matched(self) -> bool:
-        return self.counts[FAIL] == 0 and self.coverage == 1.0
 
     def as_dict(self) -> dict:
         counts = self.counts

@@ -32,6 +32,8 @@ from typing import NamedTuple, Optional
 from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
 from .words import GroupParams, NormalForm, from_word
 
+FAMILY_ORDER = {"X": 0, "Y": 1, "Z": 2}  # the order of the progressions
+
 
 class SliceLabel(NamedTuple):
     family: str  # "X", "Y" or "Z"
@@ -118,13 +120,13 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # 4-byte entry in its prefix's cell array and the arrays' slack), fitted to
 # the peak RSS of verify at base k = 5, 6 and 7 (20, 34 and 139 MiB) less the
 # interpreter's 18 MiB.  A family has one b-run per progression, 2^(k+1) + 1
-# of them, and the table one cell per row and run.  check adds its |T|^2-bit
-# coverage and 9 B per cell: a 4-byte prefix id (cell_pid) and 5 B for the
-# rest of the claim phase (the prefix-id dict, the span cache, the coverage
-# ints rebuilt by every mark), fitted to the peak RSS of check at base k = 5,
-# 6 and 7 (22.0, 50.6 and 324.0 MiB) less the interpreter's 17.8 MiB.  This
-# admits verify and check --k 7 (118 and 324 MiB predicted) and refuses
-# verify --k 8 (890 MiB).
+# of them, and the table one cell per row and run.  check adds 9 B per cell,
+# a 4-byte prefix id (cell_pid) and 5 B for the rest of the claim phase,
+# fitted to check at base k = 5, 6 and 7 (22.0, 50.6, 324.0 MiB), and 0.15 B
+# per pair: the coverage bits, in Python ints rebuilt by every mark, take
+# 10-14% above |T|^2/8 bytes at (k, p, q) = (1, 1, 801), (2, 1, 401) and
+# (1, 1, 1601) (60.5, 91.6, 170.8 MiB); peaks less 17.8 MiB of interpreter.
+# This admits verify and check --k 7 (118, 350 MiB) and refuses verify --k 8.
 MEMORY_BUDGET = 512 << 20
 _ELEMENT_BYTES = 400
 _CELL_BYTES = 13
@@ -141,7 +143,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     cells = size * (2 * (1 << spec.k) + 1)
     predicted = size * _ELEMENT_BYTES + cells * _CELL_BYTES
     if claims:
-        predicted += size * size // 8 + cells * _CLAIM_CELL_BYTES
+        predicted += size * size * 3 // 20 + cells * _CLAIM_CELL_BYTES
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted
@@ -164,8 +166,7 @@ def build_family(spec: FamilySpec) -> GroupSet:
     elements: list[NormalForm] = []
     labels: list[SliceLabel] = []
     bounds = progression_bounds(spec)
-    order = {"X": 0, "Y": 1, "Z": 2}
-    for (fam, idx) in sorted(bounds, key=lambda key: (order[key[0]], key[1])):
+    for (fam, idx) in sorted(bounds, key=lambda key: (FAMILY_ORDER[key[0]], key[1])):
         lo, hi = bounds[(fam, idx)]
         for j in range(lo, hi + 1):
             elements.append(_slice_element(params, p, fam, idx, j))

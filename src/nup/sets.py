@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .words import GroupParams, NormalForm, from_string, to_string
@@ -206,10 +205,10 @@ class FactorizationTable:
     about 41M.  cell_n0 holds 64-bit ints; a product beyond that is refused
     with a ValueError.
 
-    A row's cells of one prefix are a bisected slice of its cell list, which
-    right_factor reads; product, key_of and is_run read the prefix id of
-    every cell (cell_pid) and the run and offset of every column, indexed on
-    first use.  The first count sweeps each prefix once.
+    Every lookup reads forward from a cell: product, factors_in, key_of and
+    is_run read the prefix id of every cell (cell_pid) and the run and offset
+    of every column, indexed on first use.  factorizations and the pair lists
+    walk one prefix's cells, and the first count sweeps each prefix once.
     """
 
     __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "multiplies", "cell_pid", "_prefix_id", "_cols", "_counts")
@@ -344,16 +343,22 @@ class FactorizationTable:
         t0 = offset[cols[0]]
         return self.runs[run_of[cols[0]]][t0 : t0 + len(cols)] == cols
 
-    def right_factor(self, i: int, key: tuple[int, int]) -> Optional[int]:
-        """The j with X[i] * Y[j] named by key, else None."""
+    def factors_in(self, rows: Iterable[int], runs: Sequence[int], key: tuple[int, int]):
+        """Each (i, j) with i in rows, j in one of the b-runs runs and X[i] * Y[j]
+        named by key, in row order; a row meets each product at most once."""
+        self._cols or self._columns()
         pid, n = key
-        cells, R = self.cells_of[pid] if pid >= 0 else [], len(self.runs)
-        # row i's cells are one slice, and a row meets each product at most once
-        for c in cells[bisect_left(cells, i * R) : bisect_left(cells, (i + 1) * R)]:
-            t = n - self.cell_n0[c]
-            if 0 <= t < len(self.runs[c % R]):
-                return self.runs[c % R][t]
-        return None
+        R, pids, n0 = len(self.runs), self.cell_pid, self.cell_n0
+        for i in rows:
+            for r in runs:
+                c = i * R + r
+                if pids[c] == pid and 0 <= n - n0[c] < len(self.runs[r]):
+                    yield i, self.runs[r][n - n0[c]]
+
+    def runs_of(self, cols: Iterable[int]) -> list[int]:
+        """The b-runs that hold the columns cols, each once."""
+        run_of = (self._cols or self._columns())[0]
+        return list(dict.fromkeys(run_of[j] for j in cols))
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
         """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
@@ -368,13 +373,12 @@ class FactorizationTable:
     # -- pair lists, rebuilt on demand ----------------------------------------
 
     def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
-        """Every (i, j) with X[i] * Y[j] = z, sorted."""
-        key = self.key_of(z)
-        if key[0] < 0:
-            return []
-        R = len(self.runs)
-        rows = dict.fromkeys(c // R for c in self.cells_of[key[0]])  # in row order
-        return [(i, j) for i in rows if (j := self.right_factor(i, key)) is not None]
+        """Every (i, j) with X[i] * Y[j] = z, sorted: the cells of z's prefix
+        are in row order, and a row meets z at most once."""
+        pid, n = self.key_of(z)
+        R, n0 = len(self.runs), self.cell_n0
+        cells = self.cells_of[pid] if pid >= 0 else ()
+        return [(c // R, self.runs[c % R][n - n0[c]]) for c in cells if 0 <= n - n0[c] < len(self.runs[c % R])]
 
     def multiplicity(self, z: NormalForm) -> int:
         return len(self.factorizations(z))

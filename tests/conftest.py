@@ -1,8 +1,14 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from nup.words import GroupParams, from_word
+
+# bench/affine_oracle.py is the exact Z^3 representation of G(1) that the
+# tests check the k = 1 arithmetic against; it imports nothing from nup
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -1,7 +1,7 @@
 """Differential test of the k=1 arithmetic against an affine crystallographic
 representation.
 
-For k=1 the group embeds in the isometries of Z^3: send
+For k=1 the group embeds in the isometries of Z^3 (bench/affine_oracle.py):
 
     a  ->  t |-> (t1 + 1/2, -t2 + 1/2, -t3)
     b  ->  t |-> (-t1, t2 + 1/2, -t3 + 1/2)
@@ -9,54 +9,28 @@ For k=1 the group embeds in the isometries of Z^3: send
 (the torsion-free crystallographic group with holonomy Z/2 x Z/2).  Both
 relators map to the identity isometry and a^2, b^2, (ab)^2 map to the three
 independent unit translations, so equality of group elements coincides with
-equality of affine maps.  Translations are doubled below to keep everything
+equality of affine maps.  The oracle doubles translations to keep everything
 in exact integers.  This gives a complete, two-sided equality oracle for
 k=1, independent of the normal-form machinery and of the string-rewriting
 closure."""
 
 import random
 
+from affine_oracle import IDENTITY, compose, element
 from conftest import random_tokens
 from nup.words import GroupParams, from_word
 
 P1 = GroupParams(1)
 
-_IDENT = ((1, 1, 1), (0, 0, 0))
-
-
-def _compose(f, g):
-    (A, v), (B, w) = f, g
-    return (
-        (A[0] * B[0], A[1] * B[1], A[2] * B[2]),
-        (A[0] * w[0] + v[0], A[1] * w[1] + v[1], A[2] * w[2] + v[2]),
-    )
-
-
-def _inverse(f):
-    A, v = f  # A is diagonal with entries +-1, so it is its own inverse
-    return (A, (-A[0] * v[0], -A[1] * v[1], -A[2] * v[2]))
-
-
-_GEN = {
-    ("a", 1): ((1, -1, -1), (1, 1, 0)),
-    ("b", 1): ((-1, 1, -1), (0, 1, 1)),
-}
-_GEN[("a", -1)] = _inverse(_GEN[("a", 1)])
-_GEN[("b", -1)] = _inverse(_GEN[("b", 1)])
-
 
 def affine(tokens):
-    m = _IDENT
-    for g, e in tokens:
-        step = _GEN[(g, 1 if e > 0 else -1)]
-        for _ in range(abs(e)):
-            m = _compose(m, step)
-    return m
+    """The isometry of a token list [(letter, exponent), ...]."""
+    return element(" ".join(f"{g}^{e}" for g, e in tokens) or "1")
 
 
 def test_relators_act_trivially():
-    assert affine([("a", 1), ("b", 2), ("a", -1), ("b", 2)]) == _IDENT
-    assert affine([("b", 1), ("a", 2), ("b", -1), ("a", 2)]) == _IDENT
+    assert affine([("a", 1), ("b", 2), ("a", -1), ("b", 2)]) == IDENTITY
+    assert affine([("b", 1), ("a", 2), ("b", -1), ("a", 2)]) == IDENTITY
 
 
 def test_squares_are_independent_translations():
@@ -79,8 +53,8 @@ def test_torsion_free_image():
         m = affine(tokens)
         p = m
         for _ in range(7):
-            p = _compose(p, m)
-            assert p != _IDENT
+            p = compose(p, m)
+            assert p != IDENTITY
 
 
 def test_normal_form_equality_matches_affine_equality():

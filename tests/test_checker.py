@@ -133,7 +133,6 @@ class TestSummary:
         assert s.coverage == 1.0
         assert s.counts[FAIL] == 0
         assert s.soundness_ok and s.consistent
-        assert s.all_matched
 
     def test_full_verification_scaled(self):
         s = verify_family(FamilySpec(1, 1, 3))
@@ -252,6 +251,17 @@ class TestCoverageAccounting:
                 if inv.is_marked(i, j):
                     assert table.multiplicity(gset[i] * gset[j]) >= 2
 
+    def test_span_cache_does_not_grow_with_q(self):
+        # the Z claims ask for about 4(M+1)q single columns; only the longer
+        # spans of the diagonals and containments, a fixed number, are cached
+        sizes = []
+        for q in (5, 101):
+            spec = FamilySpec(1, 1, q)
+            inv = Inventory(spec, build_family(spec))
+            run_all_claims(inv)
+            sizes.append(len(inv._spans))
+        assert sizes[0] == sizes[1]
+
 
 DIFFERENTIAL_POINTS = [(1,), (2,), (3,), (4,), (1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5)]
 
@@ -273,11 +283,14 @@ class TestTableReadMatchesOracle:
             # an interior element dropped, so the progression's span breaks its run
             (FamilySpec(2), lambda spec: tampered_family(spec, "b^2 a b^3")),
             (FamilySpec(1, 1, 3), lambda spec: tampered_family(spec, "b A b^5")),
+            # an interior element of X_1 dropped, so a chart target
+            # progression spans two runs
+            (FamilySpec(2), lambda spec: tampered_family(spec, "b A b^3")),
             # an element of a chart target labeled into another progression,
             # so its run holds a column outside the target block
             (FamilySpec(2), lambda spec: relabeled(spec, {SliceLabel("X", 1, 4): SliceLabel("Y", 9, 4)})),
         ],
-        ids=["swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "foreign-progression-k2"],
+        ids=["swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "drop-target-k2", "foreign-progression-k2"],
     )
     def test_tampered_sets(self, spec, make):
         broken = make(spec)

@@ -155,29 +155,28 @@ class TestAgainstBrute:
 
 
 @pytest.mark.parametrize("point", [(2,), (1, 3, 5)])
-def test_right_factor_finds_only_the_pair(point):
-    # a row meets each product at most once: the key of (i, j) leads row i
-    # back to j, and a key from another row to no column or to one whose
-    # product in row i is that key
+def test_factorizations_hold_only_the_pairs_of_a_key(point):
+    # the key of (i, j) leads back to a sorted list that holds (i, j), and
+    # every pair listed for a key has that key
     T = build_family(FamilySpec(*point))
     table = product_table(T, T)
     n = len(T)
-    rng = random.Random(n)
-    hits = 0
+    shared = 0
     for i in range(n):
         for j in range(n):
             key = table.product(i, j)
-            assert table.right_factor(i, key) == j
-            for other in rng.sample(range(n), 3):
-                found = table.right_factor(other, key)
-                if found is not None:
-                    hits += other != i
-                    assert table.product(other, found) == key
-    assert hits  # the other rows do meet some of these products
+            pairs = table.factorizations(table.element_of(key))
+            assert (i, j) in pairs and pairs == sorted(pairs)
+            assert all(table.product(*pair) == key for pair in pairs)
+            shared += len(pairs) > 1
+    assert shared  # other rows do meet some of these products
     # prefix id -1 (key_of's answer for a prefix no product has) is no prefix,
-    # not the last one
-    i, j = next((i, j) for i in range(n) for j in range(n) if table.product(i, j)[0] == len(table.cells_of) - 1)
-    assert table.right_factor(i, (-1, table.product(i, j)[1])) is None
+    # not the last one: an element with the last prefix's n but a prefix of
+    # its own has no factorization
+    u, alpha, syl = table.prefixes[-1]
+    absent = sets._from_b_key(T.params.k, (u + n, alpha, syl), table.cell_n0[table.cells_of[-1][0]])
+    assert table.key_of(absent)[0] == -1
+    assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
 
 
 @pytest.mark.parametrize(
