@@ -171,11 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nup {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pq=True):
+    def common(p):
         p.add_argument("--k", type=int, required=True, help="group parameter k >= 1")
-        if pq:
-            p.add_argument("--p", type=int, default=None, help="odd scale of the a-exponent")
-            p.add_argument("--q", type=int, default=None, help="odd progression scale, q ≡ 1 mod 2^k")
+        p.add_argument("--p", type=int, default=None, help="odd scale of the a-exponent")
+        p.add_argument("--q", type=int, default=None, help="odd progression scale, q ≡ 1 mod 2^k")
 
     p = sub.add_parser("verify", help="build the set and scan its square for unique products")
     common(p)

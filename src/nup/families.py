@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
-from .words import GroupParams, NormalForm, from_word
+from .words import MAX_K, GroupParams, NormalForm, from_word
 
 FAMILY_ORDER = {"X": 0, "Y": 1, "Z": 2}  # the order of the progressions
 
@@ -137,7 +137,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     """The predicted peak bytes of scanning the family's square, and of its
     claims too when claims is set; ValueError above MEMORY_BUDGET."""
     limit = f"the budget of {MEMORY_BUDGET >> 20} MiB"
-    if spec.k > 64:  # |T| > 2^(2k+1): say so without computing 2^k
+    if spec.k > MAX_K:  # |T| > 2^(2k+1): say so without computing 2^k
         raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
     cells = size * (2 * (1 << spec.k) + 1)

@@ -11,10 +11,12 @@ follows simulated annealing with geometric cooling.  Runs are deterministic
 functions of the seed; restarts draw their seeds from the master seed by a
 fixed splitting rule and ties go to the lowest restart index.
 
-A move is scored without building its square.  A table of product ids over
-the universe is filled lazily, one multiply per pair on first use, and the
-counts of the current square are updated only on the pairs that meet the
-removed and added elements; a rejected move is undone from the same ids.
+A move is the pair (out, into) of the universe indices it removes and adds,
+and it is scored without building its square or the next state.  A table of
+product ids over the universe is filled lazily, one multiply per pair on
+first use, and the counts of the current square are updated only on the
+pairs that meet out and into; a rejected move is undone from the same ids,
+and only an accepted one is sorted into the next state.
 The table drops its rows once it holds more than
 max(2 * size, MAX_UNIVERSE_SIZE // len(universe)) of them, so its memory does
 not grow with the budget.  score() stays the exact recheck of the answer.
@@ -140,13 +142,20 @@ def _restart_seed(master: int, r: int) -> int:
 
 
 class _State:
-    """Fixed-size subset of the universe as a sorted tuple of indices."""
+    """Fixed-size subsets of the universe, each a sorted tuple of indices.
 
-    def __init__(self, universe, inv_index, params, symmetric):
+    A move is (out, into): the indices it removes and those it adds, one each,
+    or one inverse pair each when symmetric."""
+
+    def __init__(self, universe, params, symmetric):
         self.universe = universe
-        self.inv_index = inv_index  # universe index -> index of the inverse; None unless symmetric
+        self.uindex = {w: i for i, w in enumerate(universe)}
+        # universe index -> index of the inverse; None unless symmetric
+        self.inv_index = [self.uindex[w.inverse()] for w in universe] if symmetric else None
         self.params = params
         self.symmetric = symmetric
+        self.atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
+        self.identity = self.uindex[identity(params)]
 
     def as_set(self, idxs) -> GroupSet:
         return make_set(self.params, [self.universe[i] for i in idxs])
@@ -160,7 +169,7 @@ class _State:
             return tuple(sorted(chosen))
         if size % 2 == 1:
             # only the identity is self-inverse, so odd symmetric sets pin it
-            chosen.add(self._identity_index())
+            chosen.add(self.identity)
         while len(chosen) < size:
             i = rng.randrange(n)
             j = self.inv_index[i]
@@ -170,56 +179,40 @@ class _State:
             chosen.add(j)
         return tuple(sorted(chosen))
 
-    def _identity_index(self) -> int:
-        for i, w in enumerate(self.universe):
-            if w.is_identity():
-                return i
-        raise RuntimeError("identity missing from universe")
-
-    def neighbor(self, rng, idxs, kind, atoms, uindex) -> Optional[tuple]:
+    def neighbor(self, rng, idxs, kind) -> Optional[tuple]:
+        """A random move (out, into) from idxs, or None when none was found."""
         current = set(idxs)
         if kind == "mutate-one":
             for _ in range(8):
-                pos = rng.randrange(len(idxs))
-                i = idxs[pos]
-                w2 = self.universe[i] * atoms[rng.randrange(len(atoms))]
-                i2 = uindex.get(w2)
+                i = idxs[rng.randrange(len(idxs))]
+                i2 = self.uindex.get(self.universe[i] * self.atoms[rng.randrange(len(self.atoms))])
                 if i2 is None or i2 in current:
                     continue
-                out = self._replace(idxs, i, i2)
-                if out is not None:
-                    return out
+                move = self._move(current, i, i2)
+                if move is not None:
+                    return move
             kind = "swap-one"  # fall back when mutation keeps colliding
         for _ in range(64):
-            pos = rng.randrange(len(idxs))
-            i = idxs[pos]
+            i = idxs[rng.randrange(len(idxs))]
             i2 = rng.randrange(len(self.universe))
             if i2 in current:
                 continue
-            out = self._replace(idxs, i, i2)
-            if out is not None:
-                return out
+            move = self._move(current, i, i2)
+            if move is not None:
+                return move
         return None
 
-    def _replace(self, idxs, old, new) -> Optional[tuple]:
-        current = set(idxs)
+    def _move(self, current, old, new) -> Optional[tuple]:
+        """The move that replaces old in current by new, which current lacks;
+        None when a symmetric move would break inverse closure or the size."""
         if not self.symmetric:
-            current.discard(old)
-            current.add(new)
-            return tuple(sorted(current))
-        old_inv = self.inv_index[old]
-        new_inv = self.inv_index[new]
+            return (old,), (new,)
+        old_inv, new_inv = self.inv_index[old], self.inv_index[new]
         if old == old_inv:
             return None  # pinned identity in odd-size symmetric sets
-        if new == new_inv or new_inv in current:
+        if new == new_inv or new_inv in current or old_inv not in current:
             return None
-        current.discard(old)
-        current.discard(old_inv)
-        current.add(new)
-        current.add(new_inv)
-        if len(current) != len(idxs):
-            return None
-        return tuple(sorted(current))
+        return (old, old_inv), (new, new_inv)
 
 
 class _Counts:
@@ -275,14 +268,14 @@ class _Counts:
         self._count(self._block(idxs, idxs), 1)
         return self.once
 
-    def apply(self, idxs, proposal) -> int:
-        """Move the counts from the square of idxs to that of proposal."""
+    def apply(self, idxs, out, into) -> int:
+        """Move the counts from the square of idxs to that of the state the
+        move (out, into) makes of it."""
         if len(self.rows) > self.max_rows:
             self.reset(idxs)
-        old, new = set(idxs), set(proposal)
-        kept, removed, added = old & new, old - new, new - old
-        gone = self._block(removed, old) + self._block(kept, removed)
-        came = self._block(added, new) + self._block(kept, added)
+        kept = [i for i in idxs if i not in out]
+        gone = self._block(out, idxs) + self._block(kept, out)
+        came = self._block(into, kept + list(into)) + self._block(kept, into)
         self._count(gone, -1)
         self._count(came, 1)
         self.last = (gone, came)
@@ -299,10 +292,7 @@ class _Counts:
 def run_search(config: SearchConfig) -> SearchResult:
     params = GroupParams(config.k)
     universe = candidate_universe(params, config.word_length_cap)
-    uindex = {w: i for i, w in enumerate(universe)}
-    inv_index = [uindex[w.inverse()] for w in universe] if config.symmetric else None
-    atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
-    state = _State(universe, inv_index, params, config.symmetric)
+    state = _State(universe, params, config.symmetric)
 
     if len(universe) < config.size:
         raise ValueError(f"universe of {len(universe)} words cannot fill a set of size {config.size}")
@@ -312,10 +302,9 @@ def run_search(config: SearchConfig) -> SearchResult:
         T = build_base_set(config.k)
         if len(T) != config.size:
             raise ValueError(f"built initial set has size {len(T)}, configured size is {config.size}")
-        missing = [w for w in T if w not in uindex]
-        if missing:
+        if any(w not in state.uindex for w in T):
             raise ValueError("initial set lies outside the word-length-capped universe; raise the cap")
-        init_idxs = tuple(sorted(uindex[w] for w in T))
+        init_idxs = tuple(sorted(state.uindex[w] for w in T))
 
     counts = _Counts(universe, config.size)
     per_restart = config.budget // config.restarts
@@ -331,12 +320,14 @@ def run_search(config: SearchConfig) -> SearchResult:
         it = 0
         while it < per_restart and best_score > 0:
             it += 1
-            proposal = state.neighbor(rng, idxs, config.neighborhood, atoms, uindex)
-            if proposal is not None:
-                new_score = counts.apply(idxs, proposal)
+            move = state.neighbor(rng, idxs, config.neighborhood)
+            if move is not None:
+                out, into = move
+                new_score = counts.apply(idxs, out, into)
                 delta = new_score - cur_score
                 if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
-                    idxs, cur_score = proposal, new_score
+                    idxs = tuple(sorted([i for i in idxs if i not in out] + list(into)))
+                    cur_score = new_score
                     if cur_score < best_score:
                         best_score, best_idxs, best_at = cur_score, idxs, it
                 else:

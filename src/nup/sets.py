@@ -160,9 +160,6 @@ def _cover(cells: array, n0: array, lens: list) -> tuple[int, int]:
     """(points covered, points covered exactly once) by the intervals of one
     prefix's cells; lens holds the length of every run."""
     R = len(lens)
-    if len(cells) == 1:  # one interval, covered once
-        length = lens[cells[0] % R]
-        return length, length
     # an event is pos << 1 | is_start, so the ints sort by position
     events: list[int] = []
     add = events.append

@@ -33,6 +33,9 @@ HYPERBOLIC = "hyperbolic"
 
 Token = tuple[str, int]
 
+# the largest k accepted; 2^k is built exactly, so a larger k is refused first
+MAX_K = 64
+
 
 class ParseError(ValueError):
     """Syntax error in the word grammar, with the offending position."""
@@ -44,13 +47,15 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """The single parameter k >= 1 fixing the group; the relator exponent is 2^k."""
+    """The single parameter 1 <= k <= MAX_K fixing the group; the relator exponent is 2^k."""
 
     k: int
 
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        if self.k > MAX_K:
+            raise ValueError(f"k = {self.k} is above the largest supported k, {MAX_K}")
 
     @property
     def modulus(self) -> int:

@@ -236,6 +236,21 @@ class TestRewriteIdentities:
         assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
         assert coverage_bytes(inv) == coverage_bytes(oracle_inv)
 
+    @pytest.mark.parametrize("spec", [FamilySpec(2), FamilySpec(2, 1, 5)], ids=["base-k2", "2-1-5"])
+    def test_shifted_residue_fails_its_row(self, spec, monkeypatch):
+        # a residue off by one excludes every left row that meets the slice,
+        # so each instance of the row finds no second factorization
+        inv = Inventory(spec, build_family(spec))
+        rows = [row for row in checker._CHART if row.residue is not None]
+        assert len(rows) == 17
+        for row in rows:
+            monkeypatch.setattr(checker, "_CHART", [row._replace(residue=(row.residue + 1) % inv.M)])
+            reports = check_chart(inv)
+            assert reports, row.tag
+            for report in reports:
+                assert report.status == FAIL, row.tag
+                assert report.witness["reason"] == "no alternative factorization in target block"
+
 
 class TestCoverageAccounting:
     def test_marks_are_real_pairs(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from nup import checker, families, search
 from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_base_set, build_family, check_memory, expected_cardinality
 from nup.sets import load_set_file, product_table
-from nup.words import GroupParams
+from nup.words import MAX_K, GroupParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -318,6 +319,26 @@ class TestOversized:
     @pytest.mark.parametrize("point", sorted(CHECK_PEAK_MIB), ids=lambda p: "-".join(map(str, p)))
     def test_check_prediction_covers_measured_peak(self, point):
         assert check_memory(FamilySpec(*point), claims=True) / 2**20 + 17.8 >= self.CHECK_PEAK_MIB[point]
+
+
+class TestHugeK:
+    """eval and search refuse k above MAX_K before they compute 2^k."""
+
+    @pytest.mark.parametrize("argv", [["eval", "--k", str(10**12), "b"], ["search", "--k", str(10**12), "--size", "4"]], ids=["eval", "search"])
+    def test_refused_under_a_memory_limit(self, argv):
+        # in 1 GiB of address space, building 2^(10^12) raises MemoryError at once
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(nup.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-m", "nup", *argv], env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: k = {10**12} is above the largest supported k, {MAX_K}\n"
+
+    def test_largest_k_accepted(self, capsys):
+        assert main(["eval", "--k", str(MAX_K), "ab^-1a"]) == 0
+        assert main(["eval", "--k", str(MAX_K + 1), "b"]) == 2
+        assert f"k = {MAX_K + 1} is above" in capsys.readouterr().err
 
 
 class TestReportBlocks:

@@ -109,6 +109,10 @@ class TestScore:
             assert score(S) == len(unique_products(S, S))
 
 
+def moved(idxs, out, into):
+    return tuple(sorted(set(idxs).difference(out).union(into)))
+
+
 class TestCounts:
     """The incremental counts against a fresh score() of every state."""
 
@@ -119,9 +123,7 @@ class TestCounts:
     def test_apply_and_undo_match_score(self, k, cap, size, neighborhood, symmetric, low_bound, rng):
         P = GroupParams(k)
         U = candidate_universe(P, cap)
-        uindex = {w: i for i, w in enumerate(U)}
-        atoms = [generator(P, g, s) for g in ("a", "b") for s in (1, -1)]
-        state = search._State(U, [uindex[w.inverse()] for w in U], P, symmetric)
+        state = search._State(U, P, symmetric)
         counts = search._Counts(U, size)
         if low_bound:
             counts.max_rows = size
@@ -130,12 +132,16 @@ class TestCounts:
         assert counts.reset(idxs) == fresh(idxs)
         moves = dropped = 0
         while moves < 300:
-            proposal = state.neighbor(rng, idxs, neighborhood, atoms, uindex)
-            if proposal is None:
+            move = state.neighbor(rng, idxs, neighborhood)
+            if move is None:
                 continue
+            out, into = move
+            assert len(out) == len(into) == (2 if symmetric else 1)
+            assert set(out) <= set(idxs) and not set(into) & set(idxs)
             moves += 1
+            proposal = moved(idxs, out, into)
             dropped += len(counts.rows) > counts.max_rows
-            assert counts.apply(idxs, proposal) == fresh(proposal)
+            assert counts.apply(idxs, out, into) == fresh(proposal)
             # memory: one move adds at most two rows, and every id is named by a filled entry
             assert len(counts.rows) <= counts.max_rows + 2
             assert len(counts.ids) <= sum(len(row) - row.count(-1) for row in counts.rows.values())
@@ -144,6 +150,20 @@ class TestCounts:
             else:
                 assert counts.undo() == fresh(idxs)
         assert (dropped > 0) == low_bound
+
+    @pytest.mark.parametrize("neighborhood", ["swap-one", "mutate-one"])
+    def test_symmetric_move_keeps_inverse_closure(self, neighborhood, rng):
+        # {x, x^-1, y}: y's inverse is missing, so a move may only replace the pair
+        P = GroupParams(1)
+        U = candidate_universe(P, 4)
+        state = search._State(U, P, True)
+        x, y = (U.index(from_string(t, P)) for t in ("ab", "bb"))
+        idxs = tuple(sorted((x, state.inv_index[x], y)))
+        moves = [state.neighbor(rng, idxs, neighborhood) for _ in range(200)]
+        assert {out for out, _ in filter(None, moves)} == {(x, state.inv_index[x]), (state.inv_index[x], x)}
+        # with no inverse-closed pair left, every move is refused
+        idxs = tuple(sorted((x, y)))
+        assert all(state.neighbor(rng, idxs, neighborhood) is None for _ in range(50))
 
 
 class TestRunSearch:
