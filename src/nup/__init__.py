@@ -18,7 +18,6 @@ from .words import (
 from .sets import (
     FactorizationTable,
     GroupSet,
-    is_nonunique_square,
     make_set,
     product_table,
     unique_products,
@@ -41,7 +40,6 @@ __all__ = [
     "from_word",
     "generator",
     "identity",
-    "is_nonunique_square",
     "make_set",
     "parse",
     "product_table",

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .families import FAMILY_ORDER, FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
+from .families import FAMILIES, FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
 from .sets import FactorizationTable, GroupSet, product_table
 from .words import from_word
 
@@ -94,7 +94,7 @@ class Inventory:
             raise ValueError("checker needs a labeled set")
         self.prog: dict[tuple[str, int], dict[int, int]] = {}
         for i, lab in enumerate(gset.labels):
-            if not isinstance(lab, SliceLabel) or lab.family not in FAMILY_ORDER:
+            if not isinstance(lab, SliceLabel) or lab.family not in FAMILIES:
                 raise ValueError(f"element {i} ({gset.elements[i]}) has label {lab!r}, not a slice label 'X|Y|Z INDEX J'")
             js = self.prog.setdefault((lab.family, lab.index), {})
             if lab.j in js:
@@ -115,7 +115,7 @@ class Inventory:
         self._spans: dict = {}
 
     def progressions(self):
-        return sorted(self.prog, key=lambda key: (FAMILY_ORDER[key[0]], key[1]))
+        return sorted(self.prog)
 
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
@@ -456,7 +456,7 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
             elif printed_rng != pattern_rng and range_matches(pattern_rng):
                 used, suspect = pattern_rng, True
             else:
-                elements = sorted((table.element_of(z) for z in src_sorted), key=lambda w: w.sort_key())
+                elements = sorted(table.element_of(z) for z in src_sorted)
                 witness = {
                     "reason": "rewritten slice does not match the claimed range",
                     "printed_range": list(printed_rng),

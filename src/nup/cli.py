@@ -29,9 +29,7 @@ from .words import GroupParams, ParseError, from_string, to_string
 
 
 def _family_spec(args, claims: bool = False) -> FamilySpec:
-    if (args.p is None) != (args.q is None):
-        raise ValueError("--p and --q must be given together")
-    spec = FamilySpec(args.k) if args.p is None else FamilySpec(args.k, args.p, args.q)
+    spec = FamilySpec(args.k, args.p, args.q)
     check_memory(spec, claims)
     return spec
 

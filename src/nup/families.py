@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
 from .words import MAX_K, GroupParams, NormalForm, from_word
 
-FAMILY_ORDER = {"X": 0, "Y": 1, "Z": 2}  # the order of the progressions
+FAMILIES = ("X", "Y", "Z")  # in progression order, which is also string order
 
 
 class SliceLabel(NamedTuple):
@@ -55,10 +55,9 @@ class FamilySpec:
         if (self.p is None) != (self.q is None):
             raise ValueError("p and q must be given together")
         if self.p is not None:
-            if self.p < 1 or self.p % 2 == 0:
-                raise ValueError(f"p must be a positive odd integer, got {self.p}")
-            if self.q < 1 or self.q % 2 == 0:
-                raise ValueError(f"q must be a positive odd integer, got {self.q}")
+            for name, value in (("p", self.p), ("q", self.q)):
+                if not isinstance(value, int) or isinstance(value, bool) or value < 1 or value % 2 == 0:
+                    raise ValueError(f"{name} must be a positive odd integer, got {value!r}")
             # bit lengths first, so that a huge k never builds 2^k
             if self.q > 1 and ((self.q - 1).bit_length() <= self.k or (self.q - 1) % (1 << self.k)):
                 raise ValueError(f"q - 1 = {self.q - 1} must be a multiple of 2^{self.k}")
@@ -110,9 +109,7 @@ def progression_bounds(spec: FamilySpec) -> dict[tuple[str, int], tuple[int, int
 def expected_cardinality(spec: FamilySpec) -> int:
     """Closed-form size of the family; must match the built set exactly."""
     M = 1 << spec.k
-    if not spec.scaled:
-        return 2 * M * M + 4 * M + 1
-    return (2 * M * M + 5 * M + 2) * spec.q - (M + 1)
+    return (2 * M * M + 5 * M + 2) * spec.q_eff - (M + 1)
 
 
 # Largest predicted peak memory the CLI admits, in bytes.  The prediction is
@@ -166,8 +163,7 @@ def build_family(spec: FamilySpec) -> GroupSet:
     elements: list[NormalForm] = []
     labels: list[SliceLabel] = []
     bounds = progression_bounds(spec)
-    for (fam, idx) in sorted(bounds, key=lambda key: (FAMILY_ORDER[key[0]], key[1])):
-        lo, hi = bounds[(fam, idx)]
+    for (fam, idx), (lo, hi) in bounds.items():
         for j in range(lo, hi + 1):
             elements.append(_slice_element(params, p, fam, idx, j))
             labels.append(SliceLabel(fam, idx, j))
@@ -175,14 +171,6 @@ def build_family(spec: FamilySpec) -> GroupSet:
     if gset.duplicates_removed:
         raise RuntimeError(f"family construction produced {gset.duplicates_removed} duplicate elements")
     return gset
-
-
-def build_base_set(k: int) -> GroupSet:
-    return build_family(FamilySpec(k))
-
-
-def build_scaled_set(k: int, p: int, q: int) -> GroupSet:
-    return build_family(FamilySpec(k, p, q))
 
 
 def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:

@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .families import build_base_set
+from .families import FamilySpec, build_family
 from .sets import GroupSet, make_set, product_table
 from .words import GroupParams, NormalForm, generator, identity
 
@@ -126,7 +126,7 @@ def candidate_universe(params: GroupParams, length_cap: int) -> list[NormalForm]
             if len(seen) > MAX_UNIVERSE_SIZE:
                 raise ValueError(f"the universe of word length <= {length_cap} holds more than {MAX_UNIVERSE_SIZE} elements; lower the length cap")
         frontier = nxt
-    return sorted(seen, key=lambda w: w.sort_key())
+    return sorted(seen)
 
 
 def score(S: GroupSet) -> int:
@@ -299,7 +299,7 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     init_idxs = None
     if config.init == "base":
-        T = build_base_set(config.k)
+        T = build_family(FamilySpec(config.k))
         if len(T) != config.size:
             raise ValueError(f"built initial set has size {len(T)}, configured size is {config.size}")
         if any(w not in state.uindex for w in T):

@@ -91,10 +91,6 @@ class GroupSet:
     def label_of(self, i: int):
         return None if self.labels is None else self.labels[i]
 
-    def inverse_set(self) -> "GroupSet":
-        """The set of inverses, re-sorted; labels are dropped."""
-        return make_set(self.params, [w.inverse() for w in self.elements])
-
 
 def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Optional[Sequence] = None) -> GroupSet:
     """Sort and deduplicate; the number of duplicates removed is recorded.
@@ -110,7 +106,7 @@ def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Option
         labels = list(labels)
         if len(labels) != len(elems):
             raise ValueError(f"{len(labels)} labels for {len(elems)} elements")
-    pairs = sorted(zip(elems, labels or [None] * len(elems)), key=lambda t: t[0].sort_key())
+    pairs = sorted(zip(elems, labels or [None] * len(elems)), key=lambda t: t[0])
     out_e: list[NormalForm] = []
     out_l: list = []
     for w, lab in pairs:
@@ -394,7 +390,7 @@ class FactorizationTable:
     def items(self) -> list[tuple[NormalForm, list]]:
         """Every product with its sorted factorizations, in canonical order."""
         out = [item for pid in range(len(self.cells_of)) for item in self._points(pid)]
-        out.sort(key=lambda t: t[0].sort_key())
+        out.sort(key=lambda t: t[0])
         return out
 
     def unique_count(self) -> int:
@@ -405,7 +401,7 @@ class FactorizationTable:
         """(z, (i, j)) for every product with exactly one factorization, in
         canonical order; only the prefixes that hold one are expanded."""
         out = [(z, pairs[0]) for pid in self._sweep()[2] for z, pairs in self._points(pid) if len(pairs) == 1]
-        out.sort(key=lambda t: t[0].sort_key())
+        out.sort(key=lambda t: t[0])
         return out
 
 
@@ -421,20 +417,6 @@ def unique_products(X: GroupSet, Y: GroupSet, table: Optional[FactorizationTable
     if table is None:
         table = product_table(X, Y)
     return table.uniques()
-
-
-def is_nonunique_square(S: GroupSet) -> tuple[bool, Optional[tuple]]:
-    """True when S*S has no uniquely represented element.
-
-    On False the first uniquely represented element and its factorization is
-    returned as a witness.
-    """
-    if len(S) == 0:
-        raise ValueError("empty set")
-    singles = unique_products(S, S)
-    if singles:
-        return False, singles[0]
-    return True, None
 
 
 # -- set files ----------------------------------------------------------------
@@ -458,7 +440,7 @@ def save_set_file(gset: GroupSet, path: str | os.PathLike, header: str = "") -> 
 
 
 def load_set_file(path: str | os.PathLike, params: GroupParams) -> GroupSet:
-    from .families import SliceLabel
+    from .families import FAMILIES, SliceLabel
 
     elements: list[NormalForm] = []
     labels: list = []
@@ -474,7 +456,7 @@ def load_set_file(path: str | os.PathLike, params: GroupParams) -> GroupSet:
             if label_text:
                 any_label = True
                 parts = label_text.split()
-                if len(parts) == 3 and parts[0] in ("X", "Y", "Z"):
+                if len(parts) == 3 and parts[0] in FAMILIES:
                     try:
                         labels.append(SliceLabel(parts[0], int(parts[1]), int(parts[2])))
                         continue

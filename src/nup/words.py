@@ -19,12 +19,15 @@ pushing a^(+-2) / b^(+-M) overflow leftward with those two transport rules,
 one letter block at a time, so each operation costs O(word length) exact
 integer steps.  Integers are Python ints, so exponents never overflow.
 
-NormalForm values are immutable and hashable; every operation is a pure
+A NormalForm is the tuple (k, u, v, alpha, l, (s_1, ..., s_l), beta), so
+element equality, hashing and the canonical order are tuple equality, hashing
+and order.  NormalForm values are immutable; every operation is a pure
 function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -138,17 +141,20 @@ class _Accum:
         return NormalForm._make(k, self.u, self.v, self.alpha, tuple(self.syl), self.beta)
 
 
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables beta")):
     """Canonical representative of one group element; immutable and hashable.
 
-    Two NormalForms are equal as group elements exactly when all fields agree,
-    so equality, hashing and the canonical ordering are plain field
-    comparisons.
+    A NormalForm is its canonical tuple (k, u, v, alpha, n_syllables,
+    syllables, beta), where n_syllables = len(syllables).  Two NormalForms
+    name the same element exactly when their tuples are equal, so tuple
+    equality and hashing are element equality, and within one group tuple
+    order is the canonical order: by u, v, alpha, the number of syllables,
+    the syllables and beta.  Sort elements directly.
     """
 
-    __slots__ = ("k", "u", "v", "alpha", "syllables", "beta", "_hash")
+    __slots__ = ()
 
-    def __init__(self, k: int, u: int, v: int, alpha: int, syllables: Sequence[int] = (), beta: int = 0):
+    def __new__(cls, k: int, u: int, v: int, alpha: int, syllables: Sequence[int] = (), beta: int = 0):
         if k < 1:
             raise ValueError("k must be >= 1")
         M = 1 << k
@@ -160,27 +166,17 @@ class NormalForm:
         for s in syllables:
             if not 1 <= s < M:
                 raise ValueError(f"interior exponent must lie in [1, {M - 1}], got {s}")
-        self.k = k
-        self.u = u
-        self.v = v
-        self.alpha = alpha
-        self.syllables = syllables
-        self.beta = beta
-        self._hash = None
+        return tuple.__new__(cls, (k, u, v, alpha, len(syllables), syllables, beta))
 
     @classmethod
     def _make(cls, k, u, v, alpha, syllables, beta):
         # fast path for values produced by _Accum, which already maintains the
         # range invariants
-        self = object.__new__(cls)
-        self.k = k
-        self.u = u
-        self.v = v
-        self.alpha = alpha
-        self.syllables = syllables
-        self.beta = beta
-        self._hash = None
-        return self
+        return tuple.__new__(cls, (k, u, v, alpha, len(syllables), syllables, beta))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes no n_syllables
+        return self.k, self.u, self.v, self.alpha, self.syllables, self.beta
 
     # -- structure ----------------------------------------------------------
 
@@ -194,38 +190,6 @@ class NormalForm:
     def syllable_count(self) -> int:
         """Number of alternating coset factors after the a^2/b^M part."""
         return self.alpha + 2 * len(self.syllables) + (1 if self.beta else 0)
-
-    def sort_key(self):
-        return (self.u, self.v, self.alpha, len(self.syllables), self.syllables, self.beta)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.u == other.u
-            and self.v == other.v
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.syllables == other.syllables
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, self.u, self.v, self.alpha, self.syllables, self.beta))
-            self._hash = h
-        return h
-
-    def __lt__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        if self.k != other.k:
-            raise ValueError("cannot order elements of different groups")
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self == other or self < other
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -55,5 +55,5 @@ def brute_counts(X, Y) -> dict:
 def brute_uniques(counts: dict) -> list:
     """(z, (i, j)) for every product of multiplicity 1, in canonical order."""
     singles = [(z, pair) for z, (count, pair) in counts.items() if count == 1]
-    singles.sort(key=lambda t: t[0].sort_key())
+    singles.sort(key=lambda t: t[0])
     return singles

@@ -172,13 +172,13 @@ def check_chart(view):
             if missing:
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, 0, missing))
                 continue
-            src_sorted = sorted((z for _, _, z in src_pairs), key=lambda w: w.sort_key())
+            src_sorted = sorted(z for _, _, z in src_pairs)
 
             def range_matches(rng):
                 lo, hi = rng
                 if hi - lo + 1 != len(src_sorted):
                     return False
-                exp = sorted((from_word(row.shape(ctx, j), inv.params) for j in range(lo, hi + 1)), key=lambda w: w.sort_key())
+                exp = sorted(from_word(row.shape(ctx, j), inv.params) for j in range(lo, hi + 1))
                 return exp == src_sorted
 
             if range_matches(printed_rng):

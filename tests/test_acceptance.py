@@ -9,7 +9,7 @@ import conftest
 from conftest import random_element, random_tokens
 from relator_oracle import TrivialWordClosure, all_reduced_words
 from nup.checker import FAIL, TYPO_SUSPECT, verify_family
-from nup.families import FamilySpec, build_base_set, build_family, build_scaled_set, expected_cardinality
+from nup.families import FamilySpec, build_family, expected_cardinality
 from nup.search import SearchConfig, run_search, candidate_universe
 from nup.sets import make_set, unique_products
 from nup.words import GroupParams, from_string, from_word, identity, to_string
@@ -111,14 +111,14 @@ def test_04_homomorphism_suite():
 def test_05_base_family_reproduction():
     t0 = time.perf_counter()
     for k, size in ((1, 17), (2, 49), (3, 161)):
-        T = build_base_set(k)
+        T = build_family(FamilySpec(k))
         assert len(T) == size == expected_cardinality(FamilySpec(k))
         assert T.duplicates_removed == 0
         assert unique_products(T, T) == []
     small = time.perf_counter() - t0
     report(5, "base sets k=1..3: sizes 17/49/161, zero unique products", small, 10.0)
     t1 = time.perf_counter()
-    T4 = build_base_set(4)
+    T4 = build_family(FamilySpec(4))
     assert len(T4) == 577 == expected_cardinality(FamilySpec(4))
     assert T4.duplicates_removed == 0
     assert unique_products(T4, T4) == []
@@ -141,7 +141,7 @@ def test_06_scaled_family_reproduction():
 def test_07_degenerate_agreement():
     t0 = time.perf_counter()
     for k in (1, 2, 3):
-        assert build_scaled_set(k, 1, 1).elements == build_base_set(k).elements
+        assert build_family(FamilySpec(k, 1, 1)).elements == build_family(FamilySpec(k)).elements
     report(7, "scaled set at p=q=1 equals the base set elementwise, k=1..3", time.perf_counter() - t0, 10.0)
 
 

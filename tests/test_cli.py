@@ -11,7 +11,7 @@ import pytest
 import nup
 from nup import checker, families, search
 from nup.cli import main
-from nup.families import MEMORY_BUDGET, FamilySpec, build_base_set, build_family, check_memory, expected_cardinality
+from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
 from nup.sets import load_set_file, product_table
 from nup.words import MAX_K, GroupParams
 
@@ -208,8 +208,8 @@ class TestExportSet:
         path = tmp_path / "t2.txt"
         assert main(["export-set", "--k", "2", "-o", str(path)]) == 0
         back = load_set_file(path, GroupParams(2))
-        assert back.elements == build_base_set(2).elements
-        assert back.labels == build_base_set(2).labels
+        assert back.elements == build_family(FamilySpec(2)).elements
+        assert back.labels == build_family(FamilySpec(2)).labels
 
 
 class TestUsage:

@@ -3,9 +3,7 @@ import pytest
 from nup.families import (
     FamilySpec,
     SliceLabel,
-    build_base_set,
     build_family,
-    build_scaled_set,
     expected_cardinality,
     progression_bounds,
     z_halfwidth,
@@ -44,11 +42,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FamilySpec(1, 3, None)
 
+    @pytest.mark.parametrize("p,q,field", [(1, 3.0, "q"), (1.0, 3, "p"), (True, 3, "p")])
+    def test_rejects_non_integer_p_q(self, p, q, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive odd integer"):
+            FamilySpec(1, p, q)
+
 
 class TestBaseSet:
     @pytest.mark.parametrize("k,size", [(1, 17), (2, 49), (3, 161)])
     def test_cardinality(self, k, size):
-        T = build_base_set(k)
+        T = build_family(FamilySpec(k))
         assert len(T) == size
         assert expected_cardinality(FamilySpec(k)) == size
         assert T.duplicates_removed == 0
@@ -57,14 +60,14 @@ class TestBaseSet:
         assert expected_cardinality(FamilySpec(4)) == 577
 
     def test_labeled_element_example(self):
-        T = build_base_set(1)
+        T = build_family(FamilySpec(1))
         w = from_string("Ab", GroupParams(1))  # a^-1 b
         i = T.index_of(w)
         assert i is not None
         assert T.labels[i] == SliceLabel("X", 0, 1)
 
     def test_progression_inventory(self):
-        T = build_base_set(2)
+        T = build_family(FamilySpec(2))
         bounds = progression_bounds(FamilySpec(2))
         assert bounds[("X", 0)] == (0, 1)
         assert bounds[("X", 3)] == (0, 5)
@@ -92,7 +95,7 @@ class TestBaseSet:
 class TestScaledSet:
     def test_degenerate_agreement(self):
         for k in (1, 2, 3):
-            assert build_scaled_set(k, 1, 1) == build_base_set(k)
+            assert build_family(FamilySpec(k, 1, 1)) == build_family(FamilySpec(k))
 
     @pytest.mark.parametrize(
         "k,p,q,size",

@@ -1,7 +1,7 @@
 import pytest
 
 from nup import search
-from nup.families import build_base_set
+from nup.families import FamilySpec, build_family
 from nup.search import SearchConfig, candidate_universe, run_search, score
 from nup.sets import make_set, unique_products
 from nup.words import GroupParams, NormalForm, from_string, generator, identity
@@ -63,8 +63,7 @@ class TestUniverse:
     def test_distinct_and_sorted(self):
         U = candidate_universe(GroupParams(1), 4)
         assert len(U) == len(set(U))
-        keys = [w.sort_key() for w in U]
-        assert keys == sorted(keys)
+        assert U == sorted(U)
 
     def test_contains_short_elements(self):
         P = GroupParams(1)
@@ -94,7 +93,7 @@ class TestUniverse:
 class TestScore:
     def test_score_examples(self):
         P = GroupParams(1)
-        assert score(build_base_set(1)) == 0
+        assert score(build_family(FamilySpec(1))) == 0
         assert score(make_set(P, [identity(P)])) == 1
         small = make_set(P, [from_string(t, P) for t in ("1", "a", "b")])
         assert score(small) >= 1
@@ -171,7 +170,7 @@ class TestRunSearch:
         r = run_search(SearchConfig(k=1, size=17, init="base", seed=11, budget=10))
         assert r.score == 0
         assert r.iterations == 0
-        assert set(r.best.elements) == set(build_base_set(1).elements)
+        assert set(r.best.elements) == set(build_family(FamilySpec(1)).elements)
 
     def test_base_init_size_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,11 @@
+import copy
+import pickle
+import random
+
 import pytest
 
 from conftest import random_element, random_tokens
+from nup.search import candidate_universe
 from nup.words import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -58,7 +63,19 @@ class TestNormalFormInvariants:
         b = nf(1, 0, 0, 0, (1, 1), 0)
         c = nf(1, 0, 0, 1)
         assert a < b  # shorter syllable list sorts first
-        assert sorted([b, c, a], key=lambda w: w.sort_key()) == sorted([c, b, a], key=lambda w: w.sort_key())
+        assert sorted([b, c, a]) == sorted([c, b, a]) == [a, b, c]
+        # a whole ball sorts as by the explicit canonical key
+        for k in (1, 2, 3):
+            ball = candidate_universe(GroupParams(k), 5)
+            shuffled = random.Random(k).sample(ball, len(ball))
+            expected = sorted(shuffled, key=lambda w: (w.u, w.v, w.alpha, len(w.syllables), w.syllables, w.beta))
+            assert sorted(shuffled) == expected
+            assert all(w.n_syllables == len(w.syllables) for w in ball)
+
+    def test_copy_and_pickle_round_trip(self):
+        w = from_string("a b a^-1 b^3", GroupParams(2))
+        for back in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert back == w and hash(back) == hash(w) and type(back) is NormalForm
 
     def test_mixed_group_arithmetic_rejected(self):
         with pytest.raises(ValueError):
