@@ -46,7 +46,6 @@ shape ends in b^j, so a claimed range lo..hi is one rewrite: its keys are
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .families import FAMILIES, FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
@@ -59,8 +58,7 @@ TYPO_SUSPECT = "typo-suspect"
 _NONE: dict = {}  # the progression of an absent label
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     kind: str  # DiagonalEquality | X0Containment | ZEndpoint | ChartRow
     source: str  # stable identifier of the table pattern or chart row
     params: dict
@@ -497,8 +495,7 @@ def run_all_claims(inv: Inventory) -> list[ClaimReport]:
     return reports
 
 
-@dataclass
-class CheckSummary:
+class CheckSummary(NamedTuple):
     spec: FamilySpec
     set_size: int
     expected_size: int
@@ -512,9 +509,9 @@ class CheckSummary:
     soundness_ok: bool
     consistent: bool
     elapsed: float
-    uncovered_sample: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    uncovered_sample: list
+    counters: dict
+    timings: dict
 
     @property
     def counts(self) -> dict:

@@ -15,7 +15,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -134,7 +133,7 @@ def cmd_search(args) -> int:
     else:
         if args.size is None:
             raise ValueError("--size is required (or use --config)")
-        config = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
+        config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._fields})
     t0 = time.perf_counter()
     result = run_search(config)
     elapsed = time.perf_counter() - t0
@@ -148,7 +147,7 @@ def cmd_search(args) -> int:
         payload = {
             "version": __version__,
             "command": "search",
-            "parameters": dataclasses.asdict(config),
+            "parameters": config._asdict(),
             "result": result.as_dict(),
             "exit_status": 0 if result.score == 0 else 1,
         }

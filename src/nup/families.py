@@ -26,7 +26,7 @@ checker.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
@@ -41,26 +41,24 @@ class SliceLabel(NamedTuple):
     j: int  # trailing b-exponent within the progression
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "k p q", defaults=(None, None))):
     """Parameters selecting the base set (p = q = None) or the scaled one."""
 
-    k: int
-    p: int | None = None
-    q: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if (self.p is None) != (self.q is None):
+    def __new__(cls, k: int, p: int | None = None, q: int | None = None):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if (p is None) != (q is None):
             raise ValueError("p and q must be given together")
-        if self.p is not None:
-            for name, value in (("p", self.p), ("q", self.q)):
+        if p is not None:
+            for name, value in (("p", p), ("q", q)):
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1 or value % 2 == 0:
                     raise ValueError(f"{name} must be a positive odd integer, got {value!r}")
             # bit lengths first, so that a huge k never builds 2^k
-            if self.q > 1 and ((self.q - 1).bit_length() <= self.k or (self.q - 1) % (1 << self.k)):
-                raise ValueError(f"q - 1 = {self.q - 1} must be a multiple of 2^{self.k}")
+            if q > 1 and ((q - 1).bit_length() <= k or (q - 1) % (1 << k)):
+                raise ValueError(f"q - 1 = {q - 1} must be a multiple of 2^{k}")
+        return super().__new__(cls, k, p, q)
 
     @property
     def scaled(self) -> bool:
@@ -113,21 +111,24 @@ def expected_cardinality(spec: FamilySpec) -> int:
 
 
 # Largest predicted peak memory the CLI admits, in bytes.  The prediction is
-# 400 B per element and 13 B per cell of the square's table (an 8-byte n0, a
-# 4-byte entry in its prefix's cell array and the arrays' slack), fitted to
-# the peak RSS of verify at base k = 5, 6 and 7 (20, 34 and 139 MiB) less the
-# interpreter's 18 MiB.  A family has one b-run per progression, 2^(k+1) + 1
-# of them, and the table one cell per row and run.  check adds 9 B per cell,
-# a 4-byte prefix id (cell_pid) and 5 B for the rest of the claim phase,
-# fitted to check at base k = 5, 6 and 7 (22.0, 50.6, 324.0 MiB), and 0.15 B
-# per pair: the coverage bits, in Python ints rebuilt by every mark, take
-# 10-14% above |T|^2/8 bytes at (k, p, q) = (1, 1, 801), (2, 1, 401) and
-# (1, 1, 1601) (60.5, 91.6, 170.8 MiB); peaks less 17.8 MiB of interpreter.
-# This admits verify and check --k 7 (118, 350 MiB) and refuses verify --k 8.
+# 850 B per element and 5 B per cell of the square's table.  A family has one
+# b-run per progression, 2^(k+1) + 1 of them, and the table one cell per row
+# and run: a 4-byte triple id, plus the array's growth slack.  The triples
+# (24 B each; 4.5 to 8 per element at every family point measured) and the
+# prefixes (about 1.5 per element at base k = 7) scale with the elements, so
+# the element term holds them: the peak RSS of verify, less the
+# interpreter's 15.2 MiB and 4.25 B per cell, leaves 832, 842, 817 and 780 B
+# per element at base k = 5, 6, 7 and 8 (17.5, 26.4, 75.8 and 388.1 MiB) and
+# 722 at (k, p, q) = (1, 1, 4001) (71.9 MiB).  check adds 0.15 B per pair:
+# the coverage bits, in Python ints rebuilt by every mark, take 10-14% above
+# |T|^2/8 bytes.  With them the prediction covers check at base k = 5, 6 and
+# 7 (18.9, 36.4 and 221.8 MiB) and at (1, 1, 801), (2, 1, 401) and
+# (1, 1, 1601) (60.5, 91.4 and 171.8 MiB), less the 16.7 MiB of check --k 1.
+# This admits verify --k 8 (430 MiB) and check --k 7 (226 MiB), and refuses
+# check --k 8 and every k >= 9.
 MEMORY_BUDGET = 512 << 20
-_ELEMENT_BYTES = 400
-_CELL_BYTES = 13
-_CLAIM_CELL_BYTES = 9
+_ELEMENT_BYTES = 850
+_CELL_BYTES = 5
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:
@@ -140,7 +141,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     cells = size * (2 * (1 << spec.k) + 1)
     predicted = size * _ELEMENT_BYTES + cells * _CELL_BYTES
     if claims:
-        predicted += size * size * 3 // 20 + cells * _CLAIM_CELL_BYTES
+        predicted += size * size * 3 // 20
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted

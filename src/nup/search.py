@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import defaultdict, namedtuple
+from typing import NamedTuple, Optional
 
 from .families import FamilySpec, build_family
 from .sets import GroupSet, make_set, product_table
@@ -42,22 +41,20 @@ _INITS = ("random", "base")
 MAX_UNIVERSE_SIZE = 1 << 20
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    k: int
-    size: int
-    word_length_cap: int = 5
-    symmetric: bool = False
-    seed: int = 0
-    budget: int = 2000
-    restarts: int = 1
-    temp0: float = 2.0
-    cooling: float = 0.995
-    neighborhood: str = "swap-one"
-    init: str = "random"
+class SearchConfig(
+    namedtuple(
+        "SearchConfig",
+        "k size word_length_cap symmetric seed budget restarts temp0 cooling neighborhood init",
+        # the defaults of the fields from word_length_cap on
+        defaults=(5, False, 0, 2000, 1, 2.0, 0.995, "swap-one", "random"),
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        # values arrive from JSON config files too, so check their types
+    def __new__(cls, *args, **kwargs):
+        # an unknown field is a TypeError here; values arrive from JSON config
+        # files too, so check their types
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("k", "size", "word_length_cap", "seed", "budget", "restarts"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -85,15 +82,15 @@ class SearchConfig:
             raise ValueError(f"init must be one of {_INITS}")
         if not (0.0 < self.cooling <= 1.0) or self.temp0 <= 0:
             raise ValueError("need 0 < cooling <= 1 and temp0 > 0")
+        return self
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     best: GroupSet
     score: int
     iterations: int
     seed: int
-    restart_scores: list = field(default_factory=list)
+    restart_scores: list
 
     def as_dict(self) -> dict:
         return {

@@ -28,13 +28,15 @@ share u, v, alpha and the syllables: the rows of a block differ only in beta,
 and the heads of a family are a few cores shifted along b, so the products
 repeat.  At base k = 5 that is 12,414 multiplies for 141,505 cells.
 
-The table stores the square once, as one cell per row and run: the cell's n0
-sits in a flat array of 64-bit ints, and each prefix, numbered in scan order,
-lists its cells in an array of 32-bit ints, so a cell costs about 13 bytes.
-The product of row i and column j is the key (prefix id, n0 + offset of j in
-its run).  A sweep over the cells of each prefix gives the distinct products,
-the multiplicities and the uniquely represented products; pair lists are
-rebuilt only on demand.
+The table stores the square once, as one cell per row and run.  A cell is
+the 4-byte id of a triple (prefix id, n0, run length, weight) in flat arrays
+of machine ints: the cells of a block that meet the same interval share one,
+so at base k = 7 the 8,553,217 cells hold 263,166 triples.  The product of
+row i and column j is the key (prefix id, n0 + offset of j in its run), read
+through the cell's triple.  A sweep over the triples of each prefix, two
+weighted events each, gives the distinct products and the uniquely
+represented ones; pair lists are rebuilt only on demand, through an index
+from triples to their cells.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .words import GroupParams, NormalForm, from_string, to_string
@@ -152,59 +155,47 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
 MAX_CELLS = (1 << 31) - 1
 
 
-def _cover(cells: array, n0: array, lens: list) -> tuple[int, int]:
-    """(points covered, points covered exactly once) by the intervals of one
-    prefix's cells; lens holds the length of every run."""
-    R = len(lens)
-    # an event is pos << 1 | is_start, so the ints sort by position
-    events: list[int] = []
-    add = events.append
-    for c in cells:
-        start = n0[c]
-        add(start << 1 | 1)
-        add((start + lens[c % R]) << 1)
-    events.sort()
-    covered = once = count = prev = 0
-    for e in events:
-        pos = e >> 1
-        if count:
-            covered += pos - prev
-            if count == 1:
-                once += pos - prev
-        count += 1 if e & 1 else -1
-        prev = pos
-    return covered, once
-
-
 class FactorizationTable:
     """All factorizations of the product set X*Y, stored as one cell per
     (row i, b-run r of Y).
 
-    Cell c = i * len(runs) + r is the product of X[i] with the run's first
-    element: cell_n0[c] is its n, and cells_of holds the cells of each prefix
-    as an array('i') in row order, prefixes numbered in scan order.  X[i]
-    times the t-th element of the run is then (prefix id of c,
-    cell_n0[c] + t), and the run's products are the interval
-    [n0, n0 + len(run)) of one prefix.  Keys (prefix id, n) name products
-    exactly.
+    Cell c = i * len(runs) + r is the product of X[i] with the run: X[i]
+    times the t-th element of the run is (prefix id, n0 + t), so the run's
+    products are the interval [n0, n0 + len(run)) of one prefix.  Keys
+    (prefix id, n) name products exactly; prefixes are numbered in scan
+    order.
+
+    A cell holds only the id of its triple, cell_triple[c] = t.  Triple t is
+    the interval: prefix id triple_pid[t], start triple_n0[t] and length
+    triple_len[t], and triple_weight[t] counts the cells that hold it.  The
+    triples of prefix pid are linked from last_triple[pid] through
+    triple_prev, ending at -1.  All of these are flat arrays: no tuple is
+    stored per cell or per triple.
 
     The scan multiplies once per distinct (x', core) of a block of rows (see
-    the module docstring), and multiplies counts the multiplies made.  Its
-    memo holds one block's products and is dropped when the next block
-    starts.  With the 8-byte n0 a cell takes about 13 bytes; tracemalloc
-    gives 22, 18 and 15 at base k = 4, 5 and 6, where the arrays' headers
-    still count.  Cell ids are 32-bit ints, so more than MAX_CELLS cells are
-    refused with a ValueError before the scan; the CLI's memory budget admits
-    about 41M.  cell_n0 holds 64-bit ints; a product beyond that is refused
-    with a ValueError.
+    the module docstring), and multiplies counts the multiplies made.  A
+    second memo of the block names each cell's triple; both are cleared when
+    the next block starts, so an interval met in two blocks has two triples,
+    whose weights the sweep adds.  A cell takes 4 bytes and a triple 24;
+    tracemalloc gives 13.5 and 9.0 B per cell at base k = 5 and 6, where the
+    prefixes and the triples still count.  Cell ids are 32-bit ints, so more
+    than MAX_CELLS cells are refused with a ValueError before the scan; base
+    k = 8, the largest base set the CLI admits, has 67,765,761.  triple_n0
+    holds 64-bit ints; a product beyond that is refused with a ValueError.
 
-    Every lookup reads forward from a cell: product, factors_in, key_of and
-    is_run read the prefix id of every cell (cell_pid) and the run and offset
-    of every column, indexed on first use.  factorizations and the pair lists
-    walk one prefix's cells, and the first count sweeps each prefix once.
+    product, factors_in, key_of and is_run read forward from a cell through
+    its triple, and the run and offset of every column, indexed on first
+    use.  The first count sweeps the triples of each prefix once.
+    factorizations, items and uniques walk one prefix's triples and reach
+    their cells through an inverse index, built on first use: verify and
+    check of a set with no unique product never build it.
     """
 
-    __slots__ = ("x", "y", "runs", "prefixes", "cells_of", "cell_n0", "multiplies", "cell_pid", "_prefix_id", "_cols", "_counts")
+    __slots__ = (
+        "x", "y", "runs", "prefixes", "multiplies",
+        "cell_triple", "triple_pid", "triple_n0", "triple_len", "triple_weight", "last_triple", "triple_prev",
+        "_prefix_id", "_cols", "_counts", "_cells",
+    )
 
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
@@ -214,13 +205,15 @@ class FactorizationTable:
             raise ValueError(f"{len(x)} rows times {len(self.runs)} b-runs is {len(x) * len(self.runs):,} cells, above the {MAX_CELLS:,} that 32-bit cell ids name")
         k = x.params.k
         mask = (1 << k) - 1
-        # A head is (memo key offset, beta_h, (u shift, c_h, core)), listed
-        # for rows with an even and an odd number of b letters; core is None
-        # for a power of b.  The offset packs c_h above an id of (u shift,
+        # A head is (triple offset, (product offset, beta_h, run length,
+        # u shift, c_h, core)), listed for rows with an even and an odd number
+        # of b letters; core is None for a power of b.  The offsets pack c_h
+        # above an id of (u shift, core, beta_h, run length), or of (u shift,
         # core), below 2 * runs, so within one block (n << shift) + offset
-        # names x' * core exactly.
+        # names the cell's triple, or x' * core, exactly.
         shift = (2 * len(self.runs)).bit_length()
-        ids: dict = {}
+        product_ids: dict = {}
+        triple_ids: dict = {}
         even, odd = [], []
         for run in self.runs:
             h = y.elements[run[0]]
@@ -230,64 +223,105 @@ class FactorizationTable:
                 syl = syl[1:]
             core = NormalForm._make(k, 0, 0, 1, syl, 0) if h.alpha or h.syllables else None
             for heads, du in ((even, h.u), (odd, -h.u)):
-                heads.append(((c_h << shift) + ids.setdefault((du, core), len(ids)), h.beta, (du, c_h, core)))
-        cells_at: dict = {}
-        self.cell_n0 = array("q")
-        get, add_n0 = cells_at.get, self.cell_n0.append
-        memo: dict = {}
-        memo_get = memo.get
+                p_off = (c_h << shift) + product_ids.setdefault((du, core), len(product_ids))
+                t_off = (c_h << shift) + triple_ids.setdefault((du, core, h.beta, len(run)), len(triple_ids))
+                heads.append((t_off, (p_off, h.beta, len(run), du, c_h, core)))
+        self._prefix_id = prefix_id = {}
+        self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
+        self.cell_triple = array("i")
+        self.triple_pid, self.triple_n0, self.triple_len = array("i"), array("q"), array("i")
+        weights: list = []  # a list while the scan counts: its items update faster
+        add_cell = self.cell_triple.append
+        new_pid, new_n0, new_len, new_weight = self.triple_pid.append, self.triple_n0.append, self.triple_len.append, weights.append
+        triples: dict = {}
+        products: dict = {}
+        triples_get, products_get = triples.get, products.get
         block = None
-        multiplies = c = 0
+        multiplies = 0
         try:
             for xe in x.elements:
                 u, alpha, syl = xe.u, xe.alpha, xe.syllables
                 if block != (u, xe.v, alpha, syl):
                     # the memo keys assume one block; a new block starts empty
                     block = (u, xe.v, alpha, syl)
-                    memo.clear()
+                    triples.clear()
+                    products.clear()
                     a_odd = (alpha + len(syl)) & 1
                     syl_sum = sum(syl)
                 n = (-(xe.v << k) if a_odd else xe.v << k) + xe.beta
                 row_key = n << shift
-                for offset, beta, head in odd if (syl_sum + xe.beta) & 1 else even:
-                    hit = memo_get(row_key + offset)
-                    if hit is None:
-                        # x' = x * a^(2u_h) * b^(c_h) has u + du and n + c_h
-                        du, c_h, core = head
-                        nz = n + c_h
-                        if core is None:
-                            prefix = (u + du, alpha, syl)
-                        else:
-                            v1 = (nz - (nz & mask)) >> k
-                            z = NormalForm._make(k, u + du, -v1 if a_odd else v1, alpha, syl, nz & mask) * core
-                            multiplies += 1
-                            # b_key(z), inlined
-                            z_syl = z.syllables
-                            nz = (-(z.v << k) if (z.alpha + len(z_syl)) & 1 else z.v << k) + z.beta
-                            prefix = (z.u, z.alpha, z_syl)
-                        cells = get(prefix)
-                        if cells is None:
-                            cells = cells_at[prefix] = array("i")
-                        hit = memo[row_key + offset] = (cells.append, nz)
-                    hit[0](c)
-                    add_n0(hit[1] + beta)
-                    c += 1
+                for offset, head in odd if (syl_sum + xe.beta) & 1 else even:
+                    key = row_key + offset
+                    t = triples_get(key)
+                    if t is not None:
+                        weights[t] += 1
+                    else:
+                        p_off, beta, length, du, c_h, core = head
+                        hit = products_get(row_key + p_off)
+                        if hit is None:
+                            # x' = x * a^(2u_h) * b^(c_h) has u + du and n + c_h
+                            nz = n + c_h
+                            if core is None:
+                                prefix = (u + du, alpha, syl)
+                            else:
+                                v1 = (nz - (nz & mask)) >> k
+                                z = NormalForm._make(k, u + du, -v1 if a_odd else v1, alpha, syl, nz & mask) * core
+                                multiplies += 1
+                                # b_key(z), inlined
+                                z_syl = z.syllables
+                                nz = (-(z.v << k) if (z.alpha + len(z_syl)) & 1 else z.v << k) + z.beta
+                                prefix = (z.u, z.alpha, z_syl)
+                            pid = prefix_id.get(prefix)
+                            if pid is None:
+                                pid = prefix_id[prefix] = len(last)
+                                last.append(-1)
+                            hit = products[row_key + p_off] = (pid, nz)
+                        t = triples[key] = len(prev)
+                        pid = hit[0]
+                        prev.append(last[pid])
+                        last[pid] = t
+                        new_pid(pid)
+                        new_n0(hit[1] + beta)
+                        new_len(length)
+                        new_weight(1)
+                    add_cell(t)
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
-        self.prefixes = list(cells_at)
-        self.cells_of = list(cells_at.values())
+        self.triple_weight = array("i", weights)
+        self.prefixes = list(prefix_id)
         self.multiplies = multiplies
-        self.cell_pid = self._prefix_id = self._cols = self._counts = None
+        self._cols = self._counts = self._cells = None
 
     def _sweep(self) -> tuple[int, int, list]:
         """(distinct products, unique products, ids of the prefixes holding a
-        unique product), from one sweep of every prefix's cells."""
+        unique product), from one sweep of every prefix's triples."""
         if self._counts is None:
-            n0, lens = self.cell_n0, [len(run) for run in self.runs]
+            n0, lens, weights, prev_of = self.triple_n0, self.triple_len, self.triple_weight, self.triple_prev
+            # an event is pos << shift | half + the change of the count there,
+            # and every weight is below half, so the ints sort by position;
+            # they stay small, so the sort compares them fast
+            shift = max(weights, default=0).bit_length() + 1
+            half, low = 1 << (shift - 1), (1 << shift) - 1
             distinct = unique = 0
             pids = []
-            for pid, cells in enumerate(self.cells_of):
-                covered, once = _cover(cells, n0, lens)
+            for pid, t in enumerate(self.last_triple):
+                events = []
+                add = events.append
+                while t >= 0:
+                    start, w = n0[t] << shift, weights[t]
+                    add(start + half + w)
+                    add(start + (lens[t] << shift) + half - w)
+                    t = prev_of[t]
+                events.sort()
+                covered = once = count = prev = 0
+                for e in events:
+                    pos = e >> shift
+                    if count:
+                        covered += pos - prev
+                        if count == 1:
+                            once += pos - prev
+                    count += (e & low) - half
+                    prev = pos
                 distinct += covered
                 if once:
                     unique += once
@@ -307,14 +341,9 @@ class FactorizationTable:
     # -- products by key ------------------------------------------------------
 
     def _columns(self) -> tuple[array, array]:
-        """(run of j, offset of j in its run) for every column j; builds the
-        key index on first use."""
+        """(run of j, offset of j in its run) for every column j, indexed on
+        first use."""
         if self._cols is None:
-            self.cell_pid = array("i", [0]) * len(self.cell_n0)
-            for pid, cells in enumerate(self.cells_of):
-                for c in cells:
-                    self.cell_pid[c] = pid
-            self._prefix_id = {prefix: pid for pid, prefix in enumerate(self.prefixes)}
             run_of = array("i", [0]) * len(self.y)
             offset = array("i", [0]) * len(self.y)
             for r, run in enumerate(self.runs):
@@ -327,8 +356,8 @@ class FactorizationTable:
     def product(self, i: int, j: int) -> tuple[int, int]:
         """The key of X[i] * Y[j]."""
         run_of, offset = self._cols or self._columns()
-        c = i * len(self.runs) + run_of[j]
-        return self.cell_pid[c], self.cell_n0[c] + offset[j]
+        t = self.cell_triple[i * len(self.runs) + run_of[j]]
+        return self.triple_pid[t], self.triple_n0[t] + offset[j]
 
     def is_run(self, cols: list) -> bool:
         """True when the columns cols are consecutive elements, in order, of one b-run."""
@@ -339,14 +368,13 @@ class FactorizationTable:
     def factors_in(self, rows: Iterable[int], runs: Sequence[int], key: tuple[int, int]):
         """Each (i, j) with i in rows, j in one of the b-runs runs and X[i] * Y[j]
         named by key, in row order; a row meets each product at most once."""
-        self._cols or self._columns()
         pid, n = key
-        R, pids, n0 = len(self.runs), self.cell_pid, self.cell_n0
+        R, cell_triple, pids, n0, lens = len(self.runs), self.cell_triple, self.triple_pid, self.triple_n0, self.triple_len
         for i in rows:
             for r in runs:
-                c = i * R + r
-                if pids[c] == pid and 0 <= n - n0[c] < len(self.runs[r]):
-                    yield i, self.runs[r][n - n0[c]]
+                t = cell_triple[i * R + r]
+                if pids[t] == pid and 0 <= n - n0[t] < lens[t]:
+                    yield i, self.runs[r][n - n0[t]]
 
     def runs_of(self, cols: Iterable[int]) -> list[int]:
         """The b-runs that hold the columns cols, each once."""
@@ -355,7 +383,6 @@ class FactorizationTable:
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
         """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
-        self._columns()
         prefix, n = b_key(w)
         return self._prefix_id.get(prefix, -1), n
 
@@ -365,31 +392,61 @@ class FactorizationTable:
 
     # -- pair lists, rebuilt on demand ----------------------------------------
 
+    def _triples(self, pid: int):
+        """The triples of prefix pid, the last made first."""
+        t = self.last_triple[pid]
+        while t >= 0:
+            yield t
+            t = self.triple_prev[t]
+
+    def _meeting(self, pid: int, n: int) -> list[int]:
+        """The triples of prefix pid whose interval holds n."""
+        n0, lens = self.triple_n0, self.triple_len
+        return [t for t in self._triples(pid) if 0 <= n - n0[t] < lens[t]] if pid >= 0 else []
+
+    def _cells_of(self) -> tuple[array, array]:
+        """(starts, order): the cells of triple t are order[starts[t] : starts[t + 1]],
+        in row order; the inverse index, built on first use."""
+        if self._cells is None:
+            # a counting sort: the weights are the sizes of the buckets
+            starts = array("i", accumulate(self.triple_weight, initial=0))
+            fill = array("i", starts)
+            order = array("i", [0]) * len(self.cell_triple)
+            for c, t in enumerate(self.cell_triple):
+                order[fill[t]] = c
+                fill[t] += 1
+            self._cells = starts, order
+        return self._cells
+
     def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
-        """Every (i, j) with X[i] * Y[j] = z, sorted: the cells of z's prefix
-        are in row order, and a row meets z at most once."""
+        """Every (i, j) with X[i] * Y[j] = z, sorted; a row meets z at most once."""
         pid, n = self.key_of(z)
-        R, n0 = len(self.runs), self.cell_n0
-        cells = self.cells_of[pid] if pid >= 0 else ()
-        return [(c // R, self.runs[c % R][n - n0[c]]) for c in cells if 0 <= n - n0[c] < len(self.runs[c % R])]
+        meeting = self._meeting(pid, n)
+        if not meeting:
+            return []
+        starts, order = self._cells_of()
+        R, n0 = len(self.runs), self.triple_n0
+        return sorted((c // R, self.runs[c % R][n - n0[t]]) for t in meeting for c in order[starts[t] : starts[t + 1]])
 
     def multiplicity(self, z: NormalForm) -> int:
-        return len(self.factorizations(z))
+        """The number of factorizations of z, from the weights of its triples."""
+        return sum(self.triple_weight[t] for t in self._meeting(*self.key_of(z)))
 
     def _points(self, pid: int) -> list[tuple[NormalForm, list]]:
         """Every product of one prefix with its sorted factorizations."""
+        starts, order = self._cells_of()
+        R, cell_triple, n0 = len(self.runs), self.cell_triple, self.triple_n0
         at: dict = {}
-        R = len(self.runs)
-        for c in self.cells_of[pid]:
+        for c in sorted(c for t in self._triples(pid) for c in order[starts[t] : starts[t + 1]]):
             i, r = divmod(c, R)
-            n0 = self.cell_n0[c]
+            start = n0[cell_triple[c]]
             for t, j in enumerate(self.runs[r]):
-                at.setdefault(n0 + t, []).append((i, j))
+                at.setdefault(start + t, []).append((i, j))
         return [(self.element_of((pid, n)), pairs) for n, pairs in at.items()]
 
     def items(self) -> list[tuple[NormalForm, list]]:
         """Every product with its sorted factorizations, in canonical order."""
-        out = [item for pid in range(len(self.cells_of)) for item in self._points(pid)]
+        out = [item for pid in range(len(self.prefixes)) for item in self._points(pid)]
         out.sort(key=lambda t: t[0])
         return out
 

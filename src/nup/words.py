@@ -28,7 +28,6 @@ function, safe for concurrent use.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 ELLIPTIC = "elliptic"
@@ -48,17 +47,17 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(namedtuple("GroupParams", "k")):
     """The single parameter 1 <= k <= MAX_K fixing the group; the relator exponent is 2^k."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if self.k > MAX_K:
-            raise ValueError(f"k = {self.k} is above the largest supported k, {MAX_K}")
+    def __new__(cls, k: int):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if k > MAX_K:
+            raise ValueError(f"k = {k} is above the largest supported k, {MAX_K}")
+        return super().__new__(cls, k)
 
     @property
     def modulus(self) -> int:
@@ -80,10 +79,10 @@ class _Accum:
         if w is None:
             self.u = self.v = self.alpha = self.beta = self.ssum = 0
             self.syl: list[int] = []
-        else:  # start from the normal form w
-            self.u, self.v, self.alpha, self.beta = w.u, w.v, w.alpha, w.beta
-            self.syl = list(w.syllables)
-            self.ssum = sum(self.syl)
+        else:  # start from the normal form w, unpacked once
+            _, self.u, self.v, self.alpha, _, syl, self.beta = w
+            self.syl = list(syl)
+            self.ssum = sum(syl)
 
     def push_b(self, e: int) -> None:
         # right-multiply by b^e; overflow multiples of M bubble left past the
@@ -196,36 +195,53 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
     def __mul__(self, other):
         if not isinstance(other, NormalForm):
             return NotImplemented
-        if self.k != other.k:
+        # unpacked once: a field read through the namedtuple costs several
+        # times a local one
+        k, u, v, alpha, _, syllables, beta = other
+        if self.k != k:
             raise ValueError("cannot multiply elements of different groups")
-        acc = _Accum(1 << self.k, self)
-        if other.u:
-            acc.push_a2(other.u)
-        if other.v:
-            acc.push_b(other.v << other.k)
-        if other.alpha:
+        acc = _Accum(1 << k, self)
+        if u:
+            acc.push_a2(u)
+        if v:
+            acc.push_b(v << k)
+        if alpha:
             acc.push_a()
-        for s in other.syllables:
+        for s in syllables:
             acc.push_b(s)
             acc.push_a()
-        if other.beta:
-            acc.push_b(other.beta)
-        return acc.freeze(self.k)
+        if beta:
+            acc.push_b(beta)
+        return acc.freeze(k)
+
+    # A NormalForm is a tuple, but repeating or concatenating one means
+    # nothing for a group element.  Returning NotImplemented would let Python
+    # fall back to tuple repeat and concat, so these raise.
+
+    def __rmul__(self, other):
+        raise TypeError(f"unsupported operand type(s) for *: '{type(other).__name__}' and 'NormalForm'")
+
+    def __add__(self, other):
+        raise TypeError(f"unsupported operand type(s) for +: 'NormalForm' and '{type(other).__name__}'")
+
+    def __radd__(self, other):
+        raise TypeError(f"unsupported operand type(s) for +: '{type(other).__name__}' and 'NormalForm'")
 
     def inverse(self) -> "NormalForm":
-        acc = _Accum(1 << self.k)
-        if self.beta:
-            acc.push_b(-self.beta)
-        for s in reversed(self.syllables):
+        k, u, v, alpha, _, syllables, beta = self
+        acc = _Accum(1 << k)
+        if beta:
+            acc.push_b(-beta)
+        for s in reversed(syllables):
             acc.push_token("a", -1)
             acc.push_b(-s)
-        if self.alpha:
+        if alpha:
             acc.push_token("a", -1)
-        if self.v:
-            acc.push_b(-(self.v << self.k))
-        if self.u:
-            acc.push_a2(-self.u)
-        return acc.freeze(self.k)
+        if v:
+            acc.push_b(-(v << k))
+        if u:
+            acc.push_a2(-u)
+        return acc.freeze(k)
 
     __invert__ = inverse
 

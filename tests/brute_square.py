@@ -2,31 +2,26 @@
 
 Every one of the |X| * |Y| pairs is multiplied with NormalForm arithmetic and
 filed under its product in row-major order, so each pair list comes out
-sorted.  reference_cells builds the table's cell store with one multiply per
-row and b-run of Y, the oracle for the table's shared multiplies.
+sorted.  reference_cells expands every cell of the table, one multiply per
+row and b-run of Y: the oracle for the table's shared multiplies and its
+triples.
 """
 
 from __future__ import annotations
 
-from array import array
-
 from nup.sets import b_key, b_runs
 
 
-def reference_cells(X, Y) -> tuple[list, list, array]:
-    """(prefixes, cells_of, cell_n0) of X*Y, multiplying every row by every
-    run head: cell c = i * runs + r, prefixes numbered in scan order."""
-    heads = [Y.elements[run[0]] for run in b_runs(Y.elements)]
-    cells_at: dict = {}
-    cell_n0 = array("q")
-    c = 0
+def reference_cells(X, Y) -> list[tuple]:
+    """(prefix, n0, run length) of every cell c = i * runs + r of X*Y,
+    multiplying every row by every run head."""
+    runs = b_runs(Y.elements)
+    out = []
     for x in X.elements:
-        for head in heads:
-            prefix, n = b_key(x * head)
-            cells_at.setdefault(prefix, array("i")).append(c)
-            cell_n0.append(n)
-            c += 1
-    return list(cells_at), list(cells_at.values()), cell_n0
+        for run in runs:
+            prefix, n = b_key(x * Y.elements[run[0]])
+            out.append((prefix, n, len(run)))
+    return out
 
 
 def brute_pairs(X, Y) -> dict:

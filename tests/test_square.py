@@ -3,12 +3,15 @@
 tests/brute_square.py multiplies every pair; product_table does one multiply
 per distinct (x', core) of a block of rows.  They must agree on every pair
 list, multiplicity, unique product (order and witness), on the pair total and
-on the key (prefix id, n) of every pair.  The cell store itself must equal
-brute_square.reference_cells, which multiplies every row by every run head.
+on the key (prefix id, n) of every pair; factors_in must list every pair of a
+key.  Every cell, expanded through its triple to (prefix, n0, run length),
+must equal brute_square.reference_cells, which multiplies every row by every
+run head, and every triple's weight must be the number of its cells.
 """
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -41,6 +44,9 @@ def assert_same_as_brute(X, Y):
     for z in random.Random(len(brute)).sample(sorted(brute), min(len(brute), 1500)):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
+    rows, runs = range(len(X)), range(len(table.runs))
+    for z in random.Random(len(X)).sample(sorted(brute), min(len(brute), 100)):
+        assert list(table.factors_in(rows, runs, table.key_of(z))) == brute[z]
     uniques = brute_uniques({z: [len(pairs), pairs[0]] for z, pairs in brute.items()})
     assert unique_products(X, Y, table=table) == uniques
     assert table.unique_count() == len(uniques)
@@ -86,6 +92,17 @@ class TestAgainstBrute:
     def test_scaled(self, point):
         T = build_family(FamilySpec(*point))
         assert_same_as_brute(T, T)
+
+    @pytest.mark.parametrize("point", [(2,), (3,), (1, 1, 3), (2, 1, 5)])
+    def test_family_with_one_element_dropped(self, point):
+        # dropping an element leaves unique products, so uniques() and the
+        # pair lists read the cells of their triples through the inverse index
+        T = build_family(FamilySpec(*point))
+        for drop in [0] + random.Random(len(T)).sample(range(1, len(T)), 2):
+            S = make_set(T.params, T.elements[:drop] + T.elements[drop + 1 :])
+            table = assert_same_as_brute(S, S)
+            assert table.unique_count() > 0 or drop  # the first element's row always leaves some
+            assert_same_cells(S, S)
 
     def test_scaled_3_1_9(self):
         # 2.3M pairs: compared by multiplicity counts, not pair lists
@@ -174,7 +191,7 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     # not the last one: an element with the last prefix's n but a prefix of
     # its own has no factorization
     u, alpha, syl = table.prefixes[-1]
-    absent = sets._from_b_key(T.params.k, (u + n, alpha, syl), table.cell_n0[table.cells_of[-1][0]])
+    absent = sets._from_b_key(T.params.k, (u + n, alpha, syl), table.triple_n0[table.last_triple[-1]])
     assert table.key_of(absent)[0] == -1
     assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
 
@@ -187,24 +204,25 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     ],
     ids=["T(2,1,5)", "with-uniques"],
 )
-def test_one_sweep_per_prefix(make, monkeypatch):
-    # every count reads the one sweep of the first
+def test_one_sweep_per_prefix(make):
+    # every count reads the one sweep of the first, which walks the triples
+    # of every prefix once
     S = make()
     table = product_table(S, S)
-    calls = 0
-    cover = sets._cover
+    walks = 0
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return cover(*args)
+    class Walked(list):
+        def __iter__(self):
+            nonlocal walks
+            walks += 1
+            return super().__iter__()
 
-    monkeypatch.setattr(sets, "_cover", counting)
+    table.last_triple = Walked(table.last_triple)
     counts = brute_counts(S, S)
     assert table.uniques() == brute_uniques(counts)
     assert len(table) == table.counters()["distinct_products"] == len(counts)
     assert table.unique_count() == len(brute_uniques(counts))
-    assert calls == len(table.cells_of)
+    assert walks == 1
 
 
 def test_b_coordinate_beyond_64_bits_refused():
@@ -248,18 +266,32 @@ def test_one_multiply_per_row_and_run(monkeypatch):
 
 def assert_same_cells(X, Y):
     table = product_table(X, Y)
-    prefixes, cells_of, cell_n0 = reference_cells(X, Y)
-    assert table.prefixes == prefixes
-    assert [cells.typecode for cells in table.cells_of] == ["i"] * len(cells_of)
-    assert table.cells_of == cells_of
-    assert table.cell_n0.typecode == "q" and table.cell_n0 == cell_n0
+    cells = reference_cells(X, Y)
+    assert table.cell_triple.typecode == "i"
+    assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight)] == ["i", "q", "i", "i"]
+    assert len(table.cell_triple) == len(cells)
+    # every cell expands to its own (prefix, n0, run length)
+    pid, n0, length = table.triple_pid, table.triple_n0, table.triple_len
+    assert [(table.prefixes[pid[t]], n0[t], length[t]) for t in table.cell_triple] == cells
+    # prefixes are numbered in scan order, and each links its triples from the last
+    assert table.prefixes == list(dict.fromkeys(prefix for prefix, _, _ in cells))
+    assert table.last_triple.typecode == table.triple_prev.typecode == "i"
+    newest_first: dict = {}
+    for t in range(len(pid)):
+        newest_first.setdefault(pid[t], []).insert(0, t)
+    assert {p: list(table._triples(p)) for p in range(len(table.prefixes))} == newest_first
+    # a weight counts the cells of its triple, and no triple is empty
+    weights = Counter(table.cell_triple)
+    assert list(table.triple_weight) == [weights[t] for t in range(len(pid))]
+    assert min(table.triple_weight, default=1) >= 1
     return table
 
 
 class TestSharedMultiplies:
     """The table multiplies each row by a run head's a-letter core once per
-    distinct (x', core) of a block of rows; its cells must equal those of one
-    multiply per row and run."""
+    distinct (x', core) of a block of rows, and shares a triple among the
+    cells of a block with one interval; every cell must still expand to the
+    product of one multiply per row and run."""
 
     @pytest.mark.parametrize("point", REFERENCE_POINTS)
     def test_family(self, point):
@@ -297,9 +329,10 @@ class TestSharedMultiplies:
 
 
 def test_cells_are_machine_ints():
-    # an 8-byte n0 and a 4-byte entry in the prefix's cell array per cell, plus
-    # the arrays' slack; cells as lists of int objects took about 58 B
-    T = build_family(FamilySpec(4))
+    # a 4-byte triple id per cell, and 24 bytes per triple, shared by about
+    # 8.5 cells here; the prefixes, their tuples and the block memos add the
+    # rest.  At base k = 4 the 755 prefixes alone take about 7 B per cell
+    T = build_family(FamilySpec(5))
     tracemalloc.start()
     try:
         table = product_table(T, T)
@@ -307,5 +340,5 @@ def test_cells_are_machine_ints():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(cells.typecode == "i" for cells in table.cells_of)
-    assert peak <= 30 * len(T) * len(table.runs)
+    assert table.cell_triple.typecode == "i"
+    assert peak <= 15 * len(T) * len(table.runs)

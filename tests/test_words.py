@@ -77,6 +77,23 @@ class TestNormalFormInvariants:
         for back in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
             assert back == w and hash(back) == hash(w) and type(back) is NormalForm
 
+    @pytest.mark.parametrize("other", [3, 0, True], ids=["3", "0", "True"])
+    def test_int_times_element_raises(self, other):
+        # a NormalForm is a tuple, but int * w must not be a repeated tuple
+        w = from_string("a b a^-1 b^3", GroupParams(2))
+        for expr in (lambda: other * w, lambda: w * other):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                expr()
+
+    @pytest.mark.parametrize("other", ["element", "tuple", "empty"])
+    def test_element_plus_anything_raises(self, other):
+        # nor w + w a concatenated one, from either side
+        w = from_string("a b a^-1 b^3", GroupParams(2))
+        o = {"element": w, "tuple": (1, 2), "empty": ()}[other]
+        for expr in (lambda: w + o, lambda: o + w):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                expr()
+
     def test_mixed_group_arithmetic_rejected(self):
         with pytest.raises(ValueError):
             identity(GroupParams(1)) * identity(GroupParams(2))
