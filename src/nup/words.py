@@ -12,12 +12,14 @@ say exactly how the generators normalize it:
 
     a b^M a^-1 = b^-M        b a^2 b^-1 = a^-2
 
-In particular a^2 and b^M commute with each other, moving b^(+-M) across a
-single letter a negates its exponent, and moving a^(+-2) across a single
-letter b negates its exponent.  All arithmetic below keeps words canonical by
-pushing a^(+-2) / b^(+-M) overflow leftward with those two transport rules,
-one letter block at a time, so each operation costs O(word length) exact
-integer steps.  Integers are Python ints, so exponents never overflow.
+All arithmetic is one fold, _fold: it right-multiplies a normal form by a
+word of generator powers, moving each a^(+-2) and b^(+-M) overflow leftward
+with the two transport rules these relations give (stated at _fold).  A
+product folds the right factor's canonical word (tokens()) into the left
+factor, an inverse folds the reversed, negated word into the identity, and
+from_word folds its word into the identity, so each operation costs
+O(word length) exact integer steps.  Integers are Python ints, so exponents
+never overflow.
 
 A NormalForm is the tuple (k, u, v, alpha, l, (s_1, ..., s_l), beta), so
 element equality, hashing and the canonical order are tuple equality, hashing
@@ -65,81 +67,6 @@ class GroupParams(namedtuple("GroupParams", "k")):
         return 1 << self.k
 
 
-class _Accum:
-    """Mutable word-in-progress used internally by the arithmetic.
-
-    Holds the canonical-form fields plus a running sum of the interior
-    exponents so parity decisions are O(1).
-    """
-
-    __slots__ = ("M", "u", "v", "alpha", "syl", "beta", "ssum")
-
-    def __init__(self, M: int, w: "NormalForm | None" = None):
-        self.M = M
-        if w is None:
-            self.u = self.v = self.alpha = self.beta = self.ssum = 0
-            self.syl: list[int] = []
-        else:  # start from the normal form w, unpacked once
-            _, self.u, self.v, self.alpha, _, syl, self.beta = w
-            self.syl = list(syl)
-            self.ssum = sum(syl)
-
-    def push_b(self, e: int) -> None:
-        # right-multiply by b^e; overflow multiples of M bubble left past the
-        # alpha + l letters a, flipping sign once per letter passed
-        t = self.beta + e
-        beta = t % self.M
-        carry = (t - beta) // self.M
-        self.beta = beta
-        if carry:
-            if (self.alpha + len(self.syl)) & 1:
-                self.v -= carry
-            else:
-                self.v += carry
-
-    def push_a2(self, t: int) -> None:
-        # right-multiply by a^(2t); it bubbles left past every letter b in the
-        # coset part (ssum + beta letters), flipping sign once per letter
-        if (self.ssum + self.beta) & 1:
-            self.u -= t
-        else:
-            self.u += t
-
-    def push_a(self) -> None:
-        if self.beta:
-            # trailing block becomes interior, new trailing exponent is 0
-            self.syl.append(self.beta)
-            self.ssum += self.beta
-            self.beta = 0
-        elif self.syl:
-            # word ends "... b^(s_l) a"; appending a forms a^2 which bubbles
-            # left past all interior b letters, then s_l becomes trailing
-            self.u += -1 if (self.ssum & 1) else 1
-            last = self.syl.pop()
-            self.ssum -= last
-            self.beta = last
-        elif self.alpha:
-            self.u += 1
-            self.alpha = 0
-        else:
-            self.alpha = 1
-
-    def push_token(self, gen: str, exp: int) -> None:
-        if gen == "b":
-            self.push_b(exp)
-        elif gen == "a":
-            t, r = divmod(exp, 2)
-            if t:
-                self.push_a2(t)
-            if r:
-                self.push_a()
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-
-    def freeze(self, k: int) -> "NormalForm":
-        return NormalForm._make(k, self.u, self.v, self.alpha, tuple(self.syl), self.beta)
-
-
 class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables beta")):
     """Canonical representative of one group element; immutable and hashable.
 
@@ -169,7 +96,7 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
 
     @classmethod
     def _make(cls, k, u, v, alpha, syllables, beta):
-        # fast path for values produced by _Accum, which already maintains the
+        # fast path for values produced by _fold, which already keeps the
         # range invariants
         return tuple.__new__(cls, (k, u, v, alpha, len(syllables), syllables, beta))
 
@@ -197,22 +124,10 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
             return NotImplemented
         # unpacked once: a field read through the namedtuple costs several
         # times a local one
-        k, u, v, alpha, _, syllables, beta = other
-        if self.k != k:
+        k, u, v, alpha, _, syllables, beta = self
+        if other.k != k:
             raise ValueError("cannot multiply elements of different groups")
-        acc = _Accum(1 << k, self)
-        if u:
-            acc.push_a2(u)
-        if v:
-            acc.push_b(v << k)
-        if alpha:
-            acc.push_a()
-        for s in syllables:
-            acc.push_b(s)
-            acc.push_a()
-        if beta:
-            acc.push_b(beta)
-        return acc.freeze(k)
+        return _fold(k, u, v, alpha, syllables, beta, other.tokens())
 
     # A NormalForm is a tuple, but repeating or concatenating one means
     # nothing for a group element.  Returning NotImplemented would let Python
@@ -228,20 +143,7 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
         raise TypeError(f"unsupported operand type(s) for +: '{type(other).__name__}' and 'NormalForm'")
 
     def inverse(self) -> "NormalForm":
-        k, u, v, alpha, _, syllables, beta = self
-        acc = _Accum(1 << k)
-        if beta:
-            acc.push_b(-beta)
-        for s in reversed(syllables):
-            acc.push_token("a", -1)
-            acc.push_b(-s)
-        if alpha:
-            acc.push_token("a", -1)
-        if v:
-            acc.push_b(-(v << k))
-        if u:
-            acc.push_a2(-u)
-        return acc.freeze(k)
+        return _fold(self.k, 0, 0, 0, (), 0, [(g, -e) for g, e in reversed(self.tokens())])
 
     __invert__ = inverse
 
@@ -261,9 +163,8 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
         """Right-multiply by a single generator letter a, a^-1, b or b^-1."""
         if gen not in ("a", "b") or sign not in (1, -1):
             raise ValueError(f"bad generator letter {gen!r}^{sign}")
-        acc = _Accum(1 << self.k, self)
-        acc.push_token(gen, sign)
-        return acc.freeze(self.k)
+        k, u, v, alpha, _, syllables, beta = self
+        return _fold(k, u, v, alpha, syllables, beta, ((gen, sign),))
 
     # -- invariants ----------------------------------------------------------
 
@@ -316,18 +217,19 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
 
     def tokens(self) -> tuple[Token, ...]:
         """Canonical letter-block expansion of the normal form."""
+        k, u, v, alpha, _, syllables, beta = self
         out: list[Token] = []
-        if self.u:
-            out.append(("a", 2 * self.u))
-        if self.v:
-            out.append(("b", self.v << self.k))
-        if self.alpha:
+        if u:
+            out.append(("a", 2 * u))
+        if v:
+            out.append(("b", v << k))
+        if alpha:
             out.append(("a", 1))
-        for s in self.syllables:
+        for s in syllables:
             out.append(("b", s))
             out.append(("a", 1))
-        if self.beta:
-            out.append(("b", self.beta))
+        if beta:
+            out.append(("b", beta))
         return tuple(out)
 
     def __str__(self):
@@ -336,6 +238,57 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
 
     def __repr__(self):
         return f'NormalForm(k={self.k}, "{self}")'
+
+
+def _fold(k: int, u: int, v: int, alpha: int, syl: Sequence[int], beta: int, word: Iterable[Token]) -> NormalForm:
+    """Right-multiply the normal form with fields (u, v, alpha, syl, beta) by a word.
+
+    The word is an iterable of (generator, exponent) tokens; the first token
+    with a zero exponent or a generator other than a, b raises ValueError.
+    A power b^e adds to beta, and the multiple of M that overflows [0, M-1]
+    moves left to v past the alpha + l letters a; a^(2t) moves left to u past
+    the sum(syl) + beta letters b.  The two transport rules decide the signs:
+
+        b^(+-M) passing a letter a flips its sign:   a b^M = b^-M a
+        a^(+-2) passing a letter b flips its sign:   b a^2 = a^-2 b
+
+    A lone a closes a nonzero trailing block into an interior syllable.  When
+    the word already ends in a, it forms a^2, which moves left to u; the last
+    syllable then becomes the trailing block, or alpha drops to 0.  Each
+    token costs O(1) integer steps.
+    """
+    syl = list(syl)
+    ssum = sum(syl)  # the interior b letters, so the a^2 sign is O(1)
+    for gen, exp in word:
+        if gen == "b" and exp:
+            t = beta + exp
+            carry = t >> k
+            beta = t - (carry << k)
+            if carry:
+                v += -carry if (alpha + len(syl)) & 1 else carry
+        elif gen == "a" and exp:
+            t = exp >> 1
+            if t:
+                u += -t if (ssum + beta) & 1 else t
+            if exp & 1:
+                if beta:
+                    syl.append(beta)
+                    ssum += beta
+                    beta = 0
+                elif syl:
+                    u += -1 if ssum & 1 else 1
+                    beta = syl.pop()
+                    ssum -= beta
+                elif alpha:
+                    u += 1
+                    alpha = 0
+                else:
+                    alpha = 1
+        elif exp == 0:
+            raise ValueError("zero exponent in generator word")
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return NormalForm._make(k, u, v, alpha, tuple(syl), beta)
 
 
 def _atom(k: int, gen: str, sign: int) -> NormalForm:
@@ -358,12 +311,7 @@ def generator(params: GroupParams, gen: str, sign: int = 1) -> NormalForm:
 
 def from_word(word: Iterable[Token], params: GroupParams) -> NormalForm:
     """Normal form of a product of generator powers, folded left to right."""
-    acc = _Accum(params.modulus)
-    for gen, exp in word:
-        if exp == 0:
-            raise ValueError("zero exponent in generator word")
-        acc.push_token(gen, exp)
-    return acc.freeze(params.k)
+    return _fold(params.k, 0, 0, 0, (), 0, word)
 
 
 def parse(text: str) -> tuple[Token, ...]:
@@ -395,7 +343,7 @@ def parse(text: str) -> tuple[Token, ...]:
                 neg = True
                 i += 1
             d0 = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i == d0:
                 raise ParseError("expected digits after '^'", start)

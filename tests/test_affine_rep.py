@@ -12,11 +12,19 @@ independent unit translations, so equality of group elements coincides with
 equality of affine maps.  The oracle doubles translations to keep everything
 in exact integers.  This gives a complete, two-sided equality oracle for
 k=1, independent of the normal-form machinery and of the string-rewriting
-closure."""
+closure.
+
+For every k the map a -> a, b -> b is a homomorphism G(k) -> G(1): M = 2^k
+is even, so both relators of G(k) are products of conjugates of the G(1)
+relators.  Composing it with the representation gives a one-sided oracle
+for k >= 2: two elements whose images differ are unequal, and the image of
+a normal form, a product or an inverse is fixed by the word it came from."""
 
 import random
 
-from affine_oracle import IDENTITY, compose, element
+import pytest
+
+from affine_oracle import IDENTITY, compose, element, invert
 from conftest import random_tokens
 from nup.words import GroupParams, from_word
 
@@ -78,3 +86,48 @@ def test_relator_padding_is_invisible_to_both():
         padded = t + relator
         assert from_word(t, P1) == from_word(padded, P1)
         assert affine(t) == affine(padded)
+
+
+def random_g_k_words(rng, k, count):
+    """Random words of G(k) whose exponents reach M + 2, so both carries occur."""
+    M = 1 << k
+    return [random_tokens(rng, 4 * (M + 2), M + 2) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_relators_of_every_k_map_to_identity(k):
+    # k = 1 is test_relators_act_trivially
+    M = 1 << k
+    assert affine([("a", 1), ("b", M), ("a", -1), ("b", M)]) == IDENTITY
+    assert affine([("b", 1), ("a", 2), ("b", -1), ("a", 2)]) == IDENTITY
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_normal_form_keeps_the_image_of_its_word(k):
+    P = GroupParams(k)
+    for t in random_g_k_words(random.Random(k), k, 400):
+        assert affine(from_word(t, P).tokens()) == affine(t), t
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_product_and_inverse_map_to_composition_and_inverse(k):
+    P = GroupParams(k)
+    rng = random.Random(100 + k)
+    for t1, t2 in zip(random_g_k_words(rng, k, 200), random_g_k_words(rng, k, 200)):
+        x, y = from_word(t1, P), from_word(t2, P)
+        fx, fy = affine(x.tokens()), affine(y.tokens())
+        assert affine((x * y).tokens()) == compose(fx, fy), (t1, t2)
+        assert affine(x.inverse().tokens()) == invert(fx), t1
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_different_images_give_different_normal_forms(k):
+    P = GroupParams(k)
+    rng = random.Random(200 + k)
+    separated = 0
+    for t1, t2 in zip(random_g_k_words(rng, k, 400), random_g_k_words(rng, k, 400)):
+        if affine(t1) != affine(t2):
+            separated += 1
+            assert from_word(t1, P) != from_word(t2, P), (t1, t2)
+    # the images must separate most random pairs, or the check says little
+    assert separated > 0.9 * 400

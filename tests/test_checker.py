@@ -251,6 +251,39 @@ class TestRewriteIdentities:
                 assert report.status == FAIL, row.tag
                 assert report.witness["reason"] == "no alternative factorization in target block"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec(k) for k in range(1, 5)]
+        + [FamilySpec(*t) for t in ((1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5), (3, 1, 9), (2, 1, 9))],
+        ids=lambda s: f"base-k{s.k}" if s.p is None else f"{s.k}-{s.p}-{s.q}",
+    )
+    def test_each_residue_is_exact(self, spec):
+        # read over every left row of the target block, the second
+        # factorizations of a row's slice have left factors in its residue
+        # class alone; a row with no residue needs more than one class, so a
+        # residue loosened to None fails here as a shifted one fails above
+        inv = Inventory(spec, build_family(spec))
+        M, labels, table = inv.M, inv.gset.labels, inv.table
+        for row in checker._CHART:
+            for n in checker._VAR_VALUES[row.var](M):
+                ctx = checker._Ctx(inv, n)
+                li = inv.lookup(*row.left(ctx))
+                rfam, ridx = row.right(ctx)
+                rlo, rhi = inv.bounds[(rfam, ridx)]
+                if row.src == "short":
+                    rlo = inv.top - M + 1
+                lefts, runs, memb = checker._target_block(inv, *row.target(ctx), None)
+                residues = set()
+                for j in range(rlo, rhi + 1):
+                    ri = inv.lookup(rfam, ridx, j)
+                    for a, b in table.factors_in(lefts, runs, table.product(li, ri)):
+                        if memb.get(labels[b].j) == b and (a, b) != (li, ri):
+                            residues.add(labels[a].j % M)
+                if row.residue is None:
+                    assert len(residues) > 1, (row.tag, n, residues)
+                else:
+                    assert residues == {row.residue}, (row.tag, n, residues)
+
 
 class TestCoverageAccounting:
     def test_marks_are_real_pairs(self):

@@ -134,6 +134,19 @@ class TestGeneratorSteps:
         with pytest.raises(ValueError):
             identity(GroupParams(1)).times_gen("c")
 
+    @pytest.mark.parametrize(
+        "word,message",
+        [
+            ([("a", 1), ("b", 0)], "zero exponent in generator word"),
+            ([("c", 0)], "zero exponent in generator word"),
+            ([("a", 1), ("c", 2), ("a", 0)], "unknown generator 'c'"),
+            ([("b", 0), ("c", 2)], "zero exponent in generator word"),
+        ],
+    )
+    def test_from_word_names_the_first_bad_token(self, word, message):
+        with pytest.raises(ValueError, match=message):
+            from_word(word, GroupParams(2))
+
 
 class TestRelators:
     @pytest.mark.parametrize("k", range(1, 6))
@@ -233,7 +246,7 @@ class TestParsePrint:
 
     @pytest.mark.parametrize(
         "text,pos",
-        [("a^0", 2), ("c", 0), ("a^", 1), ("a^-", 1), ("", 0), ("  ", 0), ("a1", 1), ("1a", 0)],
+        [("a^0", 2), ("c", 0), ("a^", 1), ("a^-", 1), ("", 0), ("  ", 0), ("a1", 1), ("1a", 0), ("a^²", 1), ("a^١", 1), ("b^-٣", 1)],
     )
     def test_syntax_errors_carry_position(self, text, pos):
         with pytest.raises(ParseError) as err:
