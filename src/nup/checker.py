@@ -46,9 +46,10 @@ shape ends in b^j, so a claimed range lo..hi is one rewrite: its keys are
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
-from .families import FAMILIES, FamilySpec, SliceLabel, expected_cardinality, scan_family, z_halfwidth
+from .families import FAMILIES, FamilySpec, SliceLabel, scan_family, z_halfwidth
 from .sets import FactorizationTable, GroupSet, product_table
 from .words import from_word
 
@@ -495,86 +496,35 @@ def run_all_claims(inv: Inventory) -> list[ClaimReport]:
     return reports
 
 
-class CheckSummary(NamedTuple):
-    spec: FamilySpec
-    set_size: int
-    expected_size: int
-    duplicates_removed: int
-    claims: list[ClaimReport]
-    coverage: float
-    covered_pairs: int
-    total_pairs: int
-    unique_count: int
-    uniques: list
-    soundness_ok: bool
-    consistent: bool
-    elapsed: float
-    uncovered_sample: list
-    counters: dict
-    timings: dict
-
-    @property
-    def counts(self) -> dict:
-        out = {PASS: 0, FAIL: 0, TYPO_SUSPECT: 0}
-        for c in self.claims:
-            out[c.status] += 1
-        return out
-
-    def as_dict(self) -> dict:
-        counts = self.counts
-        return {
-            "spec": {"k": self.spec.k, "p": self.spec.p, "q": self.spec.q},
-            "set_size": self.set_size,
-            "expected_size": self.expected_size,
-            "duplicates_removed": self.duplicates_removed,
-            "claims": [c.as_dict() for c in self.claims],
-            "claims_summary": {"pass": counts[PASS], "fail": counts[FAIL], "typo_suspect": counts[TYPO_SUSPECT]},
-            "coverage": self.coverage,
-            "covered_pairs": self.covered_pairs,
-            "total_pairs": self.total_pairs,
-            "unique_count": self.unique_count,
-            "witnesses": [[str(z), list(pair)] for z, pair in self.uniques],
-            "soundness_ok": self.soundness_ok,
-            "consistent": self.consistent,
-            "uncovered_sample": self.uncovered_sample,
-            "counters": self.counters,
-            "timings": self.timings,
-        }
-
-
-def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> CheckSummary:
-    """Run every structured claim plus the end-to-end unique-product scan.
+def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> dict:
+    """Run every structured claim plus the end-to-end unique-product scan,
+    and return the check report: scan_family's report with the claims, their
+    coverage, the cross-checks, the wall time and the exit status.
 
     The two must agree: all claims passing with full coverage implies a zero
     unique-product count.
     """
     t0 = time.perf_counter()
-    gset, table, uniques, timings = scan_family(spec, gset)
+    gset, table, uniques, report = scan_family(spec, gset)
     t1 = time.perf_counter()
     inv = Inventory(spec, gset, table)
-    claims = run_all_claims(inv)
-    timings["claims_s"] = round(time.perf_counter() - t1, 6)
-    # soundness: a marked pair exhibits a second factorization, so its product
-    # can never sit in the table with multiplicity one
-    soundness_ok = all(not inv.is_marked(i, j) for _, (i, j) in uniques)
-    n_fail = sum(1 for c in claims if c.status == FAIL)
+    claims = [c.as_dict() for c in run_all_claims(inv)]
+    report["timings"]["claims_s"] = round(time.perf_counter() - t1, 6)
+    counts = Counter(c["status"] for c in claims)
     coverage = inv.coverage()
-    consistent = (n_fail > 0 or coverage < 1.0) or len(uniques) == 0
-    return CheckSummary(
-        spec=spec,
-        set_size=len(gset),
-        expected_size=expected_cardinality(spec),
-        duplicates_removed=gset.duplicates_removed,
+    report.update(
+        spec=report["parameters"],
         claims=claims,
+        claims_summary={"pass": counts[PASS], "fail": counts[FAIL], "typo_suspect": counts[TYPO_SUSPECT]},
         coverage=coverage,
         covered_pairs=inv.covered_pairs(),
         total_pairs=len(gset) ** 2,
-        unique_count=len(uniques),
-        uniques=uniques,
-        soundness_ok=soundness_ok,
-        consistent=consistent,
-        elapsed=time.perf_counter() - t0,
+        # soundness: a marked pair exhibits a second factorization, so its
+        # product can never sit in the table with multiplicity one
+        soundness_ok=all(not inv.is_marked(i, j) for _, (i, j) in uniques),
+        consistent=counts[FAIL] > 0 or coverage < 1.0 or not uniques,
         uncovered_sample=[list(t) for t in inv.uncovered()],
-        counters=table.counters(),
-        timings=timings,
+        wall_time_s=round(time.perf_counter() - t0, 6),
+        exit_status=0 if counts[FAIL] == counts[TYPO_SUSPECT] == 0 and coverage == 1.0 and not uniques else 1,
     )
+    return report

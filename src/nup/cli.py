@@ -6,7 +6,9 @@ Exit codes are a stable scripting contract:
        search that did not reach score 0)
     2  usage or parameter error
 
-JSON reports are schema-stable and carry the tool version plus every
+verify, check and search each build one report, a dict whose exit_status is
+the command's exit code; --json writes it under one envelope, the tool
+version and the command name.  Reports are schema-stable and carry every
 parameter, so runs are reproducible from the report alone.  Search reports
 contain no volatile fields: the same invocation with the same seed writes
 byte-identical output files.
@@ -22,7 +24,7 @@ import time
 from . import __version__
 
 # checker and search are imported by the commands that run them
-from .families import FamilySpec, build_family, check_memory, expected_cardinality, scan_family
+from .families import FamilySpec, build_family, check_memory, scan_family
 from .sets import save_set_file
 from .words import GroupParams, ParseError, from_string, to_string
 
@@ -33,79 +35,59 @@ def _family_spec(args, claims: bool = False) -> FamilySpec:
     return spec
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _report(args, command: str, report: dict) -> int:
+    """Write the report, under the version and the command, to the --json
+    path when one is given; return the report's exit status."""
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"version": __version__, "command": command, **report}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return report["exit_status"]
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
-    gset, table, uniques, timings = scan_family(spec)
+    gset, table, uniques, report = scan_family(spec)
     elapsed = time.perf_counter() - t0
-    expected = expected_cardinality(spec)
-    ok = len(uniques) == 0 and len(gset) == expected and gset.duplicates_removed == 0
+    ok = not uniques and report["set_size"] == report["expected_size"] and report["duplicates_removed"] == 0
     print(f"set: {spec.describe()}")
-    print(f"size: {len(gset)} (formula: {expected}), duplicates removed: {gset.duplicates_removed}")
+    print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
     print(f"square: {table.total_pairs()} factorizations over {len(table)} distinct products")
     print(f"unique products: {len(uniques)}")
     for z, (i, j) in uniques[:10]:
         print(f"  witness: {to_string(z)} = ({to_string(gset[i])}) * ({to_string(gset[j])})")
     print(f"result: {'non-unique product set' if ok else 'FAILED'}  [{elapsed:.2f}s]")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "version": __version__,
-                "command": "verify",
-                "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
-                "set_size": len(gset),
-                "expected_size": expected,
-                "duplicates_removed": gset.duplicates_removed,
-                "product_size": len(table),
-                "total_factorizations": table.total_pairs(),
-                "unique_count": len(uniques),
-                "witnesses": [[to_string(z), [i, j]] for z, (i, j) in uniques],
-                "counters": table.counters(),
-                "timings": {**timings, "claims_s": 0.0},
-                "wall_time_s": round(elapsed, 6),
-                "exit_status": 0 if ok else 1,
-            },
-        )
-    return 0 if ok else 1
+    report.update(
+        product_size=len(table),
+        total_factorizations=table.total_pairs(),
+        wall_time_s=round(elapsed, 6),
+        exit_status=0 if ok else 1,
+    )
+    return _report(args, "verify", report)
 
 
 def cmd_check(args) -> int:
     from .checker import verify_family
 
     spec = _family_spec(args, claims=True)
-    summary = verify_family(spec)
-    counts = summary.counts
+    report = verify_family(spec)
+    counts = report["claims_summary"]
     print(f"set: {spec.describe()}")
-    print(f"size: {summary.set_size} (formula: {summary.expected_size}), duplicates removed: {summary.duplicates_removed}")
-    print(f"claims: {counts['pass']} pass, {counts['fail']} fail, {counts['typo-suspect']} typo-suspect")
-    flagged = [c for c in summary.claims if c.status != "pass"]
+    print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
+    print(f"claims: {counts['pass']} pass, {counts['fail']} fail, {counts['typo_suspect']} typo-suspect")
+    flagged = [c for c in report["claims"] if c["status"] != "pass"]
     for c in flagged[:10]:
-        line = f"  [{c.status}] {c.source} params={c.params}"
-        if c.witness:
-            line += f" witness={c.witness}"
+        line = f"  [{c['status']}] {c['source']} params={c['params']}"
+        if c.get("witness"):
+            line += f" witness={c['witness']}"
         print(line)
     if len(flagged) > 10:
         print(f"  ... and {len(flagged) - 10} more (full list in the JSON report)")
-    print(f"coverage: {summary.covered_pairs}/{summary.total_pairs} factorizations ({summary.coverage:.6f})")
-    print(f"unique products: {summary.unique_count}; claim/scan agreement: {summary.consistent}")
-    print(f"elapsed: {summary.elapsed:.2f}s")
-    ok = counts["fail"] == 0 and counts["typo-suspect"] == 0 and summary.coverage == 1.0 and summary.unique_count == 0
-    if args.json:
-        payload = summary.as_dict()
-        payload["version"] = __version__
-        payload["command"] = "check"
-        payload["parameters"] = {"k": spec.k, "p": spec.p, "q": spec.q}
-        payload["wall_time_s"] = round(summary.elapsed, 6)
-        payload["exit_status"] = 0 if ok else 1
-        _write_json(args.json, payload)
-    return 0 if ok else 1
+    print(f"coverage: {report['covered_pairs']}/{report['total_pairs']} factorizations ({report['coverage']:.6f})")
+    print(f"unique products: {report['unique_count']}; claim/scan agreement: {report['consistent']}")
+    print(f"elapsed: {report['wall_time_s']:.2f}s")
+    return _report(args, "check", report)
 
 
 def cmd_eval(args) -> int:
@@ -133,7 +115,8 @@ def cmd_search(args) -> int:
     else:
         if args.size is None:
             raise ValueError("--size is required (or use --config)")
-        config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._fields})
+        # flags left unset take SearchConfig's defaults
+        config = SearchConfig(**{name: value for name in SearchConfig._fields if (value := getattr(args, name)) is not None})
     t0 = time.perf_counter()
     result = run_search(config)
     elapsed = time.perf_counter() - t0
@@ -143,16 +126,8 @@ def cmd_search(args) -> int:
         print(f"  {to_string(w)}")
     if args.out:
         save_set_file(result.best, args.out, header=f"search k={config.k} size={config.size} seed={config.seed} score={result.score}")
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "search",
-            "parameters": config._asdict(),
-            "result": result.as_dict(),
-            "exit_status": 0 if result.score == 0 else 1,
-        }
-        _write_json(args.json, payload)
-    return 0 if result.score == 0 else 1
+    report = {"parameters": config._asdict(), "result": result.as_dict(), "exit_status": 0 if result.score == 0 else 1}
+    return _report(args, "search", report)
 
 
 def cmd_export_set(args) -> int:
@@ -194,15 +169,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", help="JSON file of SearchConfig fields (overrides flags)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--length-cap", type=int, default=5, dest="word_length_cap")
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--temp0", type=float, default=2.0)
-    p.add_argument("--cooling", type=float, default=0.995)
-    p.add_argument("--neighborhood", choices=("swap-one", "mutate-one"), default="swap-one")
-    p.add_argument("--init", choices=("random", "base"), default="random")
+    p.add_argument("--length-cap", type=int, dest="word_length_cap")
+    p.add_argument("--symmetric", action="store_true", default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--temp0", type=float)
+    p.add_argument("--cooling", type=float)
+    p.add_argument("--neighborhood", choices=("swap-one", "mutate-one"))
+    p.add_argument("--init", choices=("random", "base"))
     p.add_argument("--out", metavar="PATH", help="write the best set as a set file")
     p.add_argument("--json", metavar="PATH", help="write JSON metadata")
     p.set_defaults(func=cmd_search)

@@ -18,9 +18,9 @@ q >= 1 with M | q-1 and stretches every progression:
 of total size (2M^2 + 5M + 2)q - (M+1); at p = q = 1 the two families agree
 elementwise.  Every element carries a SliceLabel (family, index, j) so the
 checker can address progressions symbolically; element identity, not the
-label, drives set semantics.  scan_family builds a family and scans its
-square; it lives here, not in the checker, so that verify never imports the
-checker.
+label, drives set semantics.  scan_family builds a family, scans its
+square and starts the report that verify and check share; it lives here,
+not in the checker, so that verify never imports the checker.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def build_family(spec: FamilySpec) -> GroupSet:
 def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:
     """Build the family (unless gset is given), the factorization table of
     its square and its unique products.  Returns (gset, table, uniques,
-    timings of the build and the scan)."""
+    report), where report holds the fields that the verify and check reports
+    share, with claims_s 0.0 among the timings of the build and the scan."""
     t0 = time.perf_counter()
     if gset is None:
         gset = build_family(spec)
@@ -185,4 +186,14 @@ def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Grou
     table = product_table(gset, gset)
     uniques = unique_products(gset, gset, table=table)
     t2 = time.perf_counter()
-    return gset, table, uniques, {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6)}
+    report = {
+        "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
+        "set_size": len(gset),
+        "expected_size": expected_cardinality(spec),
+        "duplicates_removed": gset.duplicates_removed,
+        "unique_count": len(uniques),
+        "witnesses": [[str(z), [i, j]] for z, (i, j) in uniques],
+        "counters": table.counters(),
+        "timings": {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6), "claims_s": 0.0},
+    }
+    return gset, table, uniques, report

@@ -46,6 +46,7 @@ starts a comment, blank lines are ignored, and an optional trailing
 from __future__ import annotations
 
 import os
+import re
 from array import array
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -513,13 +514,11 @@ def load_set_file(path: str | os.PathLike, params: GroupParams) -> GroupSet:
             if label_text:
                 any_label = True
                 parts = label_text.split()
-                if len(parts) == 3 and parts[0] in FAMILIES:
-                    try:
-                        labels.append(SliceLabel(parts[0], int(parts[1]), int(parts[2])))
-                        continue
-                    except ValueError:
-                        pass
-                labels.append(label_text)
+                # the digit rule of words.parse: int() also takes '_', '+' and other scripts' digits
+                if len(parts) == 3 and parts[0] in FAMILIES and all(re.fullmatch("-?[0-9]+", t) for t in parts[1:]):
+                    labels.append(SliceLabel(parts[0], int(parts[1]), int(parts[2])))
+                else:
+                    labels.append(label_text)
             else:
                 labels.append(None)
     return make_set(params, elements, labels if any_label else None)

@@ -150,21 +150,21 @@ def test_08_proof_checker_completeness():
     details = []
     for spec in (FamilySpec(1), FamilySpec(2), FamilySpec(3), FamilySpec(1, 1, 3), FamilySpec(2, 1, 5)):
         summary = verify_family(spec)
-        counts = summary.counts
-        assert counts[FAIL] == 0, [c.source for c in summary.claims if c.status == FAIL]
-        assert summary.coverage == 1.0, summary.uncovered_sample
-        assert summary.unique_count == 0
-        assert summary.soundness_ok and summary.consistent
-        suspects = [c for c in summary.claims if c.status == TYPO_SUSPECT]
+        counts = summary["claims_summary"]
+        assert counts["fail"] == 0, [c["source"] for c in summary["claims"] if c["status"] == FAIL]
+        assert summary["coverage"] == 1.0, summary["uncovered_sample"]
+        assert summary["unique_count"] == 0
+        assert summary["soundness_ok"] and summary["consistent"]
+        suspects = [c for c in summary["claims"] if c["status"] == TYPO_SUSPECT]
         if spec.scaled:
             # the deviating printed ranges must fail, pass under the
             # pattern-consistent range, and be reported distinctly
             assert suspects, spec
             for c in suspects:
-                assert c.params["range_used"] == c.params["pattern_range"]
+                assert c["params"]["range_used"] == c["params"]["pattern_range"]
         else:
             assert not suspects
-        details.append(f"{spec.describe()}: {counts['pass']}p/{counts['typo-suspect']}t")
+        details.append(f"{spec.describe()}: {counts['pass']}p/{counts['typo_suspect']}t")
     report(8, "all claims pass with 100% coverage", time.perf_counter() - t0, 120.0, "; ".join(details))
 
 

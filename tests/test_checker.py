@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import claims_oracle
@@ -115,39 +117,43 @@ class TestClaimSuites:
 
     def test_typo_suspect_rows_scaled_only(self):
         base = verify_family(FamilySpec(2))
-        assert base.counts[TYPO_SUSPECT] == 0
+        assert base["claims_summary"]["typo_suspect"] == 0
         scaled = verify_family(FamilySpec(2, 1, 5))
-        suspects = {c.source for c in scaled.claims if c.status == TYPO_SUSPECT}
+        suspects = {c["source"] for c in scaled["claims"] if c["status"] == TYPO_SUSPECT}
         assert suspects == {"chart:x(m,lo)X1", "chart:y(M-1,lo)Y0"}
-        for c in scaled.claims:
-            if c.status == TYPO_SUSPECT:
-                assert c.params["range_used"] == c.params["pattern_range"]
-                assert c.params["printed_range"] != c.params["pattern_range"]
+        for c in scaled["claims"]:
+            if c["status"] == TYPO_SUSPECT:
+                assert c["params"]["range_used"] == c["params"]["pattern_range"]
+                assert c["params"]["printed_range"] != c["params"]["pattern_range"]
 
 
 class TestSummary:
     def test_full_verification_base(self):
         s = verify_family(FamilySpec(1))
-        assert s.set_size == s.expected_size == 17
-        assert s.unique_count == 0
-        assert s.coverage == 1.0
-        assert s.counts[FAIL] == 0
-        assert s.soundness_ok and s.consistent
+        assert s["set_size"] == s["expected_size"] == 17
+        assert s["unique_count"] == 0
+        assert s["coverage"] == 1.0
+        assert s["claims_summary"]["fail"] == 0
+        assert s["soundness_ok"] and s["consistent"]
+        assert s["exit_status"] == 0
 
     def test_full_verification_scaled(self):
         s = verify_family(FamilySpec(1, 1, 3))
-        assert s.set_size == 57
-        assert s.unique_count == 0
-        assert s.coverage == 1.0
-        assert s.counts[FAIL] == 0
+        assert s["set_size"] == 57
+        assert s["unique_count"] == 0
+        assert s["coverage"] == 1.0
+        assert s["claims_summary"]["fail"] == 0
+        assert s["exit_status"] == 1  # the typo-suspect rows
 
     def test_report_dict_schema(self):
-        s = verify_family(FamilySpec(1))
-        d = s.as_dict()
-        for key in ("spec", "claims", "claims_summary", "coverage", "unique_count", "soundness_ok"):
-            assert key in d
+        d = verify_family(FamilySpec(1))
+        assert set(d) == {
+            "parameters", "set_size", "expected_size", "duplicates_removed", "unique_count", "witnesses", "counters", "timings",
+            "spec", "claims", "claims_summary", "coverage", "covered_pairs", "total_pairs", "soundness_ok", "consistent",
+            "uncovered_sample", "wall_time_s", "exit_status",
+        }
         for claim in d["claims"]:
-            assert {"source", "kind", "params", "status", "count"} <= set(claim)
+            assert {"source", "kind", "params", "status", "count"} <= set(claim) <= {"source", "kind", "params", "status", "count", "witness"}
 
 
 class TestTamperedSets:
@@ -155,20 +161,21 @@ class TestTamperedSets:
         spec = FamilySpec(1)
         broken = tampered_family(spec, "b^2")  # drop the top of Z
         summary = verify_family(spec, gset=broken)
-        assert summary.counts[FAIL] > 0
-        assert summary.coverage < 1.0
-        failed = [c for c in summary.claims if c.status == FAIL]
-        assert all(c.witness is not None for c in failed)
+        assert summary["claims_summary"]["fail"] > 0
+        assert summary["coverage"] < 1.0
+        failed = [c for c in summary["claims"] if c["status"] == FAIL]
+        assert all("witness" in c for c in failed)
         # the scan agrees: the damaged set has uniquely represented products
-        assert summary.unique_count > 0
-        assert summary.consistent
+        assert summary["unique_count"] > 0
+        assert summary["consistent"]
+        assert summary["exit_status"] == 1
 
     def test_soundness_cross_check_on_tampered_set(self):
         spec = FamilySpec(1)
         broken = tampered_family(spec, "b a b^3")
         summary = verify_family(spec, gset=broken)
         # no claim may have marked a pair whose product is actually unique
-        assert summary.soundness_ok
+        assert summary["soundness_ok"]
 
     def test_unlabeled_set_rejected(self):
         spec = FamilySpec(1)
@@ -348,8 +355,8 @@ class TestTableReadMatchesOracle:
         failed = [c for c in ours if c.status == FAIL]
         assert failed and all(c.witness is not None for c in failed)
         summary = verify_family(spec, gset=broken)
-        assert summary.soundness_ok
-        assert summary.consistent
+        assert summary["soundness_ok"]
+        assert summary["consistent"]
 
     def test_claims_do_not_multiply(self, monkeypatch):
         spec = FamilySpec(2, 1, 5)
@@ -366,20 +373,31 @@ class TestTableReadMatchesOracle:
 
 
 class TestLabelValidation:
-    @pytest.mark.parametrize("suffix, shown", [("", "None"), (" | foo", "'foo'")], ids=["unlabeled", "foreign"])
-    def test_bad_label_names_the_element(self, suffix, shown, tmp_path, capsys):
+    # a label's index and j take an optional '-' and ASCII digits only, so
+    # '_', '+' and other scripts' digits leave it a plain string label
+    @pytest.mark.parametrize(
+        "label",
+        [None, "foo", "X 1 1_0", "X 1 \uff13", "X 1 +3", "X 1 \u0661", "X \u0662 3"],
+        ids=["unlabeled", "foreign", "underscore", "fullwidth", "plus", "arabic-indic-j", "arabic-indic-index"],
+    )
+    def test_bad_label_names_the_element(self, label, tmp_path, capsys):
         path = tmp_path / "t1.txt"
         assert main(["export-set", "--k", "1", "-o", str(path)]) == 0
         lines = path.read_text().splitlines()
-        # the first element line loses its label or gets a foreign one
+        # the first element line loses its label or gets a bad one
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        lines[first] = lines[first].split("|")[0].strip() + suffix
-        path.write_text("\n".join(lines) + "\n")
+        lines[first] = lines[first].split("|")[0].strip() + ("" if label is None else f" | {label}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         spec = FamilySpec(1)
         gset = load_set_file(path, spec.params)
-        bad = gset.labels.index(None if not suffix else "foo")
-        with pytest.raises(ValueError, match=rf"element {bad} .*has label {shown}"):
+        bad = gset.labels.index(label)
+        with pytest.raises(ValueError, match=rf"element {bad} .*has label {re.escape(repr(label))}"):
             Inventory(spec, gset)
+
+    def test_negative_label_loads(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("b | X 1 -3\n")
+        assert load_set_file(path, GroupParams(1)).labels == (SliceLabel("X", 1, -3),)
 
     def test_repeated_label_names_both_elements(self, tmp_path):
         path = tmp_path / "t1.txt"

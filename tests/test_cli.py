@@ -12,6 +12,7 @@ import nup
 from nup import checker, families, search
 from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
+from nup.search import SearchConfig
 from nup.sets import load_set_file, product_table
 from nup.words import MAX_K, GroupParams
 
@@ -159,6 +160,11 @@ class TestSearchCommand:
             assert main(["search", *flags.split(), "--json", str(path)]) == 1
             assert path.read_bytes() == (DATA / f"search_{name}.json").read_bytes()
             assert sum(drops) > 0, name
+
+    def test_unset_flags_take_the_config_defaults(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        main(["search", "--k", "1", "--size", "6", "--json", str(path)])
+        assert json.loads(path.read_text())["parameters"] == SearchConfig(k=1, size=6)._asdict()
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -372,3 +378,23 @@ class TestReportBlocks:
         assert data["counters"]["distinct_products"] == 462
         assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
         assert all(t >= 0 for t in data["timings"].values())
+
+    def test_report_keys(self, tmp_path, capsys):
+        # the keys the benchmark's judges and the CI steps read stay put
+        envelope = {"version", "command", "parameters", "exit_status"}
+        scan = {"set_size", "expected_size", "duplicates_removed", "unique_count", "witnesses", "counters", "timings", "wall_time_s"}
+        claims = {"spec", "claims", "claims_summary", "coverage", "covered_pairs", "total_pairs", "soundness_ok", "consistent", "uncovered_sample"}
+        want = {
+            "verify": envelope | scan | {"product_size", "total_factorizations"},
+            "check": envelope | scan | claims,
+            "search": envelope | {"result"},
+        }
+        argv = {"verify": ["--k", "2"], "check": ["--k", "2", "--p", "1", "--q", "5"], "search": ["--k", "1", "--size", "6", "--budget", "50"]}
+        for command, keys in want.items():
+            path = tmp_path / f"{command}.json"
+            code = main([command, *argv[command], "--json", str(path)])
+            data = json.loads(path.read_text())
+            assert set(data) == keys, command
+            assert data["command"] == command and data["exit_status"] == code
+        check = json.loads((tmp_path / "check.json").read_text())
+        assert check["spec"] == check["parameters"] == {"k": 2, "p": 1, "q": 5}
