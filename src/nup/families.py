@@ -113,17 +113,18 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # Largest predicted peak memory the CLI admits, in bytes.  The prediction is
 # 850 B per element and 5 B per cell of the square's table.  A family has one
 # b-run per progression, 2^(k+1) + 1 of them, and the table one cell per row
-# and run: a 4-byte triple id, plus the array's growth slack.  The triples
-# (24 B each; 4.5 to 8 per element at every family point measured) and the
-# prefixes (about 1.5 per element at base k = 7) scale with the elements, so
-# the element term holds them: the peak RSS of verify, less the
-# interpreter's 15.2 MiB and 4.25 B per cell, leaves 832, 842, 817 and 780 B
-# per element at base k = 5, 6, 7 and 8 (17.5, 26.4, 75.8 and 388.1 MiB) and
-# 722 at (k, p, q) = (1, 1, 4001) (71.9 MiB).  check adds 0.15 B per pair:
+# and run: a 4-byte triple id, in an array allocated whole.  The triples
+# (24 B each; 4 to 6 per element at every family point measured, one per
+# distinct interval) and the prefixes (about 1.5 per element at base k = 7)
+# scale with the elements, so the element term holds them: the peak RSS of
+# verify, less the interpreter's 15.2 MiB and 4 B per cell, leaves 462, 824,
+# 859 and 883 B per element at base k = 5, 6, 7 and 8 (16.7, 26.0, 75.1 and
+# 385.0 MiB) and 710 at (k, p, q) = (1, 1, 4001) (70.9 MiB), which the fifth
+# byte per cell more than covers at k = 7 and 8.  check adds 0.15 B per pair:
 # the coverage bits, in Python ints rebuilt by every mark, take 10-14% above
 # |T|^2/8 bytes.  With them the prediction covers check at base k = 5, 6 and
-# 7 (18.9, 36.4 and 221.8 MiB) and at (1, 1, 801), (2, 1, 401) and
-# (1, 1, 1601) (60.5, 91.4 and 171.8 MiB), less the 16.7 MiB of check --k 1.
+# 7 (19.2, 36.3 and 220.7 MiB) and at (1, 1, 801), (2, 1, 401) and
+# (1, 1, 1601) (60.4, 90.7 and 171.9 MiB), less the 16.7 MiB of check --k 1.
 # This admits verify --k 8 (430 MiB) and check --k 7 (226 MiB), and refuses
 # check --k 8 and every k >= 9.
 MEMORY_BUDGET = 512 << 20

@@ -13,11 +13,16 @@ fixed splitting rule and ties go to the lowest restart index.
 
 A move is the pair (out, into) of the universe indices it removes and adds,
 and it is scored without building its square or the next state.  A table of
-product ids over the universe is filled lazily, one multiply per pair on
-first use, and the counts of the current square are updated only on the
-pairs that meet out and into; a rejected move is undone from the same ids,
-and only an accepted one is sorted into the next state.
-The table drops its rows once it holds more than
+product ids over the universe is filled lazily: the first use of entry
+(i, j) names the products of row i with the whole b-run of column j from
+one lookup of the square scan's product kernel (sets.RunProducts), which
+numbers a product by its key (prefix id, n) and multiplies only once per
+(row prefix, u shift and core, residue of n mod 2^k).  The counts of the
+current square are updated only on the pairs that meet out and into; a
+rejected move is undone from the same ids, and only an accepted one is
+sorted into the next state.  A mutate-one move multiplies an element by a
+generator once per (element, generator), through a memo of the state.
+The table drops its rows, ids and memos once it holds more than
 max(2 * size, MAX_UNIVERSE_SIZE // len(universe)) of them, so its memory does
 not grow with the budget.  score() stays the exact recheck of the answer.
 """
@@ -27,11 +32,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from typing import NamedTuple, Optional
 
 from .families import FamilySpec, build_family
-from .sets import GroupSet, make_set, product_table
+from .sets import GroupSet, RunProducts, _from_b_key, b_key, make_set, product_table
 from .words import GroupParams, NormalForm, generator, identity
 
 _NEIGHBORHOODS = ("swap-one", "mutate-one")
@@ -153,6 +159,9 @@ class _State:
         self.symmetric = symmetric
         self.atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
         self.identity = self.uindex[identity(params)]
+        # 4 * i + atom -> universe index of universe[i] * atom, None outside
+        # the universe; filled by mutate-one moves, at most 4 * |universe| entries
+        self.steps = {}
 
     def as_set(self, idxs) -> GroupSet:
         return make_set(self.params, [self.universe[i] for i in idxs])
@@ -182,7 +191,10 @@ class _State:
         if kind == "mutate-one":
             for _ in range(8):
                 i = idxs[rng.randrange(len(idxs))]
-                i2 = self.uindex.get(self.universe[i] * self.atoms[rng.randrange(len(self.atoms))])
+                step = 4 * i + rng.randrange(4)
+                i2 = self.steps.get(step, -1)
+                if i2 == -1:
+                    i2 = self.steps[step] = self.uindex.get(self.universe[i] * self.atoms[step & 3])
                 if i2 is None or i2 in current:
                     continue
                 move = self._move(current, i, i2)
@@ -214,34 +226,76 @@ class _State:
 
 class _Counts:
     """Multiplicities of a state's square, read from a lazily filled table of
-    product ids: row i of the table is created on first use, and entry (i, j)
-    is multiplied once, on first use."""
+    product ids: row i of the table is created on first use, and on the
+    first use of entry (i, j) the whole b-run of column j in row i is named
+    from one lookup of the product kernel."""
 
     def __init__(self, universe, size):
         self.universe = universe
         self.max_rows = max(2 * size, MAX_UNIVERSE_SIZE // len(universe))
-        # universe index -> array of product ids, -1 until multiplied
+        # universe index -> array of product ids, -1 until named
         self.rows = defaultdict(lambda: array("i", [-1]) * len(universe))
-        self.ids = {}  # product -> id
+        self.kernel = RunProducts(universe[0].k)
+        self.run_of = {}  # column -> (columns of its b-run, the head's splits), found on first use
+        self.memos = {}  # row prefix -> its product memo
+        self.ids = {}  # product key (prefix id, n) -> id
         self.counts = []  # id -> multiplicity in the current square
         self.once = 0  # products of multiplicity 1: the score
         self.last = ([], [])  # ids the last move removed and added
 
     def _block(self, rows_of, cols_of) -> list:
-        """Product ids of rows_of x cols_of, multiplying the entries not yet filled."""
+        """Product ids of rows_of x cols_of, naming the entries not yet filled."""
         rows = self.rows
         ids = [rows[i][j] for i in rows_of for j in cols_of]
         if -1 in ids:
-            ids = [self._id(i, j) for i in rows_of for j in cols_of]
+            for i in rows_of:
+                self._fill(i, rows[i], cols_of)
+            ids = [rows[i][j] for i in rows_of for j in cols_of]
         return ids
 
-    def _id(self, i, j) -> int:
-        row = self.rows[i]
-        if row[j] < 0:
-            p = row[j] = self.ids.setdefault(self.universe[i] * self.universe[j], len(self.ids))
-            if p == len(self.counts):
-                self.counts.append(0)
-        return row[j]
+    def _run(self, j) -> tuple:
+        """(columns, splits) of the b-run of column j: the universe indices of
+        its elements in order, found by bisection in the sorted universe, and
+        its head's splits."""
+        run = self.run_of.get(j)
+        if run is None:
+            universe = self.universe
+            prefix, n = b_key(universe[j])
+
+            def column(m):
+                w = _from_b_key(self.kernel.k, prefix, m)
+                c = bisect_left(universe, w)
+                return c if c < len(universe) and universe[c] == w else None
+
+            while column(n - 1) is not None:
+                n -= 1
+            cols = []
+            while (c := column(n + len(cols))) is not None:
+                cols.append(c)
+            run = (cols, self.kernel.split(universe[cols[0]]))
+            for c in cols:
+                self.run_of[c] = run
+        return run
+
+    def _fill(self, i, row, cols) -> None:
+        """Name the entries of cols still empty in row i: each names the
+        products of row i with the whole b-run of its column."""
+        x = None
+        for j in cols:
+            if row[j] >= 0:
+                continue
+            if x is None:
+                x = self.universe[i]
+                prefix, n = b_key(x)
+                memo = self.memos.setdefault(prefix, {})
+                parity = (sum(x.syllables) + x.beta) & 1
+                ids = self.ids
+            run, splits = self._run(j)
+            pid, n0 = self.kernel.key(memo, x.u, x.alpha, x.syllables, n, splits[parity])
+            for t, j2 in enumerate(run):
+                row[j2] = ids.setdefault((pid, n0 + t), len(ids))
+        if x is not None and len(ids) > len(self.counts):
+            self.counts += [0] * (len(ids) - len(self.counts))
 
     def _count(self, ids, step) -> None:
         """Add step (+1 or -1) to the multiplicity of each id."""
@@ -260,6 +314,8 @@ class _Counts:
         if len(self.rows) > self.max_rows:
             self.rows.clear()
             self.ids = {}
+            self.memos = {}
+            self.kernel.prefix_id = {}
         self.counts = [0] * len(self.ids)
         self.once = 0
         self._count(self._block(idxs, idxs), 1)

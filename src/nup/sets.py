@@ -23,17 +23,26 @@ with c_h = M*v_h, plus s_1 when alpha_h = 0, and r_h the a-letter core of h
 (empty for a power of b).  Then x * h = x' * r_h * b^(beta_h) with
 x' = x * a^(2u_h) * b^(c_h), whose key is x's with u moved by -/+ u_h (by the
 parity of x's b letters) and n by c_h.  Only x' * r_h is a NormalForm
-multiply, and it is made once per distinct (x', r_h) in a block of rows that
-share u, v, alpha and the syllables: the rows of a block differ only in beta,
-and the heads of a family are a few cores shifted along b, so the products
-repeat.  At base k = 5 that is 12,414 multiplies for 141,505 cells.
+multiply, and the relator a b^M a^-1 b^M lets many rows share it: b^(M w)
+passes r_h, its sign flipped by each letter a of r_h.  So when x' has
+n' = M*w + rho with 0 <= rho < M,
+
+    x' * r_h = (E(rho) * r_h) * b^(+-M w),
+
+where E(rho) is the element of x''s prefix whose n is rho, and the key of
+x' * r_h is that of E(rho) * r_h with n moved by +-M w.  RunProducts, the
+kernel that the scan and the search share, multiplies once per (row prefix
+(u, alpha, syllables), u shift and core, rho), however many rows and values
+of v the row prefix has.  At base k = 1, ..., 7 that is 20, 72, 272, 1,056,
+4,160, 16,512 and 65,792 multiplies, and the scaled sets T(1, q) make the
+multiplies of T at every q.
 
 The table stores the square once, as one cell per row and run.  A cell is
 the 4-byte id of a triple (prefix id, n0, run length, weight) in flat arrays
-of machine ints: the cells of a block that meet the same interval share one,
-so at base k = 7 the 8,553,217 cells hold 263,166 triples.  The product of
-row i and column j is the key (prefix id, n0 + offset of j in its run), read
-through the cell's triple.  A sweep over the triples of each prefix, two
+of machine ints: the cells of a row prefix that meet the same interval share
+one, so at base k = 7 the 8,553,217 cells hold 198,145 triples.  The product
+of row i and column j is the key (prefix id, n0 + offset of j in its run),
+read through the cell's triple.  A sweep over the triples of each prefix, two
 weighted events each, gives the distinct products and the uniquely
 represented ones; pair lists are rebuilt only on demand, through an index
 from triples to their cells.
@@ -152,6 +161,67 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
+class RunProducts:
+    """The keys of x * h for b-run heads h: the product kernel that the
+    square scan and the search share.
+
+    split(h) splits a head, as a word, into h = a^(2u_h) b^(c_h) r_h
+    b^(beta_h) (see the module docstring), once for the rows with an even
+    and once for those with an odd number of b letters: each split is
+    (core id, u shift, c_h, r_h, beta_h, flip), where the u shift is +u_h
+    or -u_h, r_h is None for a power of b, flip is set when r_h has an odd
+    number of letters a, and the core id numbers (u shift, r_h).  key()
+    multiplies once per (row prefix, core id, rho), in a memo of the row
+    prefix that the caller owns.  multiplies counts the multiplies made, and
+    prefix_id numbers the prefixes of the products in the order they are
+    first met.
+    """
+
+    __slots__ = ("k", "core_ids", "prefix_id", "multiplies")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.core_ids: dict = {}
+        self.prefix_id: dict = {}
+        self.multiplies = 0
+
+    def split(self, h: NormalForm) -> tuple[tuple, tuple]:
+        """h's splits for the rows with an even and with an odd number of b letters."""
+        k = self.k
+        syl, c_h = h.syllables, h.v << k
+        if not h.alpha and syl:
+            c_h += syl[0]
+            syl = syl[1:]
+        core = NormalForm._make(k, 0, 0, 1, syl, 0) if h.alpha or h.syllables else None
+        # r_h has 1 + len(syl) letters a, and each flips a passing b^M
+        flip = core is not None and not len(syl) & 1
+        ids = self.core_ids
+        return tuple((ids.setdefault((du, core), len(ids)), du, c_h, core, h.beta, flip) for du in (h.u, -h.u))
+
+    def key(self, memo: dict, u: int, alpha: int, syl: tuple, n: int, head: tuple) -> tuple[int, int]:
+        """The key (prefix id, n) of x * h, where x has the b-coordinates
+        ((u, alpha, syl), n) and head is h's split for x's parity; memo is
+        the product memo of the row prefix (u, alpha, syl)."""
+        core_id, du, c_h, core, beta, flip = head
+        k = self.k
+        # x' = x * a^(2u_h) * b^(c_h) has the prefix (u + du, alpha, syl)
+        # and n + c_h = M w + rho, so x' * r_h = (E(rho) * r_h) * b^(+-M w)
+        # with E(rho) the element of x''s prefix whose n is rho
+        nz = n + c_h
+        rho = nz & ((1 << k) - 1) if core is not None else 0
+        memo_key = (core_id << k) + rho
+        hit = memo.get(memo_key)
+        if hit is None:
+            if core is None:
+                prefix, zn = (u + du, alpha, syl), 0
+            else:
+                prefix, zn = b_key(NormalForm._make(k, u + du, 0, alpha, syl, rho) * core)
+                self.multiplies += 1
+            hit = memo[memo_key] = self.prefix_id.setdefault(prefix, len(self.prefix_id)), zn
+        shift = nz - rho
+        return hit[0], hit[1] + beta + (-shift if flip else shift)
+
+
 # cell ids are 32-bit ints
 MAX_CELLS = (1 << 31) - 1
 
@@ -163,8 +233,11 @@ class FactorizationTable:
     Cell c = i * len(runs) + r is the product of X[i] with the run: X[i]
     times the t-th element of the run is (prefix id, n0 + t), so the run's
     products are the interval [n0, n0 + len(run)) of one prefix.  Keys
-    (prefix id, n) name products exactly; prefixes are numbered in scan
-    order.
+    (prefix id, n) name products exactly.  The scan visits the rows grouped
+    by row prefix (u, alpha, syllables), the groups in the order of their
+    first rows and each group in row order, and each row's runs in order;
+    prefixes and triples are numbered in that order, and each cell is
+    written in place into cell_triple, allocated whole before the scan.
 
     A cell holds only the id of its triple, cell_triple[c] = t.  Triple t is
     the interval: prefix id triple_pid[t], start triple_n0[t] and length
@@ -173,14 +246,18 @@ class FactorizationTable:
     triple_prev, ending at -1.  All of these are flat arrays: no tuple is
     stored per cell or per triple.
 
-    The scan multiplies once per distinct (x', core) of a block of rows (see
-    the module docstring), and multiplies counts the multiplies made.  A
-    second memo of the block names each cell's triple; both are cleared when
-    the next block starts, so an interval met in two blocks has two triples,
-    whose weights the sweep adds.  A cell takes 4 bytes and a triple 24;
-    tracemalloc gives 13.5 and 9.0 B per cell at base k = 5 and 6, where the
-    prefixes and the triples still count.  Cell ids are 32-bit ints, so more
-    than MAX_CELLS cells are refused with a ValueError before the scan; base
+    The scan names each product through a RunProducts kernel (see the module
+    docstring), and multiplies counts the multiplies made.  A memo of the row
+    prefix, keyed by (n + c_h) << shift plus an id of (u shift, core, beta_h,
+    run length), names each cell's triple.  The rows of a row prefix come in
+    order of v, and two rows whose keys meet are less than reach apart in v,
+    so every reach values of v the memo drops the triples made before its
+    last such purge.  In the paper's sets every distinct (prefix, n0, run
+    length) then has exactly one triple; in another set two heads may meet
+    one interval, whose two triples' weights the sweep adds.  A cell takes 4
+    bytes and a triple 24; tracemalloc gives 12.5 and 8.3 B per cell at base
+    k = 5 and 6, where the prefixes and the triples still count.  Cell ids
+    are 32-bit ints, so more than MAX_CELLS cells are refused with a ValueError before the scan; base
     k = 8, the largest base set the CLI admits, has 67,765,761.  triple_n0
     holds 64-bit ints; a product beyond that is refused with a ValueError.
 
@@ -201,96 +278,84 @@ class FactorizationTable:
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
         self.y = y
-        self.runs = b_runs(y.elements)
-        if len(x) * len(self.runs) > MAX_CELLS:
-            raise ValueError(f"{len(x)} rows times {len(self.runs)} b-runs is {len(x) * len(self.runs):,} cells, above the {MAX_CELLS:,} that 32-bit cell ids name")
+        self.runs = runs = b_runs(y.elements)
+        R = len(runs)
+        if len(x) * R > MAX_CELLS:
+            raise ValueError(f"{len(x)} rows times {R} b-runs is {len(x) * R:,} cells, above the {MAX_CELLS:,} that 32-bit cell ids name")
         k = x.params.k
-        mask = (1 << k) - 1
-        # A head is (triple offset, (product offset, beta_h, run length,
-        # u shift, c_h, core)), listed for rows with an even and an odd number
-        # of b letters; core is None for a power of b.  The offsets pack c_h
-        # above an id of (u shift, core, beta_h, run length), or of (u shift,
-        # core), below 2 * runs, so within one block (n << shift) + offset
-        # names the cell's triple, or x' * core, exactly.
-        shift = (2 * len(self.runs)).bit_length()
-        product_ids: dict = {}
+        kernel = RunProducts(k)
+        product_key = kernel.key
+        # A head is (triple offset, run length, split), listed for rows with
+        # an even and an odd number of b letters.  The offset packs c_h above
+        # an id of (core id, beta_h, run length), below 2 * runs, so within
+        # one row prefix (n << shift) + offset names the cell's triple exactly.
+        shift = (2 * R).bit_length()
         triple_ids: dict = {}
+        c_range: dict = {}  # triple id -> (least, greatest c_h)
         even, odd = [], []
-        for run in self.runs:
-            h = y.elements[run[0]]
-            syl, c_h = h.syllables, h.v << k
-            if not h.alpha and syl:
-                c_h += syl[0]
-                syl = syl[1:]
-            core = NormalForm._make(k, 0, 0, 1, syl, 0) if h.alpha or h.syllables else None
-            for heads, du in ((even, h.u), (odd, -h.u)):
-                p_off = (c_h << shift) + product_ids.setdefault((du, core), len(product_ids))
-                t_off = (c_h << shift) + triple_ids.setdefault((du, core, h.beta, len(run)), len(triple_ids))
-                heads.append((t_off, (p_off, h.beta, len(run), du, c_h, core)))
-        self._prefix_id = prefix_id = {}
+        for run in runs:
+            for heads, split in zip((even, odd), kernel.split(y.elements[run[0]])):
+                core_id, _, c_h, _, beta, _ = split
+                tid = triple_ids.setdefault((core_id, beta, len(run)), len(triple_ids))
+                lo, hi = c_range.get(tid, (c_h, c_h))
+                c_range[tid] = min(lo, c_h), max(hi, c_h)
+                heads.append(((c_h << shift) + tid, len(run), split))
+        # two rows whose offsets name one triple have n at most the widest
+        # c_h range apart, so v less than reach apart
+        reach = max((hi - lo for lo, hi in c_range.values()), default=0) // (1 << k) + 2
+        # the rows of each row prefix (u, alpha, syllables), in row order
+        rows_of: dict = {}
+        for i, xe in enumerate(x.elements):
+            rows_of.setdefault((xe.u, xe.alpha, xe.syllables), array("i")).append(i)
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
-        self.cell_triple = array("i")
+        self.cell_triple = cells = array("i", [0]) * (len(x) * R)
         self.triple_pid, self.triple_n0, self.triple_len = array("i"), array("q"), array("i")
         weights: list = []  # a list while the scan counts: its items update faster
-        add_cell = self.cell_triple.append
         new_pid, new_n0, new_len, new_weight = self.triple_pid.append, self.triple_n0.append, self.triple_len.append, weights.append
-        triples: dict = {}
         products: dict = {}
-        triples_get, products_get = triples.get, products.get
-        block = None
-        multiplies = 0
+        xs = x.elements
         try:
-            for xe in x.elements:
-                u, alpha, syl = xe.u, xe.alpha, xe.syllables
-                if block != (u, xe.v, alpha, syl):
-                    # the memo keys assume one block; a new block starts empty
-                    block = (u, xe.v, alpha, syl)
-                    triples.clear()
-                    products.clear()
-                    a_odd = (alpha + len(syl)) & 1
-                    syl_sum = sum(syl)
-                n = (-(xe.v << k) if a_odd else xe.v << k) + xe.beta
-                row_key = n << shift
-                for offset, head in odd if (syl_sum + xe.beta) & 1 else even:
-                    key = row_key + offset
-                    t = triples_get(key)
-                    if t is not None:
-                        weights[t] += 1
-                    else:
-                        p_off, beta, length, du, c_h, core = head
-                        hit = products_get(row_key + p_off)
-                        if hit is None:
-                            # x' = x * a^(2u_h) * b^(c_h) has u + du and n + c_h
-                            nz = n + c_h
-                            if core is None:
-                                prefix = (u + du, alpha, syl)
-                            else:
-                                v1 = (nz - (nz & mask)) >> k
-                                z = NormalForm._make(k, u + du, -v1 if a_odd else v1, alpha, syl, nz & mask) * core
-                                multiplies += 1
-                                # b_key(z), inlined
-                                z_syl = z.syllables
-                                nz = (-(z.v << k) if (z.alpha + len(z_syl)) & 1 else z.v << k) + z.beta
-                                prefix = (z.u, z.alpha, z_syl)
-                            pid = prefix_id.get(prefix)
-                            if pid is None:
-                                pid = prefix_id[prefix] = len(last)
+            for (u, alpha, syl), rows in rows_of.items():
+                # both memos are keyed within one row prefix
+                products.clear()
+                triples, kept, v_next = {}, len(prev), xs[rows[0]].v + reach
+                triples_get = triples.get
+                a_odd = (alpha + len(syl)) & 1
+                syl_sum = sum(syl)
+                for i in rows:
+                    xe = xs[i]
+                    if xe.v >= v_next:
+                        # the rows of a row prefix come in order of v, so the
+                        # triples made before the last purge are met no more
+                        triples = {key: t for key, t in triples.items() if t >= kept}
+                        triples_get = triples.get
+                        kept, v_next = len(prev), xe.v + reach
+                    n = (-(xe.v << k) if a_odd else xe.v << k) + xe.beta
+                    row_key = n << shift
+                    c = i * R
+                    for offset, length, split in odd if (syl_sum + xe.beta) & 1 else even:
+                        t = triples_get(row_key + offset)
+                        if t is None:
+                            pid, n0 = product_key(products, u, alpha, syl, n, split)
+                            if pid == len(last):
                                 last.append(-1)
-                            hit = products[row_key + p_off] = (pid, nz)
-                        t = triples[key] = len(prev)
-                        pid = hit[0]
-                        prev.append(last[pid])
-                        last[pid] = t
-                        new_pid(pid)
-                        new_n0(hit[1] + beta)
-                        new_len(length)
-                        new_weight(1)
-                    add_cell(t)
+                            t = triples[row_key + offset] = len(prev)
+                            prev.append(last[pid])
+                            last[pid] = t
+                            new_pid(pid)
+                            new_n0(n0)
+                            new_len(length)
+                            new_weight(1)
+                        else:
+                            weights[t] += 1
+                        cells[c] = t
+                        c += 1
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.triple_weight = array("i", weights)
-        self.prefixes = list(prefix_id)
-        self.multiplies = multiplies
+        self._prefix_id = kernel.prefix_id
+        self.prefixes = list(kernel.prefix_id)
+        self.multiplies = kernel.multiplies
         self._cols = self._counts = self._cells = None
 
     def _sweep(self) -> tuple[int, int, list]:

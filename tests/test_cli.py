@@ -365,8 +365,8 @@ class TestReportBlocks:
         path = tmp_path / "v.json"
         assert main(["verify", "--k", "2", "--json", str(path)]) == 0
         data = json.loads(path.read_text())
-        # one multiply per distinct (x', core) of a block of rows, not 49 * 9
-        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 206, "distinct_products": data["product_size"]}
+        # one multiply per (row prefix, u shift and core, rho), not 49 * 9
+        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 72, "distinct_products": data["product_size"]}
         assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
         assert data["timings"]["claims_s"] == 0.0
 

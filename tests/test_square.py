@@ -1,10 +1,10 @@
 """Differential tests of the b-interval product table against the plain scan.
 
 tests/brute_square.py multiplies every pair; product_table does one multiply
-per distinct (x', core) of a block of rows.  They must agree on every pair
-list, multiplicity, unique product (order and witness), on the pair total and
-on the key (prefix id, n) of every pair; factors_in must list every pair of a
-key.  Every cell, expanded through its triple to (prefix, n0, run length),
+per (row prefix, u shift and core, residue of n mod 2^k).  They must agree on
+every pair list, multiplicity, unique product (order and witness), on the
+pair total and on the key (prefix id, n) of every pair; factors_in must list
+every pair of a key.  Every cell, expanded through its triple to (prefix, n0, run length),
 must equal brute_square.reference_cells, which multiplies every row by every
 run head, and every triple's weight must be the number of its cells.
 """
@@ -17,10 +17,10 @@ import pytest
 
 from brute_square import brute_counts, brute_pairs, brute_uniques, reference_cells
 from conftest import random_element
-from nup import sets
+from nup import search, sets
 from nup.families import FamilySpec, build_family
 from nup.search import candidate_universe
-from nup.sets import MAX_CELLS, b_key, b_runs, make_set, product_table, unique_products
+from nup.sets import MAX_CELLS, RunProducts, b_key, b_runs, make_set, product_table, unique_products
 from nup.words import GroupParams, NormalForm, from_string, from_word, generator
 
 ACCEPTANCE_06 = [(1, 1, 3), (1, 3, 3), (1, 1, 5), (2, 1, 5), (2, 3, 5)]
@@ -246,8 +246,8 @@ def test_cell_ids_beyond_32_bits_refused(monkeypatch):
 
 
 def test_one_multiply_per_row_and_run(monkeypatch):
-    # one multiply per distinct (x', core) of a block, not per row and run,
-    # and the count reported is the count made
+    # one multiply per (row prefix, u shift and core, rho), not per row and
+    # run, and the count reported is the count made
     T = build_family(FamilySpec(4))
     calls = 0
     mul = NormalForm.__mul__
@@ -259,9 +259,9 @@ def test_one_multiply_per_row_and_run(monkeypatch):
 
     monkeypatch.setattr(NormalForm, "__mul__", counting)
     table = product_table(T, T)
-    assert calls == 3134 < 577 * 33
-    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 3134, "distinct_products": len(table)}
-    assert calls == 3134  # len() and counters() multiply nothing
+    assert calls == 1056 < 577 * 33
+    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 1056, "distinct_products": len(table)}
+    assert calls == 1056  # len() and counters() multiply nothing
 
 
 def assert_same_cells(X, Y):
@@ -273,8 +273,18 @@ def assert_same_cells(X, Y):
     # every cell expands to its own (prefix, n0, run length)
     pid, n0, length = table.triple_pid, table.triple_n0, table.triple_len
     assert [(table.prefixes[pid[t]], n0[t], length[t]) for t in table.cell_triple] == cells
-    # prefixes are numbered in scan order, and each links its triples from the last
-    assert table.prefixes == list(dict.fromkeys(prefix for prefix, _, _ in cells))
+    # prefixes are numbered in scan order, and each links its triples from the
+    # last.  The scan visits the rows grouped by row prefix (u, alpha,
+    # syllables), the groups in the order of their first rows and each group
+    # in row order, and the runs of a row in order
+    groups: dict = {}
+    for i, xe in enumerate(X.elements):
+        groups.setdefault((xe.u, xe.alpha, xe.syllables), []).append(i)
+    R = len(table.runs)
+    visited = [i * R + r for rows in groups.values() for i in rows for r in range(R)]
+    assert table.prefixes == list(dict.fromkeys(cells[c][0] for c in visited))
+    # triples are numbered in scan order too
+    assert list(dict.fromkeys(table.cell_triple[c] for c in visited)) == list(range(len(pid)))
     assert table.last_triple.typecode == table.triple_prev.typecode == "i"
     newest_first: dict = {}
     for t in range(len(pid)):
@@ -289,8 +299,8 @@ def assert_same_cells(X, Y):
 
 class TestSharedMultiplies:
     """The table multiplies each row by a run head's a-letter core once per
-    distinct (x', core) of a block of rows, and shares a triple among the
-    cells of a block with one interval; every cell must still expand to the
+    (row prefix, u shift and core, rho), and shares a triple among the cells
+    of a row prefix with one interval; every cell must still expand to the
     product of one multiply per row and run."""
 
     @pytest.mark.parametrize("point", REFERENCE_POINTS)
@@ -298,6 +308,19 @@ class TestSharedMultiplies:
         T = build_family(FamilySpec(*point))
         table = assert_same_cells(T, T)
         assert table.multiplies < len(T) * len(table.runs)
+        # in the paper's sets every distinct (prefix, n0, run length) of the
+        # cells has exactly one triple
+        assert len(set(zip(table.triple_pid, table.triple_n0, table.triple_len))) == len(table.triple_pid)
+
+    @pytest.mark.parametrize("k, base, qs", [(1, 20, (3, 5, 101)), (2, 72, (5, 9, 201))])
+    def test_multiplies_do_not_grow_with_q(self, k, base, qs):
+        # T(1, q) has the row prefixes and heads of T, only more rows of each
+        # and longer runs, and a product is named by its residue mod 2^k
+        counts = []
+        for spec in [FamilySpec(k)] + [FamilySpec(k, 1, q) for q in qs]:
+            T = build_family(spec)
+            counts.append(product_table(T, T).multiplies)
+        assert counts == [base] * 4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_ball_progressions(self, k):
@@ -342,3 +365,90 @@ def test_cells_are_machine_ints():
         tracemalloc.stop()
     assert table.cell_triple.typecode == "i"
     assert peak <= 15 * len(T) * len(table.runs)
+
+
+def assert_kernel_keys(X, Y, rng) -> set:
+    """RunProducts.key of every row of X and b-run of Y against b_key of a
+    plain multiply by the run's head, the rows met in a random order that
+    shares each row prefix's memo; returns the shapes of what was met."""
+    runs = b_runs(Y.elements)
+    kernel = RunProducts(X.params.k)
+    splits = [kernel.split(Y[run[0]]) for run in runs]
+    memos: dict = {}
+    rows = list(range(len(X)))
+    rng.shuffle(rows)
+    names: list = []  # the prefixes by id
+    shapes = set()
+    for i in rows:
+        x = X[i]
+        prefix, n = b_key(x)
+        parity = (sum(x.syllables) + x.beta) & 1
+        for run, head in zip(runs, (split[parity] for split in splits)):
+            pid, n0 = kernel.key(memos.setdefault(prefix, {}), x.u, x.alpha, x.syllables, n, head)
+            if pid >= len(names):
+                names = list(kernel.prefix_id)
+            assert (names[pid], n0) == b_key(x * Y[run[0]])
+            _, _, c_h, core, _, flip = head
+            shapes.add("b-power" if core is None else "odd a letters" if flip else "even a letters")
+            if core is not None and (n + c_h) >> X.params.k:
+                shapes.add("core passed by b^(M w), w != 0")
+    # one multiply per memo entry of a core, and none for a power of b
+    cores = {h[0] for split in splits for h in split if h[3] is not None}
+    assert kernel.multiplies == sum(key >> X.params.k in cores for memo in memos.values() for key in memo)
+    v_of: dict = {}
+    for x in X.elements:
+        v_of.setdefault(b_key(x)[0], set()).add(x.v)
+    if any(len(vs) > 1 for vs in v_of.values()):
+        shapes.add("rows of a row prefix span several v")
+    return shapes
+
+
+class TestRunProducts:
+    """The product kernel against a plain multiply, for every row and run."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ball_subsets(self, k):
+        P = GroupParams(k)
+        U = candidate_universe(P, 4)
+        b = generator(P, "b")
+        rng = random.Random(70 + k)
+        shapes = set()
+        for _ in range(20):
+            # b-progressions of ball elements, so rows of a row prefix span
+            # several v and runs are long, and random ball subsets
+            elements = []
+            for w in rng.sample(U, rng.randrange(1, 5)):
+                elements.append(w)
+                for _ in range(rng.choice((0, 1, 1 << k, (2 << k) + 3))):
+                    elements.append(elements[-1] * b)
+            X = make_set(P, elements)
+            Y = make_set(P, rng.sample(U, rng.randrange(1, 30)))
+            for A, B in ((X, X), (X, Y), (Y, X), (Y, Y)):
+                shapes |= assert_kernel_keys(A, B, rng)
+        assert shapes == {"b-power", "odd a letters", "even a letters", "core passed by b^(M w), w != 0", "rows of a row prefix span several v"}
+
+    @pytest.mark.parametrize("point", REFERENCE_POINTS)
+    def test_family(self, point):
+        T = build_family(FamilySpec(*point))
+        shapes = assert_kernel_keys(T, T, random.Random(len(T)))
+        assert {"b-power", "odd a letters", "core passed by b^(M w), w != 0", "rows of a row prefix span several v"} <= shapes
+
+
+@pytest.mark.parametrize("k, cap", [(1, 4), (2, 3), (3, 3)])
+def test_search_ids_name_products(k, cap):
+    # two entries of the search's table share an id exactly when their
+    # products are equal, with the entries named in a random order of blocks
+    P = GroupParams(k)
+    U = candidate_universe(P, cap)
+    counts = search._Counts(U, 8)
+    rng = random.Random(k)
+    order = list(range(len(U)))
+    for _ in range(6):
+        rng.shuffle(order)
+        counts._block(order[:5], order[: rng.randrange(1, len(U))])
+    n = len(U)
+    ids = counts._block(range(n), range(n))
+    id_of: dict = {}
+    for c, p in enumerate(ids):
+        assert id_of.setdefault(U[c // n] * U[c % n], p) == p
+    assert len(set(id_of.values())) == len(id_of)
