@@ -529,7 +529,7 @@ class FactorizationTable:
 
 
 def product_table(X: GroupSet, Y: GroupSet) -> FactorizationTable:
-    """Complete factorization table of X*Y with one multiply per (x, b-run of Y)."""
+    """Complete factorization table of X*Y, with one multiply per (row prefix, core, n mod 2^k)."""
     if X.params != Y.params:
         raise ValueError("product of sets over different groups")
     return FactorizationTable(X, Y)
