@@ -384,24 +384,25 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _target_block(inv: Inventory, tgt_left, tgt_right, residue) -> tuple[list, list, dict]:
-    """(left rows in scope, b-runs of the right progression, its columns by j)
-    of a chart row's target block; with a residue, only left trailing
-    exponents congruent to it mod M are in scope."""
+def _target_block(inv: Inventory, tgt_left, tgt_right, residue) -> tuple[dict, dict]:
+    """(the table's block of the left rows in scope times the right
+    progression's b-runs, its columns by j) of a chart row's target block;
+    with a residue, only left trailing exponents congruent to it mod M."""
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
     row, memb = inv.prog[tgt_left], inv.prog[tgt_right]
     lefts = [li for c in range(lo, hi + 1, 1 if residue is None else inv.M) if (li := row.get(c)) is not None]
-    return lefts, inv.table.runs_of(memb.values()), memb
+    return inv.table.block(lefts, inv.table.runs_of(memb.values())), memb
 
 
 def _find_alternative(inv: Inventory, z: tuple[int, int], block, exclude_pair) -> Optional[tuple[int, int]]:
     """The index pair (u', w') != exclude_pair of the product with key z in
-    a _target_block, or None: one forward cell read per left row and run."""
-    lefts, runs, memb = block
+    a _target_block, or None: the first of the block's pairs that meet z,
+    whose rows the table finds by bisection, in the order of its rows."""
+    products, memb = block
     labels = inv.gset.labels
-    pairs = inv.table.factors_in(lefts, runs, z)
+    pairs = inv.table.factors_in(products, z)
     return next(((li, ri) for li, ri in pairs if memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair), None)
 
 

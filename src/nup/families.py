@@ -111,25 +111,20 @@ def expected_cardinality(spec: FamilySpec) -> int:
 
 
 # Largest predicted peak memory the CLI admits, in bytes.  The prediction is
-# 850 B per element and 5 B per cell of the square's table.  A family has one
-# b-run per progression, 2^(k+1) + 1 of them, and the table one cell per row
-# and run: a 4-byte triple id, in an array allocated whole.  The triples
-# (24 B each; 4 to 6 per element at every family point measured, one per
-# distinct interval) and the prefixes (about 1.5 per element at base k = 7)
-# scale with the elements, so the element term holds them: the peak RSS of
-# verify, less the interpreter's 15.2 MiB and 4 B per cell, leaves 462, 824,
-# 859 and 883 B per element at base k = 5, 6, 7 and 8 (16.7, 26.0, 75.1 and
-# 385.0 MiB) and 710 at (k, p, q) = (1, 1, 4001) (70.9 MiB), which the fifth
-# byte per cell more than covers at k = 7 and 8.  check adds 0.15 B per pair:
-# the coverage bits, in Python ints rebuilt by every mark, take 10-14% above
-# |T|^2/8 bytes.  With them the prediction covers check at base k = 5, 6 and
-# 7 (19.2, 36.3 and 220.7 MiB) and at (1, 1, 801), (2, 1, 401) and
-# (1, 1, 1601) (60.4, 90.7 and 171.9 MiB), less the 16.7 MiB of check --k 1.
-# This admits verify --k 8 (430 MiB) and check --k 7 (226 MiB), and refuses
-# check --k 8 and every k >= 9.
+# 1,400 B per element: the square's table stores nothing per (row, run)
+# pair, and its triples (4 to 6 per element), product memos, rows and
+# prefixes grow with the elements.  The peak RSS of verify, less the
+# interpreter's 15.2 MiB, leaves 1,011, 1,191, 1,282 and 1,353 B per element
+# at base k = 5, 6, 7 and 8 (17.3, 24.8, 55.9 and 185.6 MiB) and 739 at (k,
+# p, q) = (1, 1, 4001) (71.6 MiB).  check adds 0.15 B per pair for the
+# coverage bits, in Python ints rebuilt by every mark (10-14% above |T|^2/8
+# bytes), and so covers check at base k = 5, 6 and 7 (19.2, 35.1 and 199.8
+# MiB) and at (1, 1, 801), (2, 1, 401) and (1, 1, 1601) (62.9, 92.1 and
+# 174.5 MiB), less the 16.8 MiB of check --k 1.  This admits verify --k 8
+# (176 MiB) and check --k 7 (202 MiB), and refuses check --k 8 (2,672 MiB) and
+# every k >= 9 (verify --k 9 at 702 MiB).
 MEMORY_BUDGET = 512 << 20
-_ELEMENT_BYTES = 850
-_CELL_BYTES = 5
+_ELEMENT_BYTES = 1400
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:
@@ -139,8 +134,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     if spec.k > MAX_K:  # |T| > 2^(2k+1): say so without computing 2^k
         raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
-    cells = size * (2 * (1 << spec.k) + 1)
-    predicted = size * _ELEMENT_BYTES + cells * _CELL_BYTES
+    predicted = size * _ELEMENT_BYTES
     if claims:
         predicted += size * size * 3 // 20
     if predicted > MEMORY_BUDGET:

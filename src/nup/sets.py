@@ -33,19 +33,17 @@ where E(rho) is the element of x''s prefix whose n is rho, and the key of
 x' * r_h is that of E(rho) * r_h with n moved by +-M w.  RunProducts, the
 kernel that the scan and the search share, multiplies once per (row prefix
 (u, alpha, syllables), u shift and core, rho), however many rows and values
-of v the row prefix has.  At base k = 1, ..., 7 that is 20, 72, 272, 1,056,
-4,160, 16,512 and 65,792 multiplies, and the scaled sets T(1, q) make the
-multiplies of T at every q.
+of v the row prefix has: 4^(k+1) + 2^(k+1) multiplies at base k, and as many
+for the scaled sets T(1, q) at every q.
 
-The table stores the square once, as one cell per row and run.  A cell is
-the 4-byte id of a triple (prefix id, n0, run length, weight) in flat arrays
-of machine ints: the cells of a row prefix that meet the same interval share
-one, so at base k = 7 the 8,553,217 cells hold 198,145 triples.  The product
-of row i and column j is the key (prefix id, n0 + offset of j in its run),
-read through the cell's triple.  A sweep over the triples of each prefix, two
-weighted events each, gives the distinct products and the uniquely
-represented ones; pair lists are rebuilt only on demand, through an index
-from triples to their cells.
+The table stores the square once, as weighted intervals: one triple
+(prefix id, n0, run length, weight) per interval that rows of one row prefix
+meet, with no entry per row and run.  The scan counts each interval's rows by
+convolving intervals of n with the heads' c_h, a triple's pairs are the rows
+and heads with n + c_h = nz, and since within a row prefix and a residue of
+n mod 2^k a product's n0 moves by +-1 per unit of n, a reader finds the rows
+that meet a product by bisection.  A sweep over the triples of each prefix,
+two weighted events each, gives the distinct products and the unique ones.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -57,7 +55,10 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heapreplace
+from itertools import pairwise
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .words import GroupParams, NormalForm, from_string, to_string
@@ -168,9 +169,10 @@ class RunProducts:
     split(h) splits a head, as a word, into h = a^(2u_h) b^(c_h) r_h
     b^(beta_h) (see the module docstring), once for the rows with an even
     and once for those with an odd number of b letters: each split is
-    (core id, u shift, c_h, r_h, beta_h, flip), where the u shift is +u_h
-    or -u_h, r_h is None for a power of b, flip is set when r_h has an odd
-    number of letters a, and the core id numbers (u shift, r_h).  key()
+    (core id << k, mask, c_h, beta_h, flip, u shift, r_h), where the core id
+    numbers (u shift, r_h), the u shift is +u_h or -u_h, r_h is None for a
+    power of b, rho = (n + c_h) & mask (mask is 2^k - 1, or 0 when r_h is
+    None), and flip is set when r_h has an odd number of letters a.  key()
     multiplies once per (row prefix, core id, rho), in a memo of the row
     prefix that the caller owns.  multiplies counts the multiplies made, and
     prefix_id numbers the prefixes of the products in the order they are
@@ -195,168 +197,142 @@ class RunProducts:
         core = NormalForm._make(k, 0, 0, 1, syl, 0) if h.alpha or h.syllables else None
         # r_h has 1 + len(syl) letters a, and each flips a passing b^M
         flip = core is not None and not len(syl) & 1
-        ids = self.core_ids
-        return tuple((ids.setdefault((du, core), len(ids)), du, c_h, core, h.beta, flip) for du in (h.u, -h.u))
+        ids, mask = self.core_ids, (1 << k) - 1 if core is not None else 0
+        return tuple((ids.setdefault((du, core), len(ids)) << k, mask, c_h, h.beta, flip, du, core) for du in (h.u, -h.u))
 
     def key(self, memo: dict, u: int, alpha: int, syl: tuple, n: int, head: tuple) -> tuple[int, int]:
         """The key (prefix id, n) of x * h, where x has the b-coordinates
         ((u, alpha, syl), n) and head is h's split for x's parity; memo is
         the product memo of the row prefix (u, alpha, syl)."""
-        core_id, du, c_h, core, beta, flip = head
-        k = self.k
+        core_key, mask, c_h, beta, flip, du, core = head
         # x' = x * a^(2u_h) * b^(c_h) has the prefix (u + du, alpha, syl)
         # and n + c_h = M w + rho, so x' * r_h = (E(rho) * r_h) * b^(+-M w)
         # with E(rho) the element of x''s prefix whose n is rho
         nz = n + c_h
-        rho = nz & ((1 << k) - 1) if core is not None else 0
-        memo_key = (core_id << k) + rho
-        hit = memo.get(memo_key)
+        rho = nz & mask
+        hit = memo.get(core_key + rho)
         if hit is None:
             if core is None:
                 prefix, zn = (u + du, alpha, syl), 0
             else:
-                prefix, zn = b_key(NormalForm._make(k, u + du, 0, alpha, syl, rho) * core)
+                prefix, zn = b_key(NormalForm._make(self.k, u + du, 0, alpha, syl, rho) * core)
                 self.multiplies += 1
-            hit = memo[memo_key] = self.prefix_id.setdefault(prefix, len(self.prefix_id)), zn
+            hit = memo[core_key + rho] = self.prefix_id.setdefault(prefix, len(self.prefix_id)), zn
         shift = nz - rho
         return hit[0], hit[1] + beta + (-shift if flip else shift)
 
 
-# cell ids are 32-bit ints
-MAX_CELLS = (1 << 31) - 1
-
-
 class FactorizationTable:
-    """All factorizations of the product set X*Y, stored as one cell per
-    (row i, b-run r of Y).
+    """All factorizations of the product set X*Y, as weighted intervals.
 
-    Cell c = i * len(runs) + r is the product of X[i] with the run: X[i]
-    times the t-th element of the run is (prefix id, n0 + t), so the run's
-    products are the interval [n0, n0 + len(run)) of one prefix.  Keys
-    (prefix id, n) name products exactly.  The scan visits the rows grouped
-    by row prefix (u, alpha, syllables), the groups in the order of their
-    first rows and each group in row order, and each row's runs in order;
-    prefixes and triples are numbered in that order, and each cell is
-    written in place into cell_triple, allocated whole before the scan.
+    X[i] times a b-run of Y is the interval [n0, n0 + run length) of one
+    product prefix, named by a RunProducts kernel (see the module docstring).
+    Within one row prefix (u, alpha, syllables) it depends on the row's n only
+    through nz = n + c_h and the head's class (core id, beta_h, run length).
+    So the scan visits no (row, run) pair: per row prefix it convolves the
+    rows' n, as step-2 intervals per parity (which picks the heads' split),
+    with each class's c_h by +1 and -1 events, sums both parities, and makes
+    one kernel key and one triple per (class, nz) of positive weight.  The
+    paper's sets get one triple per distinct (prefix, n0, run length);
+    elsewhere two may share one, and the sweep adds their weights.
 
-    A cell holds only the id of its triple, cell_triple[c] = t.  Triple t is
-    the interval: prefix id triple_pid[t], start triple_n0[t] and length
-    triple_len[t], and triple_weight[t] counts the cells that hold it.  The
-    triples of prefix pid are linked from last_triple[pid] through
-    triple_prev, ending at -1.  All of these are flat arrays: no tuple is
-    stored per cell or per triple.
+    Triple t has prefix id triple_pid[t], start triple_n0[t], length
+    triple_len[t], weight triple_weight[t] (the (row, run) pairs that meet
+    it) and nz triple_nz[t]; the triples of prefix pid are linked from
+    last_triple[pid] through triple_prev, ending at -1.  All are flat arrays
+    of machine ints; a product beyond 64 bits is refused with a ValueError.
 
-    The scan names each product through a RunProducts kernel (see the module
-    docstring), and multiplies counts the multiplies made.  A memo of the row
-    prefix, keyed by (n + c_h) << shift plus an id of (u shift, core, beta_h,
-    run length), names each cell's triple.  The rows of a row prefix come in
-    order of v, and two rows whose keys meet are less than reach apart in v,
-    so every reach values of v the memo drops the triples made before its
-    last such purge.  In the paper's sets every distinct (prefix, n0, run
-    length) then has exactly one triple; in another set two heads may meet
-    one interval, whose two triples' weights the sweep adds.  A cell takes 4
-    bytes and a triple 24; tracemalloc gives 12.5 and 8.3 B per cell at base
-    k = 5 and 6, where the prefixes and the triples still count.  Cell ids
-    are 32-bit ints, so more than MAX_CELLS cells are refused with a ValueError before the scan; base
-    k = 8, the largest base set the CLI admits, has 67,765,761.  triple_n0
-    holds 64-bit ints; a product beyond that is refused with a ValueError.
-
-    product, factors_in, key_of and is_run read forward from a cell through
-    its triple, and the run and offset of every column, indexed on first
-    use.  The first count sweeps the triples of each prefix once.
-    factorizations, items and uniques walk one prefix's triples and reach
-    their cells through an inverse index, built on first use: verify and
-    check of a set with no unique product never build it.
+    product reads a pair's key from the kernel's product memos, which the
+    table keeps, without a multiply; factors_in reads a block of rows and
+    runs by bisection.  The pair lists recover a triple's pairs, the rows n
+    and heads c_h of its row prefix and class with n + c_h = nz, through an
+    index of the rows built on first use, which verify and check of a set
+    with no unique product never build.
     """
 
     __slots__ = (
         "x", "y", "runs", "prefixes", "multiplies",
-        "cell_triple", "triple_pid", "triple_n0", "triple_len", "triple_weight", "last_triple", "triple_prev",
-        "_prefix_id", "_cols", "_counts", "_cells",
+        "triple_pid", "triple_n0", "triple_len", "triple_weight", "triple_nz", "last_triple", "triple_prev",
+        "_splits", "_c_of", "_rows", "_sources", "_prefix_id", "_cols", "_counts", "_row_at",
     )
 
     def __init__(self, x: GroupSet, y: GroupSet):
         self.x = x
         self.y = y
         self.runs = runs = b_runs(y.elements)
-        R = len(runs)
-        if len(x) * R > MAX_CELLS:
-            raise ValueError(f"{len(x)} rows times {R} b-runs is {len(x) * R:,} cells, above the {MAX_CELLS:,} that 32-bit cell ids name")
         k = x.params.k
         kernel = RunProducts(k)
         product_key = kernel.key
-        # A head is (triple offset, run length, split), listed for rows with
-        # an even and an odd number of b letters.  The offset packs c_h above
-        # an id of (core id, beta_h, run length), below 2 * runs, so within
-        # one row prefix (n << shift) + offset names the cell's triple exactly.
-        shift = (2 * R).bit_length()
-        triple_ids: dict = {}
-        c_range: dict = {}  # triple id -> (least, greatest c_h)
-        even, odd = [], []
-        for run in runs:
-            for heads, split in zip((even, odd), kernel.split(y.elements[run[0]])):
-                core_id, _, c_h, _, beta, _ = split
-                tid = triple_ids.setdefault((core_id, beta, len(run)), len(triple_ids))
-                lo, hi = c_range.get(tid, (c_h, c_h))
-                c_range[tid] = min(lo, c_h), max(hi, c_h)
-                heads.append(((c_h << shift) + tid, len(run), split))
-        # two rows whose offsets name one triple have n at most the widest
-        # c_h range apart, so v less than reach apart
-        reach = max((hi - lo for lo, hi in c_range.values()), default=0) // (1 << k) + 2
-        # the rows of each row prefix (u, alpha, syllables), in row order
-        rows_of: dict = {}
+        self._splits = splits = [kernel.split(y.elements[run[0]]) for run in runs]
+        # for rows with an even and an odd number of b letters, the (c_h, run)
+        # of each class, named by its split with c_h = 0 (the key of (n, c_h)
+        # is that of (n + c_h, 0)) and its run length
+        self._c_of = c_of = ({}, {})
+        for r, (run, split) in enumerate(zip(runs, splits)):
+            for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, split):
+                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(run)), []).append((c_h, r))
+        rows_of: dict = {}  # row prefix -> its rows' (n, row)
         for i, xe in enumerate(x.elements):
-            rows_of.setdefault((xe.u, xe.alpha, xe.syllables), array("i")).append(i)
+            prefix, n = b_key(xe)
+            rows_of.setdefault(prefix, []).append((n, i))
+        self._rows = row_data = [None] * len(x)  # (product memo of the row prefix, n, parity)
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
-        self.cell_triple = cells = array("i", [0]) * (len(x) * R)
-        self.triple_pid, self.triple_n0, self.triple_len = array("i"), array("q"), array("i")
-        weights: list = []  # a list while the scan counts: its items update faster
-        new_pid, new_n0, new_len, new_weight = self.triple_pid.append, self.triple_n0.append, self.triple_len.append, weights.append
-        products: dict = {}
-        xs = x.elements
+        self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight, self.triple_nz = arrays = [array(c) for c in "iqiiq"]
+        new_pid, new_n0, new_len, new_weight, new_nz = (a.append for a in arrays)
+        self._sources = sources = []  # (first triple, row prefix's memo, class) of each lattice
         try:
             for (u, alpha, syl), rows in rows_of.items():
-                # both memos are keyed within one row prefix
-                products.clear()
-                triples, kept, v_next = {}, len(prev), xs[rows[0]].v + reach
-                triples_get = triples.get
-                a_odd = (alpha + len(syl)) & 1
+                memo: dict = {}
                 syl_sum = sum(syl)
-                for i in rows:
-                    xe = xs[i]
-                    if xe.v >= v_next:
-                        # the rows of a row prefix come in order of v, so the
-                        # triples made before the last purge are met no more
-                        triples = {key: t for key, t in triples.items() if t >= kept}
-                        triples_get = triples.get
-                        kept, v_next = len(prev), xe.v + reach
-                    n = (-(xe.v << k) if a_odd else xe.v << k) + xe.beta
-                    row_key = n << shift
-                    c = i * R
-                    for offset, length, split in odd if (syl_sum + xe.beta) & 1 else even:
-                        t = triples_get(row_key + offset)
-                        if t is None:
-                            pid, n0 = product_key(products, u, alpha, syl, n, split)
+                # the rows' n as step-2 intervals [a, b], per parity
+                spans: tuple = ([], [])
+                for n, i in sorted(rows):
+                    parity = (syl_sum + n) & 1
+                    row_data[i] = memo, n, parity
+                    side = spans[parity]
+                    if side and side[-1][1] + 2 == n:
+                        side[-1][1] = n
+                    else:
+                        side.append([n, n])
+                # the weight of nz in a class is #{(n, c) : n + c = nz}: +1 at
+                # a + c and -1 at b + c + 2 per interval and c, on the lattice
+                # of nz's parity, with the rows of both parities in one sum
+                events: dict = {}
+                for side, cs in zip(spans, c_of):
+                    for cls, c_hs in cs.items() if side else ():
+                        for c, _ in c_hs:
+                            lattice = events.setdefault((cls, (side[0][0] + c) & 1), {})
+                            for a, b in side:
+                                lattice[a + c] = lattice.get(a + c, 0) + 1
+                                lattice[b + c + 2] = lattice.get(b + c + 2, 0) - 1
+                for (cls, _), lattice in events.items():
+                    head, length = cls
+                    sources.append((len(prev), memo, cls))
+                    w = 0
+                    for start, end in pairwise(sorted(lattice)):
+                        w += lattice[start]
+                        for nz in range(start, end, 2) if w else ():
+                            pid, n0 = product_key(memo, u, alpha, syl, nz, head)
                             if pid == len(last):
                                 last.append(-1)
-                            t = triples[row_key + offset] = len(prev)
                             prev.append(last[pid])
-                            last[pid] = t
+                            last[pid] = len(prev) - 1
                             new_pid(pid)
                             new_n0(n0)
                             new_len(length)
-                            new_weight(1)
-                        else:
-                            weights[t] += 1
-                        cells[c] = t
-                        c += 1
+                            new_weight(w)
+                            new_nz(nz)
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
-        self.triple_weight = array("i", weights)
         self._prefix_id = kernel.prefix_id
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
-        self._cols = self._counts = self._cells = None
+        # the run of every column j and its offset there
+        self._cols = run_of, offset = array("i", [0]) * len(y), array("i", [0]) * len(y)
+        for r, run in enumerate(runs):
+            for t, j in enumerate(run):
+                run_of[j], offset[j] = r, t
+        self._counts = self._row_at = None
 
     def _sweep(self) -> tuple[int, int, list]:
         """(distinct products, unique products, ids of the prefixes holding a
@@ -396,7 +372,8 @@ class FactorizationTable:
         return self._counts
 
     def counters(self) -> dict:
-        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": self.multiplies, "distinct_products": len(self)}
+        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": self.multiplies,
+                "triples": len(self.triple_pid), "distinct_products": len(self)}
 
     def total_pairs(self) -> int:
         return len(self.x) * len(self.y)
@@ -406,45 +383,85 @@ class FactorizationTable:
 
     # -- products by key ------------------------------------------------------
 
-    def _columns(self) -> tuple[array, array]:
-        """(run of j, offset of j in its run) for every column j, indexed on
-        first use."""
-        if self._cols is None:
-            run_of = array("i", [0]) * len(self.y)
-            offset = array("i", [0]) * len(self.y)
-            for r, run in enumerate(self.runs):
-                for t, j in enumerate(run):
-                    run_of[j] = r
-                    offset[j] = t
-            self._cols = run_of, offset
-        return self._cols
-
     def product(self, i: int, j: int) -> tuple[int, int]:
-        """The key of X[i] * Y[j]."""
-        run_of, offset = self._cols or self._columns()
-        t = self.cell_triple[i * len(self.runs) + run_of[j]]
-        return self.triple_pid[t], self.triple_n0[t] + offset[j]
+        """The key of X[i] * Y[j], read through the product memo of X[i]'s row prefix."""
+        run_of, offset = self._cols
+        memo, n, parity = self._rows[i]
+        core_key, mask, c_h, beta, flip, _, _ = self._splits[run_of[j]][parity]
+        # RunProducts.key, whose memo entry the scan made
+        nz = n + c_h
+        rho = nz & mask
+        pid, zn = memo[core_key + rho]
+        shift = nz - rho
+        return pid, zn + beta + offset[j] + (-shift if flip else shift)
 
     def is_run(self, cols: list) -> bool:
         """True when the columns cols are consecutive elements, in order, of one b-run."""
-        run_of, offset = self._cols or self._columns()
+        run_of, offset = self._cols
         t0 = offset[cols[0]]
         return self.runs[run_of[cols[0]]][t0 : t0 + len(cols)] == cols
 
-    def factors_in(self, rows: Iterable[int], runs: Sequence[int], key: tuple[int, int]):
-        """Each (i, j) with i in rows, j in one of the b-runs runs and X[i] * Y[j]
-        named by key, in row order; a row meets each product at most once."""
-        pid, n = key
-        R, cell_triple, pids, n0, lens = len(self.runs), self.cell_triple, self.triple_pid, self.triple_n0, self.triple_len
-        for i in rows:
-            for r in runs:
-                t = cell_triple[i * R + r]
-                if pids[t] == pid and 0 <= n - n0[t] < lens[t]:
-                    yield i, self.runs[r][n - n0[t]]
+    def block(self, rows: Iterable[int], runs: Sequence[int]) -> dict:
+        """The rows rows times the b-runs runs, for factors_in: per product prefix
+        id, the entries (base, slope, run, position in runs, group) whose row n
+        meets the run at base + slope * n.  A group holds the rows of one row
+        prefix and n mod 2^k (or parity, for a head with no core): their n,
+        sorted, their (n, position in rows, row), and the order of the
+        positions along n, 1, -1, or 0 for neither."""
+        mask = (1 << self.x.params.k) - 1
+        groups: dict = {}  # by (id of the row prefix's memo, residue)
+        for pos, i in enumerate(rows):
+            memo, n, parity = self._rows[i]
+            for residue in (n & mask, -1 - parity):
+                groups.setdefault((id(memo), residue), []).append((n, pos, i))
+        out: dict = {}
+        for (_, residue), members in groups.items():
+            members.sort()
+            n, _, i = members[0]
+            parity = self._rows[i][2]
+            positions = [pos for _, pos, _ in members]
+            order = 1 if positions == sorted(positions) else -1 if positions == sorted(positions, reverse=True) else 0
+            group = [m[0] for m in members], members, order
+            for rpos, r in enumerate(runs):
+                _, head_mask, _, _, flip, _, _ = self._splits[r][parity]
+                if (residue < 0) == (head_mask == 0):  # a head with no core reads the rows of a parity
+                    run = self.runs[r]
+                    pid, n0 = self.product(i, run[0])
+                    out.setdefault(pid, []).append((n0 + n if flip else n0 - n, -1 if flip else 1, run, rpos, group))
+        return out
+
+    def factors_in(self, block: dict, key: tuple[int, int]):
+        """Each (i, j) of a block with X[i] * Y[j] named by key, in the order of
+        the block's rows, then of its runs; a row meets each product at most
+        once.  Each entry's meeting rows are found by bisection and merged
+        lazily, so a reader that stops at the first pair reads no more."""
+        pid, m = key
+        heap = []
+        for base, slope, run, rpos, (ns, members, order) in block.get(pid, ()):
+            # row n meets the run at offset m - base - slope * n, in [0, len(run))
+            lo = base - m if slope < 0 else m - base - len(run) + 1
+            a, b = bisect_left(ns, lo), bisect_left(ns, lo + len(run))
+            if a < b:
+                if not order:
+                    members, a, b, order = sorted(members[a:b], key=itemgetter(1)), 0, b - a, 1
+                h, stop = (a, b) if order > 0 else (b - 1, a - 1)
+                heap.append([members[h][1], rpos, h, stop, order, members, run, m - base, slope])
+        heapify(heap)
+        while heap:
+            top = heap[0]
+            _, _, h, stop, step, members, run, t0, slope = top
+            n, _, i = members[h]
+            yield i, run[t0 - slope * n]
+            h += step
+            if h == stop:
+                heappop(heap)
+            else:
+                top[0], top[2] = members[h][1], h
+                heapreplace(heap, top)
 
     def runs_of(self, cols: Iterable[int]) -> list[int]:
         """The b-runs that hold the columns cols, each once."""
-        run_of = (self._cols or self._columns())[0]
+        run_of = self._cols[0]
         return list(dict.fromkeys(run_of[j] for j in cols))
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
@@ -470,29 +487,20 @@ class FactorizationTable:
         n0, lens = self.triple_n0, self.triple_len
         return [t for t in self._triples(pid) if 0 <= n - n0[t] < lens[t]] if pid >= 0 else []
 
-    def _cells_of(self) -> tuple[array, array]:
-        """(starts, order): the cells of triple t are order[starts[t] : starts[t + 1]],
-        in row order; the inverse index, built on first use."""
-        if self._cells is None:
-            # a counting sort: the weights are the sizes of the buckets
-            starts = array("i", accumulate(self.triple_weight, initial=0))
-            fill = array("i", starts)
-            order = array("i", [0]) * len(self.cell_triple)
-            for c, t in enumerate(self.cell_triple):
-                order[fill[t]] = c
-                fill[t] += 1
-            self._cells = starts, order
-        return self._cells
+    def _cells(self, t: int) -> list[tuple[int, int]]:
+        """The (row, run) pairs that meet triple t: the rows n and heads c_h of
+        its lattice's row prefix and class with n + c_h = nz."""
+        self._row_at = self._row_at or {(id(memo), n): i for i, (memo, n, _) in enumerate(self._rows)}
+        _, memo, cls = self._sources[bisect_right(self._sources, t, key=itemgetter(0)) - 1]
+        nz, rows, row_at = self.triple_nz[t], self._rows, self._row_at
+        pairs = ((row_at.get((id(memo), nz - c)), r, parity) for parity, cs in enumerate(self._c_of) for c, r in cs.get(cls, ()))
+        # a row reads the heads' split for its own parity of b letters only
+        return [(i, r) for i, r, parity in pairs if i is not None and rows[i][2] == parity]
 
     def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
         """Every (i, j) with X[i] * Y[j] = z, sorted; a row meets z at most once."""
         pid, n = self.key_of(z)
-        meeting = self._meeting(pid, n)
-        if not meeting:
-            return []
-        starts, order = self._cells_of()
-        R, n0 = len(self.runs), self.triple_n0
-        return sorted((c // R, self.runs[c % R][n - n0[t]]) for t in meeting for c in order[starts[t] : starts[t + 1]])
+        return sorted((i, self.runs[r][n - self.triple_n0[t]]) for t in self._meeting(pid, n) for i, r in self._cells(t))
 
     def multiplicity(self, z: NormalForm) -> int:
         """The number of factorizations of z, from the weights of its triples."""
@@ -500,15 +508,12 @@ class FactorizationTable:
 
     def _points(self, pid: int) -> list[tuple[NormalForm, list]]:
         """Every product of one prefix with its sorted factorizations."""
-        starts, order = self._cells_of()
-        R, cell_triple, n0 = len(self.runs), self.cell_triple, self.triple_n0
         at: dict = {}
-        for c in sorted(c for t in self._triples(pid) for c in order[starts[t] : starts[t + 1]]):
-            i, r = divmod(c, R)
-            start = n0[cell_triple[c]]
-            for t, j in enumerate(self.runs[r]):
-                at.setdefault(start + t, []).append((i, j))
-        return [(self.element_of((pid, n)), pairs) for n, pairs in at.items()]
+        for t in self._triples(pid):
+            for i, r in self._cells(t):
+                for off, j in enumerate(self.runs[r]):
+                    at.setdefault(self.triple_n0[t] + off, []).append((i, j))
+        return [(self.element_of((pid, n)), sorted(pairs)) for n, pairs in at.items()]
 
     def items(self) -> list[tuple[NormalForm, list]]:
         """Every product with its sorted factorizations, in canonical order."""

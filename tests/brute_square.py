@@ -2,9 +2,8 @@
 
 Every one of the |X| * |Y| pairs is multiplied with NormalForm arithmetic and
 filed under its product in row-major order, so each pair list comes out
-sorted.  reference_cells expands every cell of the table, one multiply per
-row and b-run of Y: the oracle for the table's shared multiplies and its
-triples.
+sorted.  reference_cells names every row times every b-run of Y, one
+multiply each: the oracle for the table's shared multiplies and its triples.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from nup.sets import b_key, b_runs
 
 
 def reference_cells(X, Y) -> list[tuple]:
-    """(prefix, n0, run length) of every cell c = i * runs + r of X*Y,
-    multiplying every row by every run head."""
+    """(prefix, n0, run length) of X[i] times the b-run r of Y for every
+    (i, r) in row-major order, multiplying every row by every run head."""
     runs = b_runs(Y.elements)
     out = []
     for x in X.elements:

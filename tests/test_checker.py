@@ -279,11 +279,11 @@ class TestRewriteIdentities:
                 rlo, rhi = inv.bounds[(rfam, ridx)]
                 if row.src == "short":
                     rlo = inv.top - M + 1
-                lefts, runs, memb = checker._target_block(inv, *row.target(ctx), None)
+                block, memb = checker._target_block(inv, *row.target(ctx), None)
                 residues = set()
                 for j in range(rlo, rhi + 1):
                     ri = inv.lookup(rfam, ridx, j)
-                    for a, b in table.factors_in(lefts, runs, table.product(li, ri)):
+                    for a, b in table.factors_in(block, table.product(li, ri)):
                         if memb.get(labels[b].j) == b and (a, b) != (li, ri):
                             residues.add(labels[a].j % M)
                 if row.residue is None:

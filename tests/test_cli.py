@@ -308,22 +308,22 @@ class TestOversized:
         t0 = time.perf_counter()
         assert main(["check", "--k", "1", "--p", "1", "--q", "4001"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "80017 elements and need about 982 MiB" in capsys.readouterr().err
+        assert "80017 elements and need about 1,022 MiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [FamilySpec(1), FamilySpec(3), FamilySpec(1, 3, 5), FamilySpec(2, 1, 5), FamilySpec(3, 1, 9)])
     def test_prediction_counts_every_cell(self, spec):
-        # one b-run per progression, so the table has |T| (2^(k+1) + 1) cells
+        # one b-run per progression, and the table stores nothing per (row,
+        # run) pair, so the prediction is per element
         T = build_family(spec)
-        runs = product_table(T, T).counters()["runs"]
-        assert runs == 2 * 2**spec.k + 1
-        cells = len(T) * runs
-        assert check_memory(spec) == len(T) * families._ELEMENT_BYTES + cells * families._CELL_BYTES
+        assert product_table(T, T).counters()["runs"] == 2 * 2**spec.k + 1
+        assert check_memory(spec) == len(T) * families._ELEMENT_BYTES
         assert check_memory(spec, claims=True) == check_memory(spec) + len(T) ** 2 * 3 // 20
 
     # peak RSS of `python -m nup check --k K [--p P --q Q]` on a 2-vCPU VM,
     # Python 3.11, in MiB; the interpreter alone (check --k 1) peaks at 16.7
-    # MiB.  The scaled points have few cells for their |T|^2-bit coverage
-    CHECK_PEAK_MIB = {(5,): 18.9, (6,): 36.4, (7,): 221.8, (1, 1, 801): 60.5, (2, 1, 401): 91.4, (1, 1, 1601): 171.8}
+    # to 16.8 MiB.  The scaled points have few elements for their |T|^2-bit
+    # coverage
+    CHECK_PEAK_MIB = {(5,): 19.2, (6,): 35.1, (7,): 199.8, (1, 1, 801): 62.9, (2, 1, 401): 92.1, (1, 1, 1601): 174.5}
 
     @pytest.mark.parametrize("point", sorted(CHECK_PEAK_MIB), ids=lambda p: "-".join(map(str, p)))
     def test_check_prediction_covers_measured_peak(self, point):
@@ -366,7 +366,7 @@ class TestReportBlocks:
         assert main(["verify", "--k", "2", "--json", str(path)]) == 0
         data = json.loads(path.read_text())
         # one multiply per (row prefix, u shift and core, rho), not 49 * 9
-        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 72, "distinct_products": data["product_size"]}
+        assert data["counters"] == {"elements": 49, "runs": 9, "multiplies": 72, "triples": 241, "distinct_products": data["product_size"]}
         assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
         assert data["timings"]["claims_s"] == 0.0
 

@@ -4,9 +4,10 @@ tests/brute_square.py multiplies every pair; product_table does one multiply
 per (row prefix, u shift and core, residue of n mod 2^k).  They must agree on
 every pair list, multiplicity, unique product (order and witness), on the
 pair total and on the key (prefix id, n) of every pair; factors_in must list
-every pair of a key.  Every cell, expanded through its triple to (prefix, n0, run length),
-must equal brute_square.reference_cells, which multiplies every row by every
-run head, and every triple's weight must be the number of its cells.
+every pair of a key, in the order of its rows and then of its runs.  The
+key of every row times every run head must equal brute_square.reference_cells,
+which multiplies them, and the weights of the triples of each (prefix, n0, run
+length) must add up to the number of (row, run) pairs that meet it.
 """
 
 import random
@@ -20,8 +21,8 @@ from conftest import random_element
 from nup import search, sets
 from nup.families import FamilySpec, build_family
 from nup.search import candidate_universe
-from nup.sets import MAX_CELLS, RunProducts, b_key, b_runs, make_set, product_table, unique_products
-from nup.words import GroupParams, NormalForm, from_string, from_word, generator
+from nup.sets import RunProducts, b_key, b_runs, make_set, product_table, unique_products
+from nup.words import GroupParams, NormalForm, from_string, generator
 
 ACCEPTANCE_06 = [(1, 1, 3), (1, 3, 3), (1, 1, 5), (2, 1, 5), (2, 3, 5)]
 # acceptance 08 adds no point outside the base sets and ACCEPTANCE_06
@@ -44,9 +45,9 @@ def assert_same_as_brute(X, Y):
     for z in random.Random(len(brute)).sample(sorted(brute), min(len(brute), 1500)):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
-    rows, runs = range(len(X)), range(len(table.runs))
+    block = table.block(range(len(X)), range(len(table.runs)))
     for z in random.Random(len(X)).sample(sorted(brute), min(len(brute), 100)):
-        assert list(table.factors_in(rows, runs, table.key_of(z))) == brute[z]
+        assert list(table.factors_in(block, table.key_of(z))) == brute[z]
     uniques = brute_uniques({z: [len(pairs), pairs[0]] for z, pairs in brute.items()})
     assert unique_products(X, Y, table=table) == uniques
     assert table.unique_count() == len(uniques)
@@ -96,13 +97,13 @@ class TestAgainstBrute:
     @pytest.mark.parametrize("point", [(2,), (3,), (1, 1, 3), (2, 1, 5)])
     def test_family_with_one_element_dropped(self, point):
         # dropping an element leaves unique products, so uniques() and the
-        # pair lists read the cells of their triples through the inverse index
+        # pair lists recover the pairs of triples
         T = build_family(FamilySpec(*point))
         for drop in [0] + random.Random(len(T)).sample(range(1, len(T)), 2):
             S = make_set(T.params, T.elements[:drop] + T.elements[drop + 1 :])
             table = assert_same_as_brute(S, S)
             assert table.unique_count() > 0 or drop  # the first element's row always leaves some
-            assert_same_cells(S, S)
+            assert_same_triples(S, S)
 
     def test_scaled_3_1_9(self):
         # 2.3M pairs: compared by multiplicity counts, not pair lists
@@ -196,6 +197,57 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
 
 
+def progressions(P, U, rng, count: int) -> list:
+    """b-progressions of count random elements of U, so that a row prefix has
+    rows of several n mod 2^k and a b-run is long."""
+    M, b = 1 << P.k, generator(P, "b")
+    elements = []
+    for w in rng.sample(U, count):
+        elements.append(w)
+        for _ in range(rng.choice((0, 1, M, 2 * M + 3))):
+            elements.append(elements[-1] * b)
+    return elements
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_factors_in_against_brute(k):
+    # the pairs of every product among random rows, in a random or sorted
+    # order, and random runs: exactly brute_pairs' pairs there, in the order
+    # of the block's rows and then of its runs
+    P = GroupParams(k)
+    U = candidate_universe(P, 4)
+    rng = random.Random(200 + k)
+    orders = set()
+    for _ in range(20):
+        X = make_set(P, progressions(P, U, rng, rng.randrange(1, 6)) + rng.sample(U, rng.randrange(0, 10)))
+        Y = make_set(P, progressions(P, U, rng, rng.randrange(1, 6)))
+        table, brute = product_table(X, Y), brute_pairs(X, Y)
+        run_of = {j: r for r, run in enumerate(table.runs) for j in run}
+        rows = rng.sample(range(len(X)), rng.randrange(1, len(X) + 1))
+        runs = rng.sample(range(len(table.runs)), rng.randrange(1, len(table.runs) + 1))
+        if rng.random() < 0.5:
+            rows.sort(reverse=rng.random() < 0.5)
+        orders.add("shuffled" if rows not in (sorted(rows), sorted(rows, reverse=True)) else "sorted")
+        row_at, run_at = {i: p for p, i in enumerate(rows)}, {r: p for p, r in enumerate(runs)}
+        block = table.block(rows, runs)
+        for z, pairs in brute.items():
+            met = [(i, j) for i, j in pairs if i in row_at and run_of[j] in run_at]
+            met.sort(key=lambda pair: (row_at[pair[0]], run_at[run_of[pair[1]]]))
+            assert list(table.factors_in(block, table.key_of(z))) == met
+    assert orders == {"shuffled", "sorted"}
+
+
+@pytest.mark.parametrize("point", [(2,), (1, 1, 9), (2, 3, 5)])
+def test_factors_in_stops_at_the_first(point):
+    # a reader that takes the first pair gets the first of the full list
+    T = build_family(FamilySpec(*point))
+    table, brute = product_table(T, T), brute_pairs(T, T)
+    rows = list(range(len(T)))[::-1]
+    block = table.block(rows, range(len(table.runs)))
+    for z, pairs in brute.items():
+        assert next(table.factors_in(block, table.key_of(z))) == max(pairs)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -232,23 +284,11 @@ def test_b_coordinate_beyond_64_bits_refused():
         product_table(S, S)
 
 
-def test_cell_ids_beyond_32_bits_refused(monkeypatch):
-    # 32,768 rows times 65,536 one-element runs is 2^31 cells: refused before
-    # the scan multiplies anything (each head has the core a, so the first
-    # cell would multiply)
-    P = GroupParams(1)
-    X = make_set(P, [from_word([("b", 2 * j)], P) for j in range(1, (1 << 15) + 1)])
-    Y = make_set(P, [from_word([("a", 1), ("b", 2 * j)], P) for j in range(1, (1 << 16) + 1)])
-    assert len(b_runs(Y.elements)) == 1 << 16
-    monkeypatch.setattr(NormalForm, "__mul__", lambda self, other: pytest.fail("the scan started"))
-    with pytest.raises(ValueError, match=f"2,147,483,648 cells, above the {MAX_CELLS:,} that 32-bit cell ids name"):
-        product_table(X, Y)
-
-
 def test_one_multiply_per_row_and_run(monkeypatch):
     # one multiply per (row prefix, u shift and core, rho), not per row and
     # run, and the count reported is the count made
     T = build_family(FamilySpec(4))
+    z = T[5] * T[7]
     calls = 0
     mul = NormalForm.__mul__
 
@@ -260,53 +300,58 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     monkeypatch.setattr(NormalForm, "__mul__", counting)
     table = product_table(T, T)
     assert calls == 1056 < 577 * 33
-    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 1056, "distinct_products": len(table)}
+    assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 1056, "triples": 3265, "distinct_products": len(table)}
     assert calls == 1056  # len() and counters() multiply nothing
+    table.uniques(), table.factorizations(z), table.product(3, 4)
+    assert calls == 1056  # nor do the reads: the scan filled every memo entry they read
 
 
-def assert_same_cells(X, Y):
+def assert_same_triples(X, Y):
+    """The triple oracle: the key of every row times every run head, read
+    through product, is reference_cells' (prefix, n0); the weights of each
+    (prefix, n0, run length) add up to the number of (row, run) pairs that
+    meet it, and all weights to |X| times the runs; and each triple's
+    recovered pairs are its own."""
     table = product_table(X, Y)
     cells = reference_cells(X, Y)
-    assert table.cell_triple.typecode == "i"
     assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight)] == ["i", "q", "i", "i"]
-    assert len(table.cell_triple) == len(cells)
-    # every cell expands to its own (prefix, n0, run length)
-    pid, n0, length = table.triple_pid, table.triple_n0, table.triple_len
-    assert [(table.prefixes[pid[t]], n0[t], length[t]) for t in table.cell_triple] == cells
-    # prefixes are numbered in scan order, and each links its triples from the
-    # last.  The scan visits the rows grouped by row prefix (u, alpha,
-    # syllables), the groups in the order of their first rows and each group
-    # in row order, and the runs of a row in order
-    groups: dict = {}
-    for i, xe in enumerate(X.elements):
-        groups.setdefault((xe.u, xe.alpha, xe.syllables), []).append(i)
-    R = len(table.runs)
-    visited = [i * R + r for rows in groups.values() for i in rows for r in range(R)]
-    assert table.prefixes == list(dict.fromkeys(cells[c][0] for c in visited))
-    # triples are numbered in scan order too
-    assert list(dict.fromkeys(table.cell_triple[c] for c in visited)) == list(range(len(pid)))
+    keys = [table.product(i, run[0]) for i in range(len(X)) for run in table.runs]
+    assert [(table.prefixes[pid], n0, length) for (pid, n0), (_, _, length) in zip(keys, cells)] == cells
+    pid, n0, length, weight = table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight
+    weights: Counter = Counter()
+    for t in range(len(pid)):
+        weights[table.prefixes[pid[t]], n0[t], length[t]] += weight[t]
+    assert weights == Counter(cells)
+    assert sum(weight) == len(X) * len(table.runs)
+    assert min(weight, default=1) >= 1
+    # the pairs recovered from each triple's nz are exactly the (row, run)
+    # pairs of its interval, and every pair is recovered from one triple
+    met: Counter = Counter()
+    for t in range(len(pid)):
+        pairs = table._cells(t)
+        assert len(pairs) == weight[t]
+        assert all(cells[i * len(table.runs) + r] == (table.prefixes[pid[t]], n0[t], length[t]) for i, r in pairs)
+        met.update(pairs)
+    assert len(met) == len(cells) and max(met.values(), default=1) == 1
+    # each prefix links its triples from the last made
     assert table.last_triple.typecode == table.triple_prev.typecode == "i"
     newest_first: dict = {}
     for t in range(len(pid)):
         newest_first.setdefault(pid[t], []).insert(0, t)
     assert {p: list(table._triples(p)) for p in range(len(table.prefixes))} == newest_first
-    # a weight counts the cells of its triple, and no triple is empty
-    weights = Counter(table.cell_triple)
-    assert list(table.triple_weight) == [weights[t] for t in range(len(pid))]
-    assert min(table.triple_weight, default=1) >= 1
     return table
 
 
 class TestSharedMultiplies:
     """The table multiplies each row by a run head's a-letter core once per
-    (row prefix, u shift and core, rho), and shares a triple among the cells
-    of a row prefix with one interval; every cell must still expand to the
-    product of one multiply per row and run."""
+    (row prefix, u shift and core, rho), and makes one triple per interval
+    of a row prefix and head class; every (row, run) pair must still have
+    the key of one multiply per row and run."""
 
     @pytest.mark.parametrize("point", REFERENCE_POINTS)
     def test_family(self, point):
         T = build_family(FamilySpec(*point))
-        table = assert_same_cells(T, T)
+        table = assert_same_triples(T, T)
         assert table.multiplies < len(T) * len(table.runs)
         # in the paper's sets every distinct (prefix, n0, run length) of the
         # cells has exactly one triple
@@ -341,7 +386,7 @@ class TestSharedMultiplies:
             X = make_set(P, elements)
             Y = make_set(P, rng.sample(U, rng.randrange(1, 30)))
             for A, B in ((X, X), (X, Y), (Y, X)):
-                assert_same_cells(A, B)
+                assert_same_triples(A, B)
             for run in b_runs(X.elements):
                 h = X[run[0]]
                 shapes.add("alpha = 1" if h.alpha else "leading syllable" if h.syllables else "b-power, v != 0" if h.v else "b-power")
@@ -351,10 +396,11 @@ class TestSharedMultiplies:
         assert shapes == {"alpha = 1", "leading syllable", "b-power, v != 0", "b-power", "u != 0", "u = 0", "rows cross a block"}
 
 
-def test_cells_are_machine_ints():
-    # a 4-byte triple id per cell, and 24 bytes per triple, shared by about
-    # 8.5 cells here; the prefixes, their tuples and the block memos add the
-    # rest.  At base k = 4 the 755 prefixes alone take about 7 B per cell
+def test_triples_are_machine_ints():
+    # 32 bytes per triple in flat arrays, and nothing per (row, run) pair.
+    # The product memos (one entry per multiply), the rows' (memo, n,
+    # parity) and the prefixes add the rest: with the scan's events the
+    # traced peak is about 163 B per triple here
     T = build_family(FamilySpec(5))
     tracemalloc.start()
     try:
@@ -363,8 +409,9 @@ def test_cells_are_machine_ints():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.cell_triple.typecode == "i"
-    assert peak <= 15 * len(T) * len(table.runs)
+    assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight, table.triple_nz)] == ["i", "q", "i", "i", "q"]
+    assert len(table.triple_pid) == 12673
+    assert peak <= 180 * len(table.triple_pid)
 
 
 def assert_kernel_keys(X, Y, rng) -> set:
@@ -388,12 +435,12 @@ def assert_kernel_keys(X, Y, rng) -> set:
             if pid >= len(names):
                 names = list(kernel.prefix_id)
             assert (names[pid], n0) == b_key(x * Y[run[0]])
-            _, _, c_h, core, _, flip = head
+            _, _, c_h, _, flip, _, core = head
             shapes.add("b-power" if core is None else "odd a letters" if flip else "even a letters")
             if core is not None and (n + c_h) >> X.params.k:
                 shapes.add("core passed by b^(M w), w != 0")
     # one multiply per memo entry of a core, and none for a power of b
-    cores = {h[0] for split in splits for h in split if h[3] is not None}
+    cores = {h[0] >> X.params.k for split in splits for h in split if h[6] is not None}
     assert kernel.multiplies == sum(key >> X.params.k in cores for memo in memos.values() for key in memo)
     v_of: dict = {}
     for x in X.elements:
