@@ -384,26 +384,56 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _target_block(inv: Inventory, tgt_left, tgt_right, residue) -> tuple[dict, dict]:
-    """(the table's block of the left rows in scope times the right
-    progression's b-runs, its columns by j) of a chart row's target block;
-    with a residue, only left trailing exponents congruent to it mod M."""
+def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, residue) -> list:
+    """For each source pair (si, ri, z) of a slice whose keys are (pid, n + t),
+    t < len(sources), with key = (pid, n): the first pair (u', w') of the
+    target block with product z other than (si, ri), in the order of its left
+    rows and then of its runs, or None.  The left rows in scope are the target
+    left progression's, with a residue only those whose trailing exponent is
+    congruent to it mod M; w' must lie in the target right progression.
+
+    A row times a run is one interval, so each row reads one key per run and
+    walks the slice elements in that interval still without a pair, skipped
+    over by a next-unpaired array with path halving."""
+    pid, n = key
+    tgt_left, tgt_right = target
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
     row, memb = inv.prog[tgt_left], inv.prog[tgt_right]
-    lefts = [li for c in range(lo, hi + 1, 1 if residue is None else inv.M) if (li := row.get(c)) is not None]
-    return inv.table.block(lefts, inv.table.runs_of(memb.values())), memb
-
-
-def _find_alternative(inv: Inventory, z: tuple[int, int], block, exclude_pair) -> Optional[tuple[int, int]]:
-    """The index pair (u', w') != exclude_pair of the product with key z in
-    a _target_block, or None: the first of the block's pairs that meet z,
-    whose rows the table finds by bisection, in the order of its rows."""
-    products, memb = block
-    labels = inv.gset.labels
-    pairs = inv.table.factors_in(products, z)
-    return next(((li, ri) for li, ri in pairs if memb.get(labels[ri].j) == ri and (li, ri) != exclude_pair), None)
+    table, labels = inv.table, inv.gset.labels
+    runs = [table.runs[r] for r in table.runs_of(memb.values())]
+    size = len(sources)
+    source_at = [None] * size
+    for si, ri, z in sources:
+        source_at[z[1] - n] = si, ri
+    found: list = [None] * size
+    after = list(range(size + 1))  # after[t] leads to the first unpaired t' >= t; size ends
+    left = size
+    for c in range(lo, hi + 1, 1 if residue is None else inv.M):
+        li = row.get(c)
+        if li is None:
+            continue
+        for run in runs:
+            p, m = table.product(li, run[0])
+            start = m - n  # the run's head meets the slice element t = start
+            if p != pid or start >= size or start + len(run) <= 0:
+                continue
+            t, end = max(start, 0), min(start + len(run), size)
+            while True:
+                while after[t] != t:
+                    after[t] = t = after[after[t]]
+                if t >= end:
+                    break
+                w = run[t - start]
+                if memb.get(labels[w].j) == w and (li, w) != source_at[t]:
+                    found[t] = li, w
+                    after[t] = t + 1
+                    left -= 1
+                t += 1
+        if not left:
+            break
+    return [found[z[1] - n] for _, _, z in sources]
 
 
 def check_chart(inv: Inventory) -> list[ClaimReport]:
@@ -469,9 +499,8 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
             # membership of every rewritten element in the target block
             witness = None
             fails = 0
-            block = _target_block(inv, tgt_left, tgt_right, row.residue)
-            for (si, ri, z) in src_pairs:
-                alt = _find_alternative(inv, z, block, (si, ri))
+            alts = _alternatives(inv, src_sorted[0], src_pairs, (tgt_left, tgt_right), row.residue)
+            for (si, ri, z), alt in zip(src_pairs, alts):
                 if alt is None:
                     fails += 1
                     if witness is None:

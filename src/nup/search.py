@@ -86,6 +86,8 @@ class SearchConfig(
             raise ValueError(f"neighborhood must be one of {_NEIGHBORHOODS}")
         if self.init not in _INITS:
             raise ValueError(f"init must be one of {_INITS}")
+        if self.init == "base" and self.symmetric:
+            raise ValueError("init 'base' and symmetric exclude each other: the base set T(k) is not closed under inversion")
         if not (0.0 < self.cooling <= 1.0) or self.temp0 <= 0:
             raise ValueError("need 0 < cooling <= 1 and temp0 > 0")
         return self

@@ -39,10 +39,8 @@ for the scaled sets T(1, q) at every q.
 The table stores the square once, as weighted intervals: one triple
 (prefix id, n0, run length, weight) per interval that rows of one row prefix
 meet, with no entry per row and run.  The scan counts each interval's rows by
-convolving intervals of n with the heads' c_h, a triple's pairs are the rows
-and heads with n + c_h = nz, and since within a row prefix and a residue of
-n mod 2^k a product's n0 moves by +-1 per unit of n, a reader finds the rows
-that meet a product by bisection.  A sweep over the triples of each prefix,
+convolving intervals of n with the heads' c_h, and a triple's pairs are the
+rows and heads with n + c_h = nz.  A sweep over the triples of each prefix,
 two weighted events each, gives the distinct products and the unique ones.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
@@ -55,8 +53,7 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heapreplace
+from bisect import bisect_right
 from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -243,11 +240,11 @@ class FactorizationTable:
     of machine ints; a product beyond 64 bits is refused with a ValueError.
 
     product reads a pair's key from the kernel's product memos, which the
-    table keeps, without a multiply; factors_in reads a block of rows and
-    runs by bisection.  The pair lists recover a triple's pairs, the rows n
-    and heads c_h of its row prefix and class with n + c_h = nz, through an
-    index of the rows built on first use, which verify and check of a set
-    with no unique product never build.
+    table keeps, without a multiply; a row times a run is the interval that
+    starts at the key of the row times the run's head.  The pair lists
+    recover a triple's pairs, the rows n and heads c_h of its row prefix and
+    class with n + c_h = nz, through an index of the rows built on first use,
+    which verify and check of a set with no unique product never build.
     """
 
     __slots__ = (
@@ -400,64 +397,6 @@ class FactorizationTable:
         run_of, offset = self._cols
         t0 = offset[cols[0]]
         return self.runs[run_of[cols[0]]][t0 : t0 + len(cols)] == cols
-
-    def block(self, rows: Iterable[int], runs: Sequence[int]) -> dict:
-        """The rows rows times the b-runs runs, for factors_in: per product prefix
-        id, the entries (base, slope, run, position in runs, group) whose row n
-        meets the run at base + slope * n.  A group holds the rows of one row
-        prefix and n mod 2^k (or parity, for a head with no core): their n,
-        sorted, their (n, position in rows, row), and the order of the
-        positions along n, 1, -1, or 0 for neither."""
-        mask = (1 << self.x.params.k) - 1
-        groups: dict = {}  # by (id of the row prefix's memo, residue)
-        for pos, i in enumerate(rows):
-            memo, n, parity = self._rows[i]
-            for residue in (n & mask, -1 - parity):
-                groups.setdefault((id(memo), residue), []).append((n, pos, i))
-        out: dict = {}
-        for (_, residue), members in groups.items():
-            members.sort()
-            n, _, i = members[0]
-            parity = self._rows[i][2]
-            positions = [pos for _, pos, _ in members]
-            order = 1 if positions == sorted(positions) else -1 if positions == sorted(positions, reverse=True) else 0
-            group = [m[0] for m in members], members, order
-            for rpos, r in enumerate(runs):
-                _, head_mask, _, _, flip, _, _ = self._splits[r][parity]
-                if (residue < 0) == (head_mask == 0):  # a head with no core reads the rows of a parity
-                    run = self.runs[r]
-                    pid, n0 = self.product(i, run[0])
-                    out.setdefault(pid, []).append((n0 + n if flip else n0 - n, -1 if flip else 1, run, rpos, group))
-        return out
-
-    def factors_in(self, block: dict, key: tuple[int, int]):
-        """Each (i, j) of a block with X[i] * Y[j] named by key, in the order of
-        the block's rows, then of its runs; a row meets each product at most
-        once.  Each entry's meeting rows are found by bisection and merged
-        lazily, so a reader that stops at the first pair reads no more."""
-        pid, m = key
-        heap = []
-        for base, slope, run, rpos, (ns, members, order) in block.get(pid, ()):
-            # row n meets the run at offset m - base - slope * n, in [0, len(run))
-            lo = base - m if slope < 0 else m - base - len(run) + 1
-            a, b = bisect_left(ns, lo), bisect_left(ns, lo + len(run))
-            if a < b:
-                if not order:
-                    members, a, b, order = sorted(members[a:b], key=itemgetter(1)), 0, b - a, 1
-                h, stop = (a, b) if order > 0 else (b - 1, a - 1)
-                heap.append([members[h][1], rpos, h, stop, order, members, run, m - base, slope])
-        heapify(heap)
-        while heap:
-            top = heap[0]
-            _, _, h, stop, step, members, run, t0, slope = top
-            n, _, i = members[h]
-            yield i, run[t0 - slope * n]
-            h += step
-            if h == stop:
-                heappop(heap)
-            else:
-                top[0], top[2] = members[h][1], h
-                heapreplace(heap, top)
 
     def runs_of(self, cols: Iterable[int]) -> list[int]:
         """The b-runs that hold the columns cols, each once."""

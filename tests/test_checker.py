@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -52,6 +53,26 @@ def claims_and_oracle(spec, gset):
     """The table-read claims and the element-wise oracle's, each on a fresh Inventory."""
     ours, theirs = Inventory(spec, gset), Inventory(spec, gset)
     return (ours, run_all_claims(ours)), (theirs, claims_oracle.run_all_claims(theirs))
+
+
+def chart_slices(inv):
+    """(row, ctx, source pairs (si, ri, key)) of every chart instance whose
+    slice keys are consecutive, the only slices the chart reads pairs for."""
+    for row in checker._CHART:
+        for n in checker._VAR_VALUES[row.var](inv.M):
+            ctx = checker._Ctx(inv, n)
+            li = inv.lookup(*row.left(ctx))
+            rfam, ridx = row.right(ctx)
+            rlo, rhi = inv.bounds[(rfam, ridx)]
+            if row.src == "short":
+                rlo = inv.top - inv.M + 1
+            cols = [inv.lookup(rfam, ridx, j) for j in range(rlo, rhi + 1)]
+            if li is None or None in cols:
+                continue
+            sources = [(li, ri, inv.table.product(li, ri)) for ri in cols]
+            (pid, n0), *_ = keys = sorted(z for _, _, z in sources)
+            if keys == [(pid, n0 + t) for t in range(len(keys))]:
+                yield row, ctx, sources
 
 
 class TestClaimSuites:
@@ -271,25 +292,20 @@ class TestRewriteIdentities:
         # residue loosened to None fails here as a shifted one fails above
         inv = Inventory(spec, build_family(spec))
         M, labels, table = inv.M, inv.gset.labels, inv.table
-        for row in checker._CHART:
-            for n in checker._VAR_VALUES[row.var](M):
-                ctx = checker._Ctx(inv, n)
-                li = inv.lookup(*row.left(ctx))
-                rfam, ridx = row.right(ctx)
-                rlo, rhi = inv.bounds[(rfam, ridx)]
-                if row.src == "short":
-                    rlo = inv.top - M + 1
-                block, memb = checker._target_block(inv, *row.target(ctx), None)
-                residues = set()
-                for j in range(rlo, rhi + 1):
-                    ri = inv.lookup(rfam, ridx, j)
-                    for a, b in table.factors_in(block, table.product(li, ri)):
-                        if memb.get(labels[b].j) == b and (a, b) != (li, ri):
-                            residues.add(labels[a].j % M)
-                if row.residue is None:
-                    assert len(residues) > 1, (row.tag, n, residues)
-                else:
-                    assert residues == {row.residue}, (row.tag, n, residues)
+        slices = list(chart_slices(inv))
+        assert len(slices) == sum(len(checker._VAR_VALUES[row.var](M)) for row in checker._CHART)
+        for row, ctx, sources in slices:
+            tgt_left, tgt_right = row.target(ctx)
+            lefts, rights = set(inv.prog[tgt_left].values()), set(inv.prog[tgt_right].values())
+            residues = set()
+            for li, ri, z in sources:
+                for a, b in table.factorizations(table.element_of(z)):
+                    if a in lefts and b in rights and (a, b) != (li, ri):
+                        residues.add(labels[a].j % M)
+            if row.residue is None:
+                assert len(residues) > 1, (row.tag, ctx.n, residues)
+            else:
+                assert residues == {row.residue}, (row.tag, ctx.n, residues)
 
 
 class TestCoverageAccounting:
@@ -370,6 +386,78 @@ class TestTableReadMatchesOracle:
         claims = run_all_claims(inv)
         assert inv.coverage() == 1.0
         assert all(c.status != FAIL for c in claims)
+
+
+def brute_alternative(inv, source, target, residue):
+    """The first (li, w) of the target block with the source's product, other
+    than the source pair: every admissible left row in order, then every
+    column of the runs that hold the target right progression."""
+    si, ri, z = source
+    tgt_left, tgt_right = target
+    memb, labels, table = inv.prog[tgt_right], inv.gset.labels, inv.table
+    for c in sorted(inv.prog[tgt_left]):
+        if residue is not None and (c - residue) % inv.M:
+            continue
+        li = inv.prog[tgt_left][c]
+        for r in table.runs_of(memb.values()):
+            for w in table.runs[r]:
+                if memb.get(labels[w].j) == w and (li, w) != (si, ri) and table.product(li, w) == z:
+                    return li, w
+    return None
+
+
+_TAMPERED = TestTableReadMatchesOracle.test_tampered_sets.pytestmark[0]
+
+
+class TestAlternatives:
+    def assert_first_pairs(self, spec, gset):
+        inv = Inventory(spec, gset)
+        slices = 0
+        for row, ctx, sources in chart_slices(inv):
+            target = row.target(ctx)
+            found = checker._alternatives(inv, min(z for _, _, z in sources), sources, target, row.residue)
+            assert found == [brute_alternative(inv, s, target, row.residue) for s in sources], (row.tag, ctx.n)
+            slices += 1
+        assert slices
+
+    @pytest.mark.parametrize("point", [(1,), (2,), (3,), (4,), (1, 1, 3), (2, 1, 5), (2, 3, 5)], ids=lambda p: "-".join(map(str, p)))
+    def test_first_pair_against_brute(self, point):
+        spec = FamilySpec(*point)
+        self.assert_first_pairs(spec, build_family(spec))
+
+    # the tampered sets of the oracle test; in drop-1-1-3 a row's interval
+    # starts past the slice's end
+    @pytest.mark.parametrize("spec, make", _TAMPERED.args[1], ids=_TAMPERED.kwargs["ids"])
+    def test_first_pair_on_tampered_sets(self, spec, make):
+        self.assert_first_pairs(spec, make(spec))
+
+    def test_work_grows_linearly_in_q(self):
+        # each slice element is tested once per row that meets it until it
+        # has a pair; walking every element of every row's interval grows as
+        # q^2, about 15x here.  The work is counted as lines run in
+        # _alternatives, which also counts a walk that tests nothing
+        code = checker._alternatives.__code__
+        lines = []
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines[-1] += 1
+            return count
+
+        def trace(frame, event, arg):
+            return count if frame.f_code is code else None
+
+        for q in (101, 401):
+            spec = FamilySpec(1, 1, q)
+            inv = Inventory(spec, build_family(spec))
+            lines.append(0)
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                check_chart(inv)
+            finally:
+                sys.settrace(previous)
+        assert 0 < lines[1] <= 5 * lines[0], lines
 
 
 class TestLabelValidation:

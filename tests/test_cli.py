@@ -205,6 +205,13 @@ class TestSearchCommand:
         assert "restarts (5) must not exceed budget (1)" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_symmetric_base_init_exits_2(self, tmp_path, capsys):
+        # T(1) holds a^-1 and not a, so it is no symmetric state
+        path = tmp_path / "report.json"
+        assert main(["search", "--k", "1", "--size", "17", "--init", "base", "--symmetric", "--json", str(path)]) == 2
+        assert "init 'base' and symmetric exclude each other" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_missing_size_exits_2(self):
         assert main(["search", "--k", "1"]) == 2
 

@@ -46,6 +46,7 @@ class TestConfig:
             dict(k=1, size=4, temp0="2"),
             dict(k=1, size=4, cooling=True),
             dict(k=1, size=4, budget=1, restarts=5),
+            dict(k=1, size=17, init="base", symmetric=True),
         ],
     )
     def test_rejects(self, kwargs):

@@ -3,10 +3,9 @@
 tests/brute_square.py multiplies every pair; product_table does one multiply
 per (row prefix, u shift and core, residue of n mod 2^k).  They must agree on
 every pair list, multiplicity, unique product (order and witness), on the
-pair total and on the key (prefix id, n) of every pair; factors_in must list
-every pair of a key, in the order of its rows and then of its runs.  The
-key of every row times every run head must equal brute_square.reference_cells,
-which multiplies them, and the weights of the triples of each (prefix, n0, run
+pair total and on the key (prefix id, n) of every pair.  The key of every
+row times every run head must equal brute_square.reference_cells, which
+multiplies them, and the weights of the triples of each (prefix, n0, run
 length) must add up to the number of (row, run) pairs that meet it.
 """
 
@@ -45,9 +44,6 @@ def assert_same_as_brute(X, Y):
     for z in random.Random(len(brute)).sample(sorted(brute), min(len(brute), 1500)):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
-    block = table.block(range(len(X)), range(len(table.runs)))
-    for z in random.Random(len(X)).sample(sorted(brute), min(len(brute), 100)):
-        assert list(table.factors_in(block, table.key_of(z))) == brute[z]
     uniques = brute_uniques({z: [len(pairs), pairs[0]] for z, pairs in brute.items()})
     assert unique_products(X, Y, table=table) == uniques
     assert table.unique_count() == len(uniques)
@@ -195,57 +191,6 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     absent = sets._from_b_key(T.params.k, (u + n, alpha, syl), table.triple_n0[table.last_triple[-1]])
     assert table.key_of(absent)[0] == -1
     assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
-
-
-def progressions(P, U, rng, count: int) -> list:
-    """b-progressions of count random elements of U, so that a row prefix has
-    rows of several n mod 2^k and a b-run is long."""
-    M, b = 1 << P.k, generator(P, "b")
-    elements = []
-    for w in rng.sample(U, count):
-        elements.append(w)
-        for _ in range(rng.choice((0, 1, M, 2 * M + 3))):
-            elements.append(elements[-1] * b)
-    return elements
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_factors_in_against_brute(k):
-    # the pairs of every product among random rows, in a random or sorted
-    # order, and random runs: exactly brute_pairs' pairs there, in the order
-    # of the block's rows and then of its runs
-    P = GroupParams(k)
-    U = candidate_universe(P, 4)
-    rng = random.Random(200 + k)
-    orders = set()
-    for _ in range(20):
-        X = make_set(P, progressions(P, U, rng, rng.randrange(1, 6)) + rng.sample(U, rng.randrange(0, 10)))
-        Y = make_set(P, progressions(P, U, rng, rng.randrange(1, 6)))
-        table, brute = product_table(X, Y), brute_pairs(X, Y)
-        run_of = {j: r for r, run in enumerate(table.runs) for j in run}
-        rows = rng.sample(range(len(X)), rng.randrange(1, len(X) + 1))
-        runs = rng.sample(range(len(table.runs)), rng.randrange(1, len(table.runs) + 1))
-        if rng.random() < 0.5:
-            rows.sort(reverse=rng.random() < 0.5)
-        orders.add("shuffled" if rows not in (sorted(rows), sorted(rows, reverse=True)) else "sorted")
-        row_at, run_at = {i: p for p, i in enumerate(rows)}, {r: p for p, r in enumerate(runs)}
-        block = table.block(rows, runs)
-        for z, pairs in brute.items():
-            met = [(i, j) for i, j in pairs if i in row_at and run_of[j] in run_at]
-            met.sort(key=lambda pair: (row_at[pair[0]], run_at[run_of[pair[1]]]))
-            assert list(table.factors_in(block, table.key_of(z))) == met
-    assert orders == {"shuffled", "sorted"}
-
-
-@pytest.mark.parametrize("point", [(2,), (1, 1, 9), (2, 3, 5)])
-def test_factors_in_stops_at_the_first(point):
-    # a reader that takes the first pair gets the first of the full list
-    T = build_family(FamilySpec(*point))
-    table, brute = product_table(T, T), brute_pairs(T, T)
-    rows = list(range(len(T)))[::-1]
-    block = table.block(rows, range(len(table.runs)))
-    for z, pairs in brute.items():
-        assert next(table.factors_in(block, table.key_of(z))) == max(pairs)
 
 
 @pytest.mark.parametrize(
