@@ -1,10 +1,12 @@
 """Claim-by-claim verification that the square of a built family has no
 uniquely represented element.
 
-The square T*T splits into products U*W of labeled progressions.  Each such
-product is a table whose rows are the elements of U and whose columns are the
-progressions of the right family (single elements for Z), and almost every
-cell-slice is matched inside its own table:
+The square T*T splits into products U*W of the spec's progressions, with
+the j ranges of families.progression_bounds; a label only names the element
+that plays (family, index, j).  Each product is a table whose rows are the
+elements of U and whose columns are the progressions of the right family
+(single elements for Z), and almost every cell-slice is matched inside its
+own table:
 
  * diagonal equalities    u_(v+1) W_c  =  u_(v) W_(c+1)   (same trailing j),
  * the two X_0 containments
@@ -49,7 +51,7 @@ import time
 from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
-from .families import FAMILIES, FamilySpec, SliceLabel, scan_family, z_halfwidth
+from .families import FAMILIES, FamilySpec, SliceLabel, progression_bounds, scan_family
 from .sets import FactorizationTable, GroupSet, product_table
 from .words import from_word
 
@@ -81,16 +83,21 @@ class ClaimReport(NamedTuple):
 
 
 class Inventory:
-    """Labeled-set view used by all claims: progression lookup by label, the
-    square's factorization table, and coverage.
-
-    table is the factorization table of gset * gset, built when not given.
-    Coverage is one int per row i whose bit j marks the pair (i, j).
+    """Labeled-set view used by all claims: the spec's progressions with
+    their j ranges (bounds), element lookup by label, the square's
+    factorization table, and coverage.  An element missing from the set
+    fails the claims that name it.  table is the factorization table of
+    gset * gset, built when not given.  Coverage is one int per row i whose
+    bit j marks the pair (i, j).
     """
 
     def __init__(self, spec: FamilySpec, gset: GroupSet, table: Optional[FactorizationTable] = None):
         if gset.labels is None:
             raise ValueError("checker needs a labeled set")
+        if not gset.elements:
+            raise ValueError("checker needs a non-empty set")
+        if gset.params != spec.params:
+            raise ValueError(f"the set lies in the group k={gset.params.k}, not in the spec's group k={spec.k}")
         self.prog: dict[tuple[str, int], dict[int, int]] = {}
         for i, lab in enumerate(gset.labels):
             if not isinstance(lab, SliceLabel) or lab.family not in FAMILIES:
@@ -105,16 +112,13 @@ class Inventory:
         self.M = 1 << spec.k
         self.q = spec.q_eff
         self.p = spec.p_eff
-        self.top = (self.M + 1) * self.q  # largest X/Y trailing exponent
-        self.D = z_halfwidth(spec)
+        self.bounds = progression_bounds(spec)
+        self.top = self.bounds[("Y", 0)][1]  # largest X/Y trailing exponent
+        self.D = self.bounds[("Z", 0)][1]
         self.size = len(gset)
-        self.bounds = {key: (min(js), max(js)) for key, js in self.prog.items()}
         self.table = product_table(gset, gset) if table is None else table
         self._rows = [0] * self.size
         self._spans: dict = {}
-
-    def progressions(self):
-        return sorted(self.prog)
 
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
@@ -226,8 +230,7 @@ def check_diagonals(inv: Inventory, family: str) -> list[ClaimReport]:
         cols, (jlo, jhi) = [(c, c + 1, 0) for c in range(1, M - 1)], inv.bounds[("X", 1)]
     rights = [((family, c, jlo), (family, c2, jlo + dj)) for c, c2, dj in cols]
     reports: list[ClaimReport] = []
-    for (ufam, uidx) in inv.progressions():
-        s, e = inv.bounds[(ufam, uidx)]
+    for (ufam, uidx), (s, e) in inv.bounds.items():
         down = [((ufam, uidx, v + 1), (ufam, uidx, v)) for v in range(s, e)]
         params = {"left": [ufam, uidx], "right_family": family}
         reports.append(_pair_claim(inv, "DiagonalEquality", f"table:{ufam}{uidx}*{family}", params, [(down, rights, jhi - jlo + 1)]))
@@ -251,10 +254,9 @@ def check_z_endpoints(inv: Inventory) -> list[ClaimReport]:
     M, D, q = inv.M, inv.D, inv.q
     top = inv.top
     reports: list[ClaimReport] = []
-    for (ufam, uidx) in inv.progressions():
+    for (ufam, uidx), (s, e) in inv.bounds.items():
         if ufam == "Z":
             continue
-        s, e = inv.bounds[(ufam, uidx)]
         blocks = [([((ufam, uidx, row), ("Z", 0, -zc))], [(("Z", 0, zc), (ufam, uidx, row))], 1) for row, zc in ((s, -D), (e, D))]
         params = {"left": [ufam, uidx], "relocated_to": "Z*U"}
         reports.append(_pair_claim(inv, "ZEndpoint", f"endpoints:{ufam}{uidx}*Z", params, blocks))
@@ -400,7 +402,7 @@ def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, r
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
-    row, memb = inv.prog[tgt_left], inv.prog[tgt_right]
+    row, memb = inv.prog.get(tgt_left, _NONE), inv.prog.get(tgt_right, _NONE)
     table, labels = inv.table, inv.gset.labels
     runs = [table.runs[r] for r in table.runs_of(memb.values())]
     size = len(sources)

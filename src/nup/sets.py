@@ -51,14 +51,13 @@ starts a comment, blank lines are ignored, and an optional trailing
 from __future__ import annotations
 
 import os
-import re
 from array import array
 from bisect import bisect_right
 from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .words import GroupParams, NormalForm, from_string, to_string
+from .words import INTEGER, GroupParams, NormalForm, from_string, to_string
 
 
 class GroupSet:
@@ -523,8 +522,7 @@ def load_set_file(path: str | os.PathLike, params: GroupParams) -> GroupSet:
             if label_text:
                 any_label = True
                 parts = label_text.split()
-                # the digit rule of words.parse: int() also takes '_', '+' and other scripts' digits
-                if len(parts) == 3 and parts[0] in FAMILIES and all(re.fullmatch("-?[0-9]+", t) for t in parts[1:]):
+                if len(parts) == 3 and parts[0] in FAMILIES and all(INTEGER.fullmatch(t) for t in parts[1:]):
                     labels.append(SliceLabel(parts[0], int(parts[1]), int(parts[2])))
                 else:
                     labels.append(label_text)

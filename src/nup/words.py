@@ -29,6 +29,7 @@ function, safe for concurrent use.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from typing import Iterable, Sequence
 
@@ -314,45 +315,33 @@ def from_word(word: Iterable[Token], params: GroupParams) -> NormalForm:
     return _fold(params.k, 0, 0, 0, (), 0, word)
 
 
+# an exponent, and a number of a set-file label: an optional '-' and ASCII
+# digits, since int() also takes '_', '+' and other scripts' digits
+INTEGER = re.compile("-?[0-9]+")
+# one term: blanks, then a generator with an optional exponent, or any other
+# character; every non-blank starts a match, so finditer skips only blanks
+_TERM = re.compile(rf"\s*(?:([abAB])(\^({INTEGER.pattern})?)?|(\S))")
+
+
 def parse(text: str) -> tuple[Token, ...]:
     """Parse the word grammar:  word := "1" | term+ ,  term := gen exp?.
 
     Generators are a, b, A, B with A = a^-1 and B = b^-1; an exponent is
-    "^" "-"? digits with zero forbidden; whitespace between terms is ignored.
+    "^" INTEGER with zero forbidden; whitespace between terms is ignored.
     """
     if text.strip() == "1":
         return ()
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c not in "abAB":
-            raise ParseError(f"expected generator a, b, A or B, found {c!r}", i)
-        gen = c.lower()
-        sign = -1 if c.isupper() else 1
-        i += 1
-        exp = 1
-        if i < n and text[i] == "^":
-            start = i
-            i += 1
-            neg = False
-            if i < n and text[i] == "-":
-                neg = True
-                i += 1
-            d0 = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i == d0:
-                raise ParseError("expected digits after '^'", start)
-            exp = int(text[d0:i])
-            if exp == 0:
-                raise ParseError("zero exponent is not allowed", d0)
-            if neg:
-                exp = -exp
-        tokens.append((gen, sign * exp))
+    for m in _TERM.finditer(text):
+        gen, caret, exp, other = m.groups()
+        if other:
+            raise ParseError(f"expected generator a, b, A or B, found {other!r}", m.start(4))
+        if caret and not exp:
+            raise ParseError("expected digits after '^'", m.start(2))
+        e = int(exp) if exp else 1
+        if e == 0:
+            raise ParseError("zero exponent is not allowed", m.start(3) + (exp[0] == "-"))
+        tokens.append((gen.lower(), -e if gen.isupper() else e))
     if not tokens:
         raise ParseError("empty word", 0)
     return tuple(tokens)

@@ -71,8 +71,7 @@ def check_diagonals(view, family):
     else:
         cols, (jlo, jhi) = [(c, c + 1, 0) for c in range(1, M - 1)], inv.bounds[("X", 1)]
     reports = []
-    for (ufam, uidx) in inv.progressions():
-        s, e = inv.bounds[(ufam, uidx)]
+    for (ufam, uidx), (s, e) in inv.bounds.items():
         u = (ufam, uidx)
         quads = (
             ((*u, v + 1), (family, c, j), (*u, v), (family, c2, j + dj))
@@ -98,10 +97,9 @@ def check_z_endpoints(view):
     inv = view.inv
     M, D, q = inv.M, inv.D, inv.q
     reports = []
-    for (ufam, uidx) in inv.progressions():
+    for (ufam, uidx), (s, e) in inv.bounds.items():
         if ufam == "Z":
             continue
-        s, e = inv.bounds[(ufam, uidx)]
         quads = (((ufam, uidx, row), ("Z", 0, zc), ("Z", 0, -zc), (ufam, uidx, row)) for row, zc in ((s, -D), (e, D)))
         params = {"left": [ufam, uidx], "relocated_to": "Z*U"}
         reports.append(_pair_claim(view, "ZEndpoint", f"endpoints:{ufam}{uidx}*Z", params, quads))
@@ -122,8 +120,8 @@ def _find_alternative(view, z, tgt_left, tgt_right, residue, exclude_pair):
     lo, hi = inv.bounds[tgt_left]
     M = inv.M
     cs = range(lo, hi + 1) if residue is None else range(lo + ((residue - lo) % M), hi + 1, M)
-    row = inv.prog[tgt_left]
-    memb = view.member[tgt_right]
+    row = inv.prog.get(tgt_left, {})
+    memb = view.member.get(tgt_right, {})
     for c in cs:
         li = row.get(c)
         if li is None:

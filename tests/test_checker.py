@@ -1,9 +1,11 @@
+import random
 import re
 import sys
 
 import pytest
 
 import claims_oracle
+from conftest import random_element
 from nup import checker
 from nup.checker import (
     FAIL,
@@ -17,7 +19,7 @@ from nup.checker import (
     verify_family,
 )
 from nup.cli import main
-from nup.families import FamilySpec, SliceLabel, build_family
+from nup.families import FamilySpec, SliceLabel, build_family, progression_bounds
 from nup.sets import load_set_file, make_set, product_table
 from nup.words import GroupParams, from_string, from_word
 
@@ -388,17 +390,95 @@ class TestTableReadMatchesOracle:
         assert all(c.status != FAIL for c in claims)
 
 
+DAMAGES = ("drop-elements", "drop-progressions", "keep-one", "relabel", "relabel-foreign", "add-foreign", "swap")
+
+
+def damaged_family(spec, damage, rng):
+    """The labeled family with the damage, one of DAMAGES, drawn by rng.
+    Labels stay distinct, so the checker accepts every such set."""
+    full = build_family(spec)
+    elements, labels = list(full.elements), list(full.labels)
+    M = 1 << spec.k
+    bounds = progression_bounds(spec)
+    keys = list(bounds)
+    foreign = [("X", M), ("Y", M + 3), ("Z", 1), ("X", -1)]
+    if damage == "drop-elements":
+        for i in sorted(rng.sample(range(len(elements)), rng.randint(1, 6)), reverse=True):
+            del elements[i], labels[i]
+    elif damage == "drop-progressions":
+        gone = set(rng.sample(keys, rng.randint(1, 3)))
+        elements, labels = zip(*[(w, lab) for w, lab in zip(elements, labels) if lab[:2] not in gone])
+    elif damage == "keep-one":
+        i = rng.randrange(len(elements))
+        elements, labels = [elements[i]], [labels[i]]
+    elif damage == "relabel":
+        # an element takes the label of one in another progression, which is dropped
+        i = rng.randrange(len(elements))
+        other = rng.choice([t for t, lab in enumerate(labels) if lab[:2] != labels[i][:2]])
+        labels[i] = labels[other]
+        del elements[other], labels[other]
+    elif damage == "relabel-foreign":
+        i = rng.randrange(len(elements))
+        labels[i] = SliceLabel(*rng.choice(foreign), labels[i].j)
+    elif damage == "add-foreign":
+        w = random_element(rng, spec.params)
+        while w in full:
+            w = random_element(rng, spec.params)
+        key = rng.choice(keys + foreign)
+        elements.append(w)
+        labels.append(SliceLabel(*key, bounds.get(key, (0, 0))[1] + rng.randint(1, 3)))
+    else:
+        i, other = rng.sample(range(len(elements)), 2)
+        labels[i], labels[other] = labels[other], labels[i]
+    return make_set(spec.params, elements, labels)
+
+
+class TestDamagedSets:
+    """verify_family on damaged labeled sets: every report is consistent and
+    sound, and a damage that changes the set fails it."""
+
+    @pytest.mark.parametrize("point", [(1,), (2,), (1, 1, 3), (2, 1, 5), (1, 3, 5)], ids=lambda p: "-".join(map(str, p)))
+    def test_reports_consistent_and_sound(self, point):
+        spec = FamilySpec(*point)
+        rng = random.Random(f"damaged {point}")
+        for damage in DAMAGES * 2:
+            report = verify_family(spec, damaged_family(spec, damage, rng))
+            assert report["consistent"] and report["soundness_ok"], damage
+            # a swap keeps the set, which may still pass under its new labels
+            assert report["exit_status"] == 1 or damage == "swap", damage
+
+    @pytest.mark.parametrize("key", [("Y", 0), ("X", 0), ("X", 1), ("Y", 3), ("X", 2), ("Z", 0)], ids=lambda k: f"{k[0]}{k[1]}")
+    def test_missing_progression_fails_its_claims(self, key):
+        spec = FamilySpec(2)
+        full = build_family(spec)
+        keep = [(w, lab) for w, lab in zip(full.elements, full.labels) if lab[:2] != key]
+        report = verify_family(spec, make_set(spec.params, [w for w, _ in keep], [lab for _, lab in keep]))
+        assert report["claims_summary"]["fail"] > 0
+        assert report["consistent"] and report["soundness_ok"]
+        assert report["exit_status"] == 1
+
+    def test_empty_set_refused(self):
+        spec = FamilySpec(2)
+        with pytest.raises(ValueError, match="checker needs a non-empty set"):
+            verify_family(spec, make_set(spec.params, [], []))
+
+    def test_set_of_another_group_refused(self):
+        with pytest.raises(ValueError, match="the set lies in the group k=1, not in the spec's group k=2"):
+            verify_family(FamilySpec(2), build_family(FamilySpec(1)))
+
+
 def brute_alternative(inv, source, target, residue):
     """The first (li, w) of the target block with the source's product, other
     than the source pair: every admissible left row in order, then every
     column of the runs that hold the target right progression."""
     si, ri, z = source
     tgt_left, tgt_right = target
-    memb, labels, table = inv.prog[tgt_right], inv.gset.labels, inv.table
-    for c in sorted(inv.prog[tgt_left]):
-        if residue is not None and (c - residue) % inv.M:
+    memb, labels, table = inv.prog.get(tgt_right, {}), inv.gset.labels, inv.table
+    lo, hi = inv.bounds[tgt_left]
+    for c in range(lo, hi + 1):
+        li = inv.prog.get(tgt_left, {}).get(c)
+        if li is None or residue is not None and (c - residue) % inv.M:
             continue
-        li = inv.prog[tgt_left][c]
         for r in table.runs_of(memb.values()):
             for w in table.runs[r]:
                 if memb.get(labels[w].j) == w and (li, w) != (si, ri) and table.product(li, w) == z:

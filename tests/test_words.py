@@ -257,6 +257,41 @@ class TestParsePrint:
         assert parse("ab^2A") == (("a", 1), ("b", 2), ("a", -1))
         assert parse("1") == ()
 
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [("1", ()), (" 1 ", ()), ("b^-3 A", (("b", -3), ("a", -1)))],
+    )
+    def test_grammar_tokens(self, text, tokens):
+        assert parse(text) == tokens
+
+    # the exact message and position of each kind of error: blanks lie only
+    # between terms, an exponent is '^', an optional '-' and ASCII digits
+    # not all zero, and the position is that of '^', of the first digit or
+    # of the offending character
+    @pytest.mark.parametrize(
+        "text,message,pos",
+        [
+            ("", "empty word", 0),
+            ("a^", "expected digits after '^'", 1),
+            ("a^-", "expected digits after '^'", 1),
+            ("a^0", "zero exponent is not allowed", 2),
+            ("a^-0", "zero exponent is not allowed", 3),
+            ("a^00", "zero exponent is not allowed", 2),
+            ("a ^2", "expected generator a, b, A or B, found '^'", 2),
+            ("a^ 2", "expected digits after '^'", 1),
+            ("a^١", "expected digits after '^'", 1),
+            ("a^３", "expected digits after '^'", 1),
+            ("1a", "expected generator a, b, A or B, found '1'", 0),
+            ("x", "expected generator a, b, A or B, found 'x'", 0),
+            ("a^2^3", "expected generator a, b, A or B, found '^'", 3),
+        ],
+    )
+    def test_grammar_errors(self, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.position == pos
+
 
 class TestCharacters:
     def test_sigma_examples(self):
