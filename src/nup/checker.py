@@ -51,8 +51,8 @@ import time
 from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
-from .families import FAMILIES, FamilySpec, SliceLabel, progression_bounds, scan_family
-from .sets import FactorizationTable, GroupSet, product_table
+from .families import FAMILIES, FamilySpec, SliceLabel, build_family, progression_bounds, scan_report
+from .sets import GroupSet, product_table
 from .words import from_word
 
 PASS = "pass"
@@ -85,13 +85,13 @@ class ClaimReport(NamedTuple):
 class Inventory:
     """Labeled-set view used by all claims: the spec's progressions with
     their j ranges (bounds), element lookup by label, the square's
-    factorization table, and coverage.  An element missing from the set
-    fails the claims that name it.  table is the factorization table of
-    gset * gset, built when not given.  Coverage is one int per row i whose
-    bit j marks the pair (i, j).
+    factorization table, and coverage.  A set it cannot check is refused
+    before the table is built, and an element missing from the set fails the
+    claims that name it.  Coverage is one int per row i whose bit j marks
+    the pair (i, j).
     """
 
-    def __init__(self, spec: FamilySpec, gset: GroupSet, table: Optional[FactorizationTable] = None):
+    def __init__(self, spec: FamilySpec, gset: GroupSet):
         if gset.labels is None:
             raise ValueError("checker needs a labeled set")
         if not gset.elements:
@@ -116,7 +116,7 @@ class Inventory:
         self.top = self.bounds[("Y", 0)][1]  # largest X/Y trailing exponent
         self.D = self.bounds[("Z", 0)][1]
         self.size = len(gset)
-        self.table = product_table(gset, gset) if table is None else table
+        self.table = product_table(gset, gset)
         self._rows = [0] * self.size
         self._spans: dict = {}
 
@@ -191,8 +191,9 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
     left_a * right_a = left_b * right_b with both right labels shifted by t.
     Factors are labels (family, index, j).  Where both right spans are
     consecutive elements of one run, a left pair is checked by comparing its
-    first two products; anything else is walked pair by pair.  The witness is
-    the first failure."""
+    first two products; anything else is walked pair by pair, but a missing
+    left element fails every pair of its block as it fails the first.  The
+    witness is the first failure."""
     count, fails, witness = 0, 0, None
     rows, product = inv._rows, inv.table.product
     for lefts, rights, length in blocks:
@@ -201,7 +202,11 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
             ia, ib = inv.lookup(*la), inv.lookup(*lb)
             for (ra, rb), (span_a, span_b) in zip(rights, spans):
                 count += length
-                if span_a and span_b and ia is not None and ib is not None and ia != ib:
+                if ia is None or ib is None:
+                    fails += length
+                    witness = witness or _pair_witness(inv, la, ra, lb, rb)
+                    continue
+                if span_a and span_b and ia != ib:
                     # a row times a run is one interval, so the first products decide
                     if product(ia, span_a[0]) == product(ib, span_b[0]):
                         rows[ia] |= span_a[1]
@@ -530,18 +535,21 @@ def run_all_claims(inv: Inventory) -> list[ClaimReport]:
 
 def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> dict:
     """Run every structured claim plus the end-to-end unique-product scan,
-    and return the check report: scan_family's report with the claims, their
+    and return the check report: scan_report's fields with the claims, their
     coverage, the cross-checks, the wall time and the exit status.
 
     The two must agree: all claims passing with full coverage implies a zero
     unique-product count.
     """
     t0 = time.perf_counter()
-    gset, table, uniques, report = scan_family(spec, gset)
+    gset = build_family(spec) if gset is None else gset
     t1 = time.perf_counter()
-    inv = Inventory(spec, gset, table)
+    inv = Inventory(spec, gset)
+    uniques = inv.table.uniques()
+    t2 = time.perf_counter()
+    report = scan_report(spec, inv.table, uniques, gset.duplicates_removed, t1 - t0, t2 - t1)
     claims = [c.as_dict() for c in run_all_claims(inv)]
-    report["timings"]["claims_s"] = round(time.perf_counter() - t1, 6)
+    report["timings"]["claims_s"] = round(time.perf_counter() - t2, 6)
     counts = Counter(c["status"] for c in claims)
     coverage = inv.coverage()
     report.update(

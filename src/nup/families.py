@@ -18,9 +18,9 @@ q >= 1 with M | q-1 and stretches every progression:
 of total size (2M^2 + 5M + 2)q - (M+1); at p = q = 1 the two families agree
 elementwise.  Every element carries a SliceLabel (family, index, j) so the
 checker can address progressions symbolically; element identity, not the
-label, drives set semantics.  scan_family builds a family, scans its
-square and starts the report that verify and check share; it lives here,
-not in the checker, so that verify never imports the checker.
+label, drives set semantics.  scan_family scans the square of the
+progressions as b-runs (family_runs), building no element, for verify; it
+lives here, not in the checker, so that verify never imports the checker.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
-from .sets import FactorizationTable, GroupSet, make_set, product_table, unique_products
+from .sets import FactorizationTable, GroupSet, RunSet, _from_b_key, b_key, make_set, product_table
 from .words import MAX_K, GroupParams, NormalForm, from_word
 
 FAMILIES = ("X", "Y", "Z")  # in progression order, which is also string order
@@ -110,33 +110,28 @@ def expected_cardinality(spec: FamilySpec) -> int:
     return (2 * M * M + 5 * M + 2) * spec.q_eff - (M + 1)
 
 
-# Largest predicted peak memory the CLI admits, in bytes.  The prediction is
-# 1,400 B per element: the square's table stores nothing per (row, run)
-# pair, and its triples (4 to 6 per element), product memos, rows and
-# prefixes grow with the elements.  The peak RSS of verify, less the
-# interpreter's 15.2 MiB, leaves 1,011, 1,191, 1,282 and 1,353 B per element
-# at base k = 5, 6, 7 and 8 (17.3, 24.8, 55.9 and 185.6 MiB) and 739 at (k,
-# p, q) = (1, 1, 4001) (71.6 MiB).  check adds 0.15 B per pair for the
-# coverage bits, in Python ints rebuilt by every mark (10-14% above |T|^2/8
-# bytes), and so covers check at base k = 5, 6 and 7 (19.2, 35.1 and 199.8
-# MiB) and at (1, 1, 801), (2, 1, 401) and (1, 1, 1601) (62.9, 92.1 and
-# 174.5 MiB), less the 16.8 MiB of check --k 1.  This admits verify --k 8
-# (176 MiB) and check --k 7 (202 MiB), and refuses check --k 8 (2,672 MiB) and
-# every k >= 9 (verify --k 9 at 702 MiB).
+# Largest predicted peak memory the CLI admits, in bytes.  verify builds no
+# element: less the interpreter's 15.2 MiB, it leaves 534, 589, 579 and 599
+# B per element at base k = 6..9 (19.5, 33.9, 88.2 and 315.7 MiB), mostly
+# triples and product prefixes, and export-set 409 and 456 at k = 8 and 9.
+# check adds the elements and table, 1,400 B per element, and 0.15 B per
+# pair of coverage bits, which covers check at base k = 5, 6, 7 (19.1, 34.3,
+# 198.0 MiB) and (1, 1, 801), (2, 1, 401), (1, 1, 1601) (60.8, 91.3, 172.8
+# MiB), less check --k 1's 16.8 MiB.  This admits verify --k 9 (311 MiB) and
+# check --k 7 (203 MiB), and refuses k >= 10 and check --k 8 (2,672 MiB).
 MEMORY_BUDGET = 512 << 20
-_ELEMENT_BYTES = 1400
+_ELEMENT_BYTES = 620
+_CHECK_BYTES = 1400
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:
-    """The predicted peak bytes of scanning the family's square, and of its
-    claims too when claims is set; ValueError above MEMORY_BUDGET."""
+    """The predicted peak bytes of scanning the family's square, or of its
+    claims when claims is set; ValueError above MEMORY_BUDGET."""
     limit = f"the budget of {MEMORY_BUDGET >> 20} MiB"
     if spec.k > MAX_K:  # |T| > 2^(2k+1): say so without computing 2^k
         raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
-    predicted = size * _ELEMENT_BYTES
-    if claims:
-        predicted += size * size * 3 // 20
+    predicted = size * _CHECK_BYTES + size * size * 3 // 20 if claims else size * _ELEMENT_BYTES
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted
@@ -169,26 +164,41 @@ def build_family(spec: FamilySpec) -> GroupSet:
     return gset
 
 
-def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[GroupSet, FactorizationTable, list, dict]:
-    """Build the family (unless gset is given), the factorization table of
-    its square and its unique products.  Returns (gset, table, uniques,
-    report), where report holds the fields that the verify and check reports
-    share, with claims_s 0.0 among the timings of the build and the scan."""
-    t0 = time.perf_counter()
-    if gset is None:
-        gset = build_family(spec)
-    t1 = time.perf_counter()
-    table = product_table(gset, gset)
-    uniques = unique_products(gset, gset, table=table)
-    t2 = time.perf_counter()
-    report = {
+def family_runs(spec: FamilySpec) -> RunSet:
+    """The family as its b-runs (head, indices), one per progression, with
+    the elements numbered along the progressions; only the heads are built."""
+    params, p, runs, start = spec.params, spec.p_eff, [], 0
+    for (fam, idx), (lo, hi) in progression_bounds(spec).items():
+        runs.append((_slice_element(params, p, fam, idx, lo), range(start, start + hi - lo + 1)))
+        start += hi - lo + 1
+    return RunSet(params, runs)
+
+
+def scan_report(spec: FamilySpec, table: FactorizationTable, uniques: list, duplicates: int, build_s: float, scan_s: float) -> dict:
+    """The fields that the verify and check reports share; claims_s is 0.0."""
+    return {
         "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
-        "set_size": len(gset),
+        "set_size": table.cols,
         "expected_size": expected_cardinality(spec),
-        "duplicates_removed": gset.duplicates_removed,
+        "duplicates_removed": duplicates,
         "unique_count": len(uniques),
         "witnesses": [[str(z), [i, j]] for z, (i, j) in uniques],
         "counters": table.counters(),
-        "timings": {"build_s": round(t1 - t0, 6), "scan_s": round(t2 - t1, 6), "claims_s": 0.0},
+        "timings": {"build_s": round(build_s, 6), "scan_s": round(scan_s, 6), "claims_s": 0.0},
     }
-    return gset, table, uniques, report
+
+
+def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Optional[GroupSet], FactorizationTable, list, dict]:
+    """(gset, table, uniques, scan_report) of the square of gset, or of the
+    family's runs; gset stays None then unless a witness needs its indices."""
+    t0 = time.perf_counter()
+    S = family_runs(spec) if gset is None else gset
+    t1 = time.perf_counter()
+    table = product_table(S, S)
+    uniques = table.uniques()
+    if uniques and gset is None:  # never for the paper's sets
+        gset = build_family(spec)
+        index = {p: gset.index_of(_from_b_key(spec.k, prefix, n0 + t)) for head, ix in S.runs
+                 for prefix, n0 in [b_key(head)] for t, p in enumerate(ix)}
+        uniques = [(z, (index[i], index[j])) for z, (i, j) in uniques]
+    return gset, table, uniques, scan_report(spec, table, uniques, 0 if gset is None else gset.duplicates_removed, t1 - t0, time.perf_counter() - t1)

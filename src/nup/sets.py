@@ -2,9 +2,9 @@
 
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
-element.  A FactorizationTable holds the product set X*Y with every index
-pair (i, j) of X[i] * Y[j], so callers can count multiplicities, extract
-witnesses and compare products without multiplying.
+element; a RunSet is a set given by its b-runs alone.  A FactorizationTable
+holds X*Y with every index pair (i, j) of X[i] * Y[j], so callers can count
+multiplicities, extract witnesses and compare products without multiplying.
 
 The table rests on one fact about normal forms.  Right multiplication by b^e
 leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
@@ -36,12 +36,10 @@ kernel that the scan and the search share, multiplies once per (row prefix
 of v the row prefix has: 4^(k+1) + 2^(k+1) multiplies at base k, and as many
 for the scaled sets T(1, q) at every q.
 
-The table stores the square once, as weighted intervals: one triple
-(prefix id, n0, run length, weight) per interval that rows of one row prefix
-meet, with no entry per row and run.  The scan counts each interval's rows by
-convolving intervals of n with the heads' c_h, and a triple's pairs are the
-rows and heads with n + c_h = nz.  A sweep over the triples of each prefix,
-two weighted events each, gives the distinct products and the unique ones.
+The table stores the square once, as weighted intervals read from the
+b-runs of both factors: one triple (prefix id, n0, run length, weight) per
+interval that rows of one row prefix meet, with nothing per row or pair.  A
+sweep over each prefix's triples gives the distinct and the unique products.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -100,6 +98,27 @@ class GroupSet:
 
     def label_of(self, i: int):
         return None if self.labels is None else self.labels[i]
+
+    def b_runs(self) -> list[tuple[NormalForm, list[int]]]:
+        """The maximal b-runs as (head, positions of the run's elements)."""
+        return [(self.elements[run[0]], run) for run in b_runs(self.elements)]
+
+
+class RunSet:
+    """A set as its b-runs (head, indices): the elements head, head*b, ...,
+    numbered by indices and never built, scanned as a GroupSet is."""
+
+    __slots__ = ("params", "runs")
+
+    def __init__(self, params: GroupParams, runs: list[tuple[NormalForm, Sequence[int]]]):
+        self.params = params
+        self.runs = runs
+
+    def __len__(self):
+        return sum(len(ix) for _, ix in self.runs)
+
+    def b_runs(self) -> list[tuple[NormalForm, Sequence[int]]]:
+        return self.runs
 
 
 def make_set(params: GroupParams, elements: Iterable[NormalForm], labels: Optional[Sequence] = None) -> GroupSet:
@@ -221,75 +240,75 @@ class RunProducts:
 class FactorizationTable:
     """All factorizations of the product set X*Y, as weighted intervals.
 
-    X[i] times a b-run of Y is the interval [n0, n0 + run length) of one
-    product prefix, named by a RunProducts kernel (see the module docstring).
-    Within one row prefix (u, alpha, syllables) it depends on the row's n only
-    through nz = n + c_h and the head's class (core id, beta_h, run length).
-    So the scan visits no (row, run) pair: per row prefix it convolves the
-    rows' n, as step-2 intervals per parity (which picks the heads' split),
-    with each class's c_h by +1 and -1 events, sums both parities, and makes
-    one kernel key and one triple per (class, nz) of positive weight.  The
-    paper's sets get one triple per distinct (prefix, n0, run length);
-    elsewhere two may share one, and the sweep adds their weights.
+    X and Y are GroupSets or RunSets, read as disjoint b-runs (head, indices)
+    of rows (of X) and columns (of Y).  X[i] times a run of Y is the interval
+    [n0, n0 + run length) of one product prefix, whose key RunProducts gives
+    (see the module docstring) from nz = n + c_h and the head's class (core
+    id, beta_h, run length) alone.  So the scan visits no (row, run) pair:
+    per row prefix it convolves its row runs, cut into step-2 intervals of n
+    per parity (which picks the heads' split), with each class's c_h, and
+    makes one key and one triple per (class, nz) of positive weight, one per
+    distinct (prefix, n0, run length) in the paper's sets.
 
     Triple t has prefix id triple_pid[t], start triple_n0[t], length
     triple_len[t], weight triple_weight[t] (the (row, run) pairs that meet
     it) and nz triple_nz[t]; the triples of prefix pid are linked from
     last_triple[pid] through triple_prev, ending at -1.  All are flat arrays
     of machine ints; a product beyond 64 bits is refused with a ValueError.
-
-    product reads a pair's key from the kernel's product memos, which the
-    table keeps, without a multiply; a row times a run is the interval that
-    starts at the key of the row times the run's head.  The pair lists
-    recover a triple's pairs, the rows n and heads c_h of its row prefix and
-    class with n + c_h = nz, through an index of the rows built on first use,
-    which verify and check of a set with no unique product never build.
+    Nothing is kept per row: a row prefix's product memo lives while its rows
+    are scanned, and product makes its own on first read.  The pair lists
+    recover a triple's pairs, the rows n and heads c_h of its class with
+    n + c_h = nz, from the row runs.
     """
 
     __slots__ = (
-        "x", "y", "runs", "prefixes", "multiplies",
+        "k", "runs", "rows", "cols", "prefixes", "multiplies",
         "triple_pid", "triple_n0", "triple_len", "triple_weight", "triple_nz", "last_triple", "triple_prev",
-        "_splits", "_c_of", "_rows", "_sources", "_prefix_id", "_cols", "_counts", "_row_at",
+        "_kernel", "_splits", "_c_of", "_row_prefixes", "_sources", "_index", "_counts",
     )
 
-    def __init__(self, x: GroupSet, y: GroupSet):
-        self.x = x
-        self.y = y
-        self.runs = runs = b_runs(y.elements)
-        k = x.params.k
-        kernel = RunProducts(k)
+    def __init__(self, x: GroupSet | RunSet, y: GroupSet | RunSet):
+        self.k = k = x.params.k
+        self.rows, self.cols = len(x), len(y)
+        cols = y.b_runs()
+        rows = cols if x is y else x.b_runs()
+        self.runs = [ix for _, ix in cols]
+        self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
-        self._splits = splits = [kernel.split(y.elements[run[0]]) for run in runs]
+        self._splits = splits = [kernel.split(head) for head, _ in cols]
         # for rows with an even and an odd number of b letters, the (c_h, run)
         # of each class, named by its split with c_h = 0 (the key of (n, c_h)
         # is that of (n + c_h, 0)) and its run length
         self._c_of = c_of = ({}, {})
-        for r, (run, split) in enumerate(zip(runs, splits)):
+        for r, (ix, split) in enumerate(zip(self.runs, splits)):
             for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, split):
-                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(run)), []).append((c_h, r))
-        rows_of: dict = {}  # row prefix -> its rows' (n, row)
-        for i, xe in enumerate(x.elements):
-            prefix, n = b_key(xe)
-            rows_of.setdefault(prefix, []).append((n, i))
-        self._rows = row_data = [None] * len(x)  # (product memo of the row prefix, n, parity)
+                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append((c_h, r))
+        rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
+        for head, ix in rows:
+            prefix, n0 = b_key(head)
+            rows_of.setdefault(prefix, []).append((n0, ix))
+        self._row_prefixes = row_prefixes = list(rows_of.items())
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
         self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight, self.triple_nz = arrays = [array(c) for c in "iqiiq"]
         new_pid, new_n0, new_len, new_weight, new_nz = (a.append for a in arrays)
-        self._sources = sources = []  # (first triple, row prefix's memo, class) of each lattice
+        self._sources = sources = []  # (first triple, row prefix index, class) of each lattice
         try:
-            for (u, alpha, syl), rows in rows_of.items():
-                memo: dict = {}
+            for row_prefix, ((u, alpha, syl), row_runs) in enumerate(row_prefixes):
+                memo: dict = {}  # the row prefix's product memo, dropped after its rows
                 syl_sum = sum(syl)
                 # the rows' n as step-2 intervals [a, b], per parity
                 spans: tuple = ([], [])
-                for n, i in sorted(rows):
-                    parity = (syl_sum + n) & 1
-                    row_data[i] = memo, n, parity
-                    side = spans[parity]
-                    if side and side[-1][1] + 2 == n:
-                        side[-1][1] = n
-                    else:
-                        side.append([n, n])
+                row_runs.sort(key=itemgetter(0))
+                for (n0, ix), before in zip(row_runs, [None] + row_runs):
+                    if before and n0 < before[0] + len(before[1]):
+                        raise ValueError(f"two row b-runs share the element {_from_b_key(k, (u, alpha, syl), n0)}")
+                    end = n0 + len(ix) - 1
+                    for a in range(n0, min(n0 + 1, end) + 1):
+                        side, b = spans[(syl_sum + a) & 1], end - ((end - a) & 1)
+                        if side and side[-1][1] + 2 == a:
+                            side[-1][1] = b
+                        else:
+                            side.append([a, b])
                 # the weight of nz in a class is #{(n, c) : n + c = nz}: +1 at
                 # a + c and -1 at b + c + 2 per interval and c, on the lattice
                 # of nz's parity, with the rows of both parities in one sum
@@ -303,7 +322,7 @@ class FactorizationTable:
                                 lattice[b + c + 2] = lattice.get(b + c + 2, 0) - 1
                 for (cls, _), lattice in events.items():
                     head, length = cls
-                    sources.append((len(prev), memo, cls))
+                    sources.append((len(prev), row_prefix, cls))
                     w = 0
                     for start, end in pairwise(sorted(lattice)):
                         w += lattice[start]
@@ -320,15 +339,9 @@ class FactorizationTable:
                             new_nz(nz)
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
-        self._prefix_id = kernel.prefix_id
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
-        # the run of every column j and its offset there
-        self._cols = run_of, offset = array("i", [0]) * len(y), array("i", [0]) * len(y)
-        for r, run in enumerate(runs):
-            for t, j in enumerate(run):
-                run_of[j], offset[j] = r, t
-        self._counts = self._row_at = None
+        self._counts = self._index = None
 
     def _sweep(self) -> tuple[int, int, list]:
         """(distinct products, unique products, ids of the prefixes holding a
@@ -368,48 +381,59 @@ class FactorizationTable:
         return self._counts
 
     def counters(self) -> dict:
-        return {"elements": len(self.y), "runs": len(self.runs), "multiplies": self.multiplies,
+        return {"elements": self.cols, "runs": len(self.runs), "multiplies": self.multiplies,
                 "triples": len(self.triple_pid), "distinct_products": len(self)}
 
     def total_pairs(self) -> int:
-        return len(self.x) * len(self.y)
+        return self.rows * self.cols
 
     def __len__(self):
         return self._sweep()[0]
 
     # -- products by key ------------------------------------------------------
 
+    def _positions(self) -> tuple:
+        """product's index of the columns and rows, made on first read."""
+        if self._index is None:
+            run_of, offset, prefix_of, n_of = (array(c, [0]) * size for c, size in zip("iiiq", [self.cols] * 2 + [self.rows] * 2))
+            for r, ix in enumerate(self.runs):
+                for t, j in enumerate(ix):
+                    run_of[j], offset[j] = r, t
+            for row_prefix, (_, row_runs) in enumerate(self._row_prefixes):
+                for n0, ix in row_runs:
+                    for t, i in enumerate(ix):
+                        prefix_of[i], n_of[i] = row_prefix, n0 + t
+            memos = [({}, *prefix, sum(prefix[2])) for prefix, _ in self._row_prefixes]
+            self._index = run_of, offset, prefix_of, n_of, memos, self._splits, self._kernel.key
+        return self._index
+
     def product(self, i: int, j: int) -> tuple[int, int]:
-        """The key of X[i] * Y[j], read through the product memo of X[i]'s row prefix."""
-        run_of, offset = self._cols
-        memo, n, parity = self._rows[i]
-        core_key, mask, c_h, beta, flip, _, _ = self._splits[run_of[j]][parity]
-        # RunProducts.key, whose memo entry the scan made
-        nz = n + c_h
-        rho = nz & mask
-        pid, zn = memo[core_key + rho]
-        shift = nz - rho
-        return pid, zn + beta + offset[j] + (-shift if flip else shift)
+        """The key of X[i] * Y[j], from the kernel and a product memo of X[i]'s row prefix."""
+        run_of, offset, prefix_of, n_of, memos, splits, key = self._index or self._positions()
+        memo, u, alpha, syl, syl_sum = memos[prefix_of[i]]
+        n = n_of[i]
+        pid, n0 = key(memo, u, alpha, syl, n, splits[run_of[j]][(syl_sum + n) & 1])
+        return pid, n0 + offset[j]
 
     def is_run(self, cols: list) -> bool:
         """True when the columns cols are consecutive elements, in order, of one b-run."""
-        run_of, offset = self._cols
+        run_of, offset = self._positions()[:2]
         t0 = offset[cols[0]]
-        return self.runs[run_of[cols[0]]][t0 : t0 + len(cols)] == cols
+        return list(self.runs[run_of[cols[0]]][t0 : t0 + len(cols)]) == cols
 
     def runs_of(self, cols: Iterable[int]) -> list[int]:
         """The b-runs that hold the columns cols, each once."""
-        run_of = self._cols[0]
+        run_of = self._positions()[0]
         return list(dict.fromkeys(run_of[j] for j in cols))
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
         """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
         prefix, n = b_key(w)
-        return self._prefix_id.get(prefix, -1), n
+        return self._kernel.prefix_id.get(prefix, -1), n
 
     def element_of(self, key: tuple[int, int]) -> NormalForm:
         pid, n = key
-        return _from_b_key(self.x.params.k, self.prefixes[pid], n)
+        return _from_b_key(self.k, self.prefixes[pid], n)
 
     # -- pair lists, rebuilt on demand ----------------------------------------
 
@@ -428,12 +452,17 @@ class FactorizationTable:
     def _cells(self, t: int) -> list[tuple[int, int]]:
         """The (row, run) pairs that meet triple t: the rows n and heads c_h of
         its lattice's row prefix and class with n + c_h = nz."""
-        self._row_at = self._row_at or {(id(memo), n): i for i, (memo, n, _) in enumerate(self._rows)}
-        _, memo, cls = self._sources[bisect_right(self._sources, t, key=itemgetter(0)) - 1]
-        nz, rows, row_at = self.triple_nz[t], self._rows, self._row_at
-        pairs = ((row_at.get((id(memo), nz - c)), r, parity) for parity, cs in enumerate(self._c_of) for c, r in cs.get(cls, ()))
-        # a row reads the heads' split for its own parity of b letters only
-        return [(i, r) for i, r, parity in pairs if i is not None and rows[i][2] == parity]
+        _, row_prefix, cls = self._sources[bisect_right(self._sources, t, key=itemgetter(0)) - 1]
+        (_, _, syl), row_runs = self._row_prefixes[row_prefix]
+        nz, out = self.triple_nz[t], []
+        for parity, cs in enumerate(self._c_of):
+            for c, r in cs.get(cls, ()):
+                n = nz - c
+                s = bisect_right(row_runs, n, key=itemgetter(0)) - 1
+                # a row reads the heads' split for its own parity of b letters only
+                if s >= 0 and n - row_runs[s][0] < len(row_runs[s][1]) and (sum(syl) + n) & 1 == parity:
+                    out.append((row_runs[s][1][n - row_runs[s][0]], r))
+        return out
 
     def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
         """Every (i, j) with X[i] * Y[j] = z, sorted; a row meets z at most once."""
@@ -471,7 +500,7 @@ class FactorizationTable:
         return out
 
 
-def product_table(X: GroupSet, Y: GroupSet) -> FactorizationTable:
+def product_table(X: GroupSet | RunSet, Y: GroupSet | RunSet) -> FactorizationTable:
     """Complete factorization table of X*Y, with one multiply per (row prefix, core, n mod 2^k)."""
     if X.params != Y.params:
         raise ValueError("product of sets over different groups")

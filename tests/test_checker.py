@@ -1,12 +1,13 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 
 import claims_oracle
 from conftest import random_element
-from nup import checker
+from nup import checker, sets
 from nup.checker import (
     FAIL,
     PASS,
@@ -381,13 +382,21 @@ class TestTableReadMatchesOracle:
         inv = Inventory(spec, build_family(spec))
         from nup.words import NormalForm
 
-        def refuse(self, other):
-            raise AssertionError("a claim multiplied two elements")
+        calls = 0
+        mul = NormalForm.__mul__
 
-        monkeypatch.setattr(NormalForm, "__mul__", refuse)
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(NormalForm, "__mul__", counting)
         claims = run_all_claims(inv)
         assert inv.coverage() == 1.0
         assert all(c.status != FAIL for c in claims)
+        # products are keys read through the table's kernel, whose product
+        # memos, made on first read, multiply at most as often as the scan
+        assert 0 < calls <= inv.table.multiplies
 
 
 DAMAGES = ("drop-elements", "drop-progressions", "keep-one", "relabel", "relabel-foreign", "add-foreign", "swap")
@@ -465,6 +474,43 @@ class TestDamagedSets:
     def test_set_of_another_group_refused(self):
         with pytest.raises(ValueError, match="the set lies in the group k=1, not in the spec's group k=2"):
             verify_family(FamilySpec(2), build_family(FamilySpec(1)))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: build_family(FamilySpec(6)), "not in the spec's group k=2"),
+            (lambda: make_set(GroupParams(2), [], []), "non-empty"),
+            (lambda: make_set(GroupParams(2), build_family(FamilySpec(2)).elements), "labeled set"),
+            (lambda: relabeled(FamilySpec(2), {SliceLabel("X", 1, 4): "X 1 four"}), "not a slice label"),
+        ],
+        ids=["another-group", "empty", "unlabeled", "bad-label"],
+    )
+    def test_refused_before_the_scan(self, make, message, monkeypatch):
+        gset = make()
+        monkeypatch.setattr(sets.FactorizationTable, "__init__", lambda *args: pytest.fail("the set was scanned"))
+        with pytest.raises(ValueError, match=message):
+            verify_family(FamilySpec(2), gset)
+
+    @pytest.mark.parametrize("point", [(2,), (1, 1, 3)], ids=lambda p: "-".join(map(str, p)))
+    def test_one_element_matches_the_oracle(self, point):
+        # every left pair misses an element, so each block fails whole
+        spec = FamilySpec(*point)
+        full = build_family(spec)
+        for i in (0, len(full) // 2, len(full) - 1):
+            (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, make_set(spec.params, [full[i]], [full.labels[i]]))
+            assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+            assert sum(c.count for c in ours if c.status == FAIL) > 100
+
+    def test_one_element_is_checked_fast(self):
+        # T(5) checked element by element costs 4,458,696 claimed pairs; each
+        # block of a missing left element costs one witness, not its pairs
+        spec = FamilySpec(5)
+        full = build_family(spec)
+        i = full.labels.index(SliceLabel("Y", 3, 5))
+        t0 = time.perf_counter()
+        report = verify_family(spec, make_set(spec.params, [full[i]], [full.labels[i]]))
+        assert time.perf_counter() - t0 < 2.0
+        assert report["exit_status"] == 1 and report["consistent"] and report["soundness_ok"]
 
 
 def brute_alternative(inv, source, target, residue):

@@ -268,8 +268,8 @@ class TestOversized:
             ["check", "--k", "2", "--p", "3", "--q", str(4 * 10**40 + 1)],
             ["check", "--k", "9"],
             ["check", "--k", "8"],
-            ["verify", "--k", "9"],
-            ["export-set", "--k", "9", "-o", "unused.txt"],
+            ["verify", "--k", "10"],
+            ["export-set", "--k", "10", "-o", "unused.txt"],
         ],
     )
     def test_refused_fast(self, argv, tmp_path, monkeypatch, capsys):
@@ -293,18 +293,19 @@ class TestOversized:
 
     @pytest.mark.parametrize("k", [8, 9])
     def test_predicted_memory_printed(self, k, capsys):
-        # verify --k 8 runs, so base k = 8 is refused for check
-        command, claims = ("check", True) if k == 8 else ("verify", False)
+        # verify --k 9 runs, so base k = 8 and 9 are refused for check, and
+        # verify is refused from k = 10
+        command, claims, k = ("check", True, k) if k == 8 else ("verify", False, k + 1)
         with pytest.raises(ValueError) as refusal:
             check_memory(FamilySpec(k), claims)
         assert main([command, "--k", str(k)]) == 2
         assert str(refusal.value) in capsys.readouterr().err
 
     def test_budget_admits_k7(self):
-        # and verify --k 8, but neither check --k 8 nor anything at k = 9
+        # and verify --k 8 and 9, but neither check --k 8 nor anything at k = 10
         assert check_memory(FamilySpec(7)) < check_memory(FamilySpec(7), claims=True) <= MEMORY_BUDGET
-        assert check_memory(FamilySpec(8)) <= MEMORY_BUDGET
-        for k, claims in ((8, True), (9, False), (9, True)):
+        assert check_memory(FamilySpec(8)) < check_memory(FamilySpec(9)) <= MEMORY_BUDGET
+        for k, claims in ((8, True), (9, True), (10, False), (10, True)):
             with pytest.raises(ValueError, match=r"need about [\d,]+ MiB"):
                 check_memory(FamilySpec(k), claims)
 
@@ -320,11 +321,12 @@ class TestOversized:
     @pytest.mark.parametrize("spec", [FamilySpec(1), FamilySpec(3), FamilySpec(1, 3, 5), FamilySpec(2, 1, 5), FamilySpec(3, 1, 9)])
     def test_prediction_counts_every_cell(self, spec):
         # one b-run per progression, and the table stores nothing per (row,
-        # run) pair, so the prediction is per element
+        # run) pair, so the prediction is per element; check's adds the
+        # coverage bits
         T = build_family(spec)
         assert product_table(T, T).counters()["runs"] == 2 * 2**spec.k + 1
         assert check_memory(spec) == len(T) * families._ELEMENT_BYTES
-        assert check_memory(spec, claims=True) == check_memory(spec) + len(T) ** 2 * 3 // 20
+        assert check_memory(spec, claims=True) == len(T) * families._CHECK_BYTES + len(T) ** 2 * 3 // 20
 
     # peak RSS of `python -m nup check --k K [--p P --q Q]` on a 2-vCPU VM,
     # Python 3.11, in MiB; the interpreter alone (check --k 1) peaks at 16.7
@@ -335,6 +337,14 @@ class TestOversized:
     @pytest.mark.parametrize("point", sorted(CHECK_PEAK_MIB), ids=lambda p: "-".join(map(str, p)))
     def test_check_prediction_covers_measured_peak(self, point):
         assert check_memory(FamilySpec(*point), claims=True) / 2**20 + 16.7 >= self.CHECK_PEAK_MIB[point]
+
+    # peak RSS of `python -m nup verify --k K [--p P --q Q]`, measured as
+    # above; the interpreter alone (verify --k 1) peaks at 15.1 to 15.2 MiB
+    VERIFY_PEAK_MIB = {(6,): 19.5, (7,): 33.9, (8,): 88.2, (9,): 315.7, (1, 1, 4001): 30.5}
+
+    @pytest.mark.parametrize("point", sorted(VERIFY_PEAK_MIB), ids=lambda p: "-".join(map(str, p)))
+    def test_verify_prediction_covers_measured_peak(self, point):
+        assert check_memory(FamilySpec(*point)) / 2**20 + 15.2 >= self.VERIFY_PEAK_MIB[point]
 
 
 class TestHugeK:

@@ -1,13 +1,17 @@
 import pytest
 
+from nup import families
 from nup.families import (
     FamilySpec,
     SliceLabel,
     build_family,
     expected_cardinality,
+    family_runs,
     progression_bounds,
+    scan_family,
     z_halfwidth,
 )
+from nup.sets import RunSet, make_set
 from nup.words import GroupParams, from_string, generator
 
 
@@ -127,3 +131,78 @@ class TestScaledSet:
         assert bounds[("X", 1)] == (-2, 9)
         assert bounds[("Y", 0)] == (-1, 9)
         assert bounds[("Z", 0)] == (-6, 6)
+
+
+def runs_by_length(runs):
+    return [(head, len(ix)) for head, ix in runs]
+
+
+def without_timings(report):
+    return {**report, "timings": None}
+
+
+class TestFamilyRuns:
+    """A family is scanned from its progressions, one b-run each, with no
+    element built but the heads."""
+
+    @pytest.mark.parametrize("point, count", [((3,), 17), ((5,), 65), ((1, 1, 5), 5), ((2, 3, 5), 9), ((3, 1, 9), 17)])
+    def test_runs_are_the_built_sets_b_runs(self, point, count):
+        spec = FamilySpec(*point)
+        runs = family_runs(spec)
+        assert sorted(runs_by_length(runs.runs)) == sorted(runs_by_length(build_family(spec).b_runs()))
+        assert len(runs.runs) == count and len(runs) == expected_cardinality(spec)
+        # the elements are numbered along the runs
+        assert [p for _, ix in runs.runs for p in ix] == list(range(len(runs)))
+
+    def test_overlapping_progressions_refused(self, monkeypatch):
+        # Z's elements are b^j whatever its index, so a second Z progression
+        # lies on Z_0's prefix; one that only touches Z_0 is a run of its own
+        spec = FamilySpec(1)
+        D = z_halfwidth(spec)
+        bounds = progression_bounds(spec)
+        monkeypatch.setattr(families, "progression_bounds", lambda spec: {**bounds, ("Z", 1): (D + 1, D + 3)})
+        gset, table, uniques, report = scan_family(spec)
+        assert len(table.runs) == 6 and report["set_size"] == expected_cardinality(spec) + 3
+        monkeypatch.setattr(families, "progression_bounds", lambda spec: {**bounds, ("Z", 1): (D, D + 3)})
+        with pytest.raises(ValueError, match=f"two row b-runs share the element b\\^{D}"):
+            scan_family(spec)
+        with pytest.raises(RuntimeError, match="produced 1 duplicate elements"):
+            build_family(spec)
+
+
+class TestScanFamily:
+    """verify's scan of the runs against the scan of the built set."""
+
+    @pytest.mark.parametrize("point", [(k,) for k in range(1, 7)] + [(1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5), (3, 1, 9), (1, 1, 101)],
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_runs_and_elements_give_one_report(self, point):
+        spec = FamilySpec(*point)
+        gset, table, uniques, report = scan_family(spec)
+        assert gset is None and uniques == []
+        built = build_family(spec)
+        _, built_table, _, built_report = scan_family(spec, built)
+        assert without_timings(report) == without_timings(built_report)
+        assert report["set_size"] == table.total_pairs() ** 0.5 == expected_cardinality(spec)
+
+    @pytest.mark.parametrize("point", [(2,), (1, 1, 3), (2, 1, 5)], ids=lambda p: "-".join(map(str, p)))
+    def test_family_with_one_element_dropped(self, point, monkeypatch):
+        # an interior element of a run dropped splits it in two and leaves
+        # unique products: the runs, numbered along themselves, name the
+        # witnesses by the indices of the set that the elements path scans
+        spec = FamilySpec(*point)
+        T = build_family(spec)
+        lo, _ = progression_bounds(spec)[("X", 1)]
+        drop = T.labels.index(SliceLabel("X", 1, lo + 1))
+        S = make_set(spec.params, T.elements[:drop] + T.elements[drop + 1 :], T.labels[:drop] + T.labels[drop + 1 :])
+        by_elements = scan_family(spec, S)
+        runs, start = [], 0
+        for head, ix in S.b_runs():
+            runs.append((head, range(start, start + len(ix))))
+            start += len(ix)
+        assert len(runs) == len(T.b_runs()) + 1
+        monkeypatch.setattr(families, "family_runs", lambda spec: RunSet(spec.params, runs))
+        monkeypatch.setattr(families, "build_family", lambda spec: S)
+        by_runs = scan_family(spec)
+        assert by_runs[0] is S
+        assert by_runs[2] == by_elements[2] and by_runs[2]
+        assert without_timings(by_runs[3]) == without_timings(by_elements[3])

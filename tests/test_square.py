@@ -247,8 +247,14 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     assert calls == 1056 < 577 * 33
     assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 1056, "triples": 3265, "distinct_products": len(table)}
     assert calls == 1056  # len() and counters() multiply nothing
-    table.uniques(), table.factorizations(z), table.product(3, 4)
-    assert calls == 1056  # nor do the reads: the scan filled every memo entry they read
+    table.uniques(), table.factorizations(z)
+    assert calls == 1056  # nor do the pair lists
+    # the table keeps no product memo: reading every pair's key multiplies
+    # once per entry of the memos made on first read, at most the scan's
+    # count again
+    keys = [table.product(i, j) for i in range(len(T)) for j in range(len(T))]
+    assert 1056 < calls <= 2 * 1056
+    assert len(set(keys)) == len(table)
 
 
 def assert_same_triples(X, Y):
@@ -342,10 +348,10 @@ class TestSharedMultiplies:
 
 
 def test_triples_are_machine_ints():
-    # 32 bytes per triple in flat arrays, and nothing per (row, run) pair.
-    # The product memos (one entry per multiply), the rows' (memo, n,
-    # parity) and the prefixes add the rest: with the scan's events the
-    # traced peak is about 163 B per triple here
+    # 32 bytes per triple in flat arrays, and nothing per row or (row, run)
+    # pair.  The prefixes, and the scan's events and the product memo of one
+    # row prefix at a time, add the rest: the traced peak is about 98 B per
+    # triple here
     T = build_family(FamilySpec(5))
     tracemalloc.start()
     try:
@@ -356,7 +362,7 @@ def test_triples_are_machine_ints():
         tracemalloc.stop()
     assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight, table.triple_nz)] == ["i", "q", "i", "i", "q"]
     assert len(table.triple_pid) == 12673
-    assert peak <= 180 * len(table.triple_pid)
+    assert peak <= 120 * len(table.triple_pid)
 
 
 def assert_kernel_keys(X, Y, rng) -> set:
