@@ -36,24 +36,25 @@ each mark records a second, distinct factorization of the same product)
 implies that no element of the square is uniquely represented.  That
 implication is cross-checked against the actual factorization table.
 
-No claim multiplies two elements: every product is read from that table,
-which names X[i] * Y[j] exactly by a key (see nup.sets).  When both right
-factors of a claim range over consecutive elements of one b-run, the claim
-holds for the whole range exactly when the first two products agree, so one
-comparison settles it; any other range is walked pair by pair.  Every chart
-shape ends in b^j, so a claimed range lo..hi is one rewrite: its keys are
-(pid, n + t), where (pid, n) is the key of the shape at j = lo.
+A diagonal or containment block whose left factors are one b-run, u_(v+1)
+= u_(v) b, is decided by cancelling them: u_(v+1) W_c = u_(v) W_(c+1) holds
+exactly when b W_c = W_(c+1), and the upper containment exactly when X_0[j]
+= b X_(M-1)[j+M] (the relator): one multiply by b per right factor.  Other
+blocks are walked pair by pair.  A chart shape ends in b^j, so its range
+lo..hi has the b-coordinates (prefix, n + t) of its start (prefix, n).
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
+from itertools import chain, pairwise
 from typing import Callable, NamedTuple, Optional
 
 from .families import FAMILIES, FamilySpec, SliceLabel, build_family, progression_bounds, scan_report
-from .sets import GroupSet, product_table
-from .words import from_word
+from .sets import GroupSet, b_key, b_runs, product_table
+from .words import from_word, generator
 
 PASS = "pass"
 FAIL = "fail"
@@ -85,10 +86,10 @@ class ClaimReport(NamedTuple):
 class Inventory:
     """Labeled-set view used by all claims: the spec's progressions with
     their j ranges (bounds), element lookup by label, the square's
-    factorization table, and coverage.  A set it cannot check is refused
-    before the table is built, and an element missing from the set fails the
-    claims that name it.  Coverage is one int per row i whose bit j marks
-    the pair (i, j).
+    factorization table, and coverage, one int per row i whose bit j marks
+    the pair (i, j).  A set it cannot check is refused before the table is
+    built, and an element missing from the set fails the claims that name
+    it.  A cancelled block's right factors and a target's runs are cached.
     """
 
     def __init__(self, spec: FamilySpec, gset: GroupSet):
@@ -118,29 +119,43 @@ class Inventory:
         self.size = len(gset)
         self.table = product_table(gset, gset)
         self._rows = [0] * self.size
-        self._spans: dict = {}
+        self._next = array("i", [-1]) * self.size  # els[i] * b = els[_next[i]], or -1
+        for i, j in chain.from_iterable(map(pairwise, self.table.runs)):
+            self._next[i] = j
+        self._steps, self._runs = {}, {}  # read by cancelled and runs
 
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
 
-    def span(self, fam: str, idx: int, j: int, length: int) -> Optional[tuple[int, int]]:
-        """(first column, column bits) of the labels (fam, idx, j .. j+length-1)
-        when their elements are consecutive elements y, y*b, ... of one run,
-        read from the elements themselves; else None, also for one column,
-        whose pair is simply walked.  Cached; the Z claims ask for about
-        4(M+1)q single columns, whose masks would hold q * |T| bits."""
-        if length == 1:
+    def cancelled(self, lefts, pairs, rights, length: int) -> Optional[tuple[int, int, list]]:
+        """For left pairs of one progression, all (u b, u) or all (u, u b), with
+        element indices pairs: the column bits a and b of the right pairs
+        shifted by t < length with b right_a = right_b (right_a = b right_b),
+        and the other shifted pairs, in order; cached per rights.  Else None."""
+        if len({lab[:2] for pair in lefts for lab in pair}) != 1 or any(None in pair for pair in pairs):
             return None
-        key = (fam, idx, j, length)
-        found = self._spans.get(key, False)
-        if found is False:
-            js = self.prog.get((fam, idx), _NONE)
-            cols = [js.get(j + t) for t in range(length)]
-            found = None
-            if None not in cols and self.table.is_run(cols):
-                found = (cols[0], sum(1 << c for c in cols))
-            self._spans[key] = found
-        return found
+        up = all(self._next[ia] == ib for ia, ib in pairs)
+        if not up and not all(self._next[ib] == ia for ia, ib in pairs):
+            return None
+        key = (tuple(rights), length, up)
+        if key not in self._steps:
+            els, b, cols, bad = self.gset.elements, generator(self.params, "b"), [], []
+            for (fa, ia, ja), (fb, ib, jb) in rights:
+                for t in range(length):
+                    ca, cb = self.lookup(fa, ia, ja + t), self.lookup(fb, ib, jb + t)
+                    if ca is None or cb is None or (els[ca] != b * els[cb] if up else b * els[ca] != els[cb]):
+                        bad.append(((fa, ia, ja + t), (fb, ib, jb + t)))
+                    else:
+                        cols.append((ca, cb))
+            self._steps[key] = sum(1 << ca for ca, _ in cols), sum(1 << cb for _, cb in cols), bad
+        return self._steps[key]
+
+    def runs(self, key: tuple[str, int]) -> list[list[int]]:
+        """The maximal b-runs of progression key's elements, as element indices; cached."""
+        if key not in self._runs:
+            members = list(self.prog.get(key, _NONE).values())
+            self._runs[key] = [[members[p] for p in run] for run in b_runs([self.gset[i] for i in members])]
+        return self._runs[key]
 
     def mark(self, i: int, j: int) -> None:
         self._rows[i] |= 1 << j
@@ -175,9 +190,9 @@ def _pair_witness(inv: Inventory, left_a, right_a, left_b, right_b) -> Optional[
     missing = [name for name, i in (("left_a", ia), ("right_a", ja), ("left_b", ib), ("right_b", jb)) if i is None]
     if missing:
         return {"reason": "missing element", "missing": missing, "pairs": pairs}
-    za, zb = inv.table.product(ia, ja), inv.table.product(ib, jb)
+    za, zb = inv.gset[ia] * inv.gset[ja], inv.gset[ib] * inv.gset[jb]
     if za != zb:
-        return {"reason": "products differ", "left": str(inv.table.element_of(za)), "right": str(inv.table.element_of(zb)), "pairs": pairs}
+        return {"reason": "products differ", "left": str(za), "right": str(zb), "pairs": pairs}
     if (ia, ja) == (ib, jb):
         return {"reason": "identical factorization", "pairs": pairs[:1]}
     inv.mark(ia, ja)
@@ -189,29 +204,30 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
     """One report over blocks (lefts, rights, length): for every left pair
     (left_a, left_b), right pair (right_a, right_b) and t < length, the claim
     left_a * right_a = left_b * right_b with both right labels shifted by t.
-    Factors are labels (family, index, j).  Where both right spans are
-    consecutive elements of one run, a left pair is checked by comparing its
-    first two products; anything else is walked pair by pair, but a missing
-    left element fails every pair of its block as it fails the first.  The
-    witness is the first failure."""
+    Factors are labels (family, index, j).  In a block whose left pairs are
+    one b-run the left factors cancel (Inventory.cancelled); any other is
+    walked pair by pair, but a missing left element fails every pair of its
+    block as it fails the first.  The witness is the first failure."""
     count, fails, witness = 0, 0, None
-    rows, product = inv._rows, inv.table.product
     for lefts, rights, length in blocks:
-        spans = [(inv.span(*ra, length), inv.span(*rb, length)) for ra, rb in rights]
-        for la, lb in lefts:
-            ia, ib = inv.lookup(*la), inv.lookup(*lb)
-            for (ra, rb), (span_a, span_b) in zip(rights, spans):
-                count += length
+        count += len(lefts) * len(rights) * length
+        pairs = [(inv.lookup(*la), inv.lookup(*lb)) for la, lb in lefts]
+        cancelled = inv.cancelled(lefts, pairs, rights, length)
+        if cancelled is not None:
+            cols_a, cols_b, bad = cancelled
+            for ia, ib in pairs:
+                inv._rows[ia] |= cols_a
+                inv._rows[ib] |= cols_b
+            if bad:
+                fails += len(pairs) * len(bad)
+                witness = witness or _pair_witness(inv, lefts[0][0], bad[0][0], lefts[0][1], bad[0][1])
+            continue
+        for (la, lb), (ia, ib) in zip(lefts, pairs):
+            for ra, rb in rights:
                 if ia is None or ib is None:
                     fails += length
                     witness = witness or _pair_witness(inv, la, ra, lb, rb)
                     continue
-                if span_a and span_b and ia != ib:
-                    # a row times a run is one interval, so the first products decide
-                    if product(ia, span_a[0]) == product(ib, span_b[0]):
-                        rows[ia] |= span_a[1]
-                        rows[ib] |= span_b[1]
-                        continue
                 for t in range(length):
                     w = _pair_witness(inv, la, (*ra[:2], ra[2] + t), lb, (*rb[:2], rb[2] + t))
                     if w is not None:
@@ -391,25 +407,24 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, residue) -> list:
-    """For each source pair (si, ri, z) of a slice whose keys are (pid, n + t),
-    t < len(sources), with key = (pid, n): the first pair (u', w') of the
-    target block with product z other than (si, ri), in the order of its left
-    rows and then of its runs, or None.  The left rows in scope are the target
+def _alternatives(inv: Inventory, key: tuple, sources: list, target, residue) -> list:
+    """For each source pair (si, ri, z) of a slice whose b-coordinates z are
+    (prefix, n + t), t < len(sources), with key = (prefix, n): the first pair
+    (u', w') of the target block with product z other than (si, ri), in the
+    order of its left rows, or None.  The left rows in scope are the target
     left progression's, with a residue only those whose trailing exponent is
-    congruent to it mod M; w' must lie in the target right progression.
+    congruent to it mod M; w' lies in the target right progression, and a
+    row meets each product at most once.
 
-    A row times a run is one interval, so each row reads one key per run and
-    walks the slice elements in that interval still without a pair, skipped
-    over by a next-unpaired array with path halving."""
-    pid, n = key
-    tgt_left, tgt_right = target
+    A row times a member run of that progression is one interval, so each
+    row multiplies once per run and walks the slice elements in that
+    interval still without a pair, skipped over by a next-unpaired array
+    with path halving."""
+    (prefix, n), (tgt_left, tgt_right) = key, target
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
-    row, memb = inv.prog.get(tgt_left, _NONE), inv.prog.get(tgt_right, _NONE)
-    table, labels = inv.table, inv.gset.labels
-    runs = [table.runs[r] for r in table.runs_of(memb.values())]
+    row, els, runs = inv.prog.get(tgt_left, _NONE), inv.gset.elements, inv.runs(tgt_right)
     size = len(sources)
     source_at = [None] * size
     for si, ri, z in sources:
@@ -422,9 +437,9 @@ def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, r
         if li is None:
             continue
         for run in runs:
-            p, m = table.product(li, run[0])
+            p, m = b_key(els[li] * els[run[0]])
             start = m - n  # the run's head meets the slice element t = start
-            if p != pid or start >= size or start + len(run) <= 0:
+            if p != prefix or start >= size or start + len(run) <= 0:
                 continue
             t, end = max(start, 0), min(start + len(run), size)
             while True:
@@ -433,7 +448,7 @@ def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, r
                 if t >= end:
                     break
                 w = run[t - start]
-                if memb.get(labels[w].j) == w and (li, w) != source_at[t]:
+                if (li, w) != source_at[t]:
                     found[t] = li, w
                     after[t] = t + 1
                     left -= 1
@@ -446,7 +461,7 @@ def _alternatives(inv: Inventory, key: tuple[int, int], sources: list, target, r
 def check_chart(inv: Inventory) -> list[ClaimReport]:
     """Verify every instantiated chart row against the built set."""
     reports: list[ClaimReport] = []
-    M, table = inv.M, inv.table
+    M, els = inv.M, inv.gset.elements
     for row in _CHART:
         for n in _VAR_VALUES[row.var](M):
             ctx = _Ctx(inv, n)
@@ -478,42 +493,40 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 missing = {"reason": "missing slice element", "j": rlo + cols.index(None)}
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, 0, missing))
                 continue
-            src_pairs = [(li, ri, table.product(li, ri)) for ri in cols]
+            src_pairs = [(li, ri, b_key(els[li] * els[ri])) for ri in cols]
             src_sorted = sorted(z for _, _, z in src_pairs)
 
             def range_matches(rng):
                 lo, hi = rng
                 if hi - lo + 1 != len(src_sorted):
                     return False
-                pid, n = table.key_of(from_word(row.shape(ctx, lo), inv.params))  # shapes end in b^j
-                return src_sorted == [(pid, n + t) for t in range(hi - lo + 1)]
+                prefix, n = b_key(from_word(row.shape(ctx, lo), inv.params))  # shapes end in b^j
+                return src_sorted == [(prefix, n + t) for t in range(hi - lo + 1)]
 
             if range_matches(printed_rng):
                 used, suspect = printed_rng, False
             elif printed_rng != pattern_rng and range_matches(pattern_rng):
                 used, suspect = pattern_rng, True
             else:
-                elements = sorted(table.element_of(z) for z in src_sorted)
                 witness = {
                     "reason": "rewritten slice does not match the claimed range",
                     "printed_range": list(printed_rng),
                     "pattern_range": list(pattern_rng),
-                    "slice_elements": [str(w) for w in elements[:4]],
+                    "slice_elements": [str(w) for w in sorted(els[li] * els[ri] for ri in cols)[:4]],
                 }
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, len(src_pairs), witness))
                 continue
             params["range_used"] = list(used)
             # membership of every rewritten element in the target block
-            witness = None
-            fails = 0
+            witness, fails = None, 0
             alts = _alternatives(inv, src_sorted[0], src_pairs, (tgt_left, tgt_right), row.residue)
-            for (si, ri, z), alt in zip(src_pairs, alts):
+            for (si, ri, _), alt in zip(src_pairs, alts):
                 if alt is None:
                     fails += 1
                     if witness is None:
                         witness = {
                             "reason": "no alternative factorization in target block",
-                            "element": str(table.element_of(z)),
+                            "element": str(els[si] * els[ri]),
                             "source_pair": [si, ri],
                         }
                     continue

@@ -114,14 +114,15 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # element: less the interpreter's 15.2 MiB, it leaves 534, 589, 579 and 599
 # B per element at base k = 6..9 (19.5, 33.9, 88.2 and 315.7 MiB), mostly
 # triples and product prefixes, and export-set 409 and 456 at k = 8 and 9.
-# check adds the elements and table, 1,400 B per element, and 0.15 B per
-# pair of coverage bits, which covers check at base k = 5, 6, 7 (19.1, 34.3,
-# 198.0 MiB) and (1, 1, 801), (2, 1, 401), (1, 1, 1601) (60.8, 91.3, 172.8
-# MiB), less check --k 1's 16.8 MiB.  This admits verify --k 9 (311 MiB) and
-# check --k 7 (203 MiB), and refuses k >= 10 and check --k 8 (2,672 MiB).
+# check adds the elements and table, 1,000 B per element, and 0.15 B per
+# pair of coverage bits: less check --k 1's 16.8 MiB, its peaks at base k =
+# 5, 6, 7 and (1,1,801), (2,1,201), (2,1,401), (1,1,1601) (18.9, 32.8,
+# 189.5, 60.6, 38.0, 91.0, 172.3 MiB) leave at most 713 B per element beyond
+# the bits.  This admits verify --k 9 and check --k 7 (190 MiB), and refuses
+# k >= 10 and check --k 8.
 MEMORY_BUDGET = 512 << 20
 _ELEMENT_BYTES = 620
-_CHECK_BYTES = 1400
+_CHECK_BYTES = 1000
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:

@@ -4,7 +4,7 @@ A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
 element; a RunSet is a set given by its b-runs alone.  A FactorizationTable
 holds X*Y with every index pair (i, j) of X[i] * Y[j], so callers can count
-multiplicities, extract witnesses and compare products without multiplying.
+multiplicities and extract witnesses without multiplying.
 
 The table rests on one fact about normal forms.  Right multiplication by b^e
 leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
@@ -255,16 +255,17 @@ class FactorizationTable:
     it) and nz triple_nz[t]; the triples of prefix pid are linked from
     last_triple[pid] through triple_prev, ending at -1.  All are flat arrays
     of machine ints; a product beyond 64 bits is refused with a ValueError.
-    Nothing is kept per row: a row prefix's product memo lives while its rows
-    are scanned, and product makes its own on first read.  The pair lists
-    recover a triple's pairs, the rows n and heads c_h of its class with
-    n + c_h = nz, from the row runs.
+    Nothing is kept per row or pair: a row prefix's product memo lives only
+    while its rows are scanned.  key_of and element_of convert between an
+    element and its key (prefix id, n).  The pair lists recover a triple's
+    pairs, the rows n and heads c_h of its class with n + c_h = nz, from the
+    row runs.
     """
 
     __slots__ = (
         "k", "runs", "rows", "cols", "prefixes", "multiplies",
         "triple_pid", "triple_n0", "triple_len", "triple_weight", "triple_nz", "last_triple", "triple_prev",
-        "_kernel", "_splits", "_c_of", "_row_prefixes", "_sources", "_index", "_counts",
+        "_kernel", "_c_of", "_row_prefixes", "_sources", "_counts",
     )
 
     def __init__(self, x: GroupSet | RunSet, y: GroupSet | RunSet):
@@ -275,13 +276,12 @@ class FactorizationTable:
         self.runs = [ix for _, ix in cols]
         self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
-        self._splits = splits = [kernel.split(head) for head, _ in cols]
         # for rows with an even and an odd number of b letters, the (c_h, run)
         # of each class, named by its split with c_h = 0 (the key of (n, c_h)
         # is that of (n + c_h, 0)) and its run length
         self._c_of = c_of = ({}, {})
-        for r, (ix, split) in enumerate(zip(self.runs, splits)):
-            for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, split):
+        for r, (head, ix) in enumerate(cols):
+            for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, kernel.split(head)):
                 cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append((c_h, r))
         rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
         for head, ix in rows:
@@ -341,7 +341,7 @@ class FactorizationTable:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
-        self._counts = self._index = None
+        self._counts = None
 
     def _sweep(self) -> tuple[int, int, list]:
         """(distinct products, unique products, ids of the prefixes holding a
@@ -391,40 +391,6 @@ class FactorizationTable:
         return self._sweep()[0]
 
     # -- products by key ------------------------------------------------------
-
-    def _positions(self) -> tuple:
-        """product's index of the columns and rows, made on first read."""
-        if self._index is None:
-            run_of, offset, prefix_of, n_of = (array(c, [0]) * size for c, size in zip("iiiq", [self.cols] * 2 + [self.rows] * 2))
-            for r, ix in enumerate(self.runs):
-                for t, j in enumerate(ix):
-                    run_of[j], offset[j] = r, t
-            for row_prefix, (_, row_runs) in enumerate(self._row_prefixes):
-                for n0, ix in row_runs:
-                    for t, i in enumerate(ix):
-                        prefix_of[i], n_of[i] = row_prefix, n0 + t
-            memos = [({}, *prefix, sum(prefix[2])) for prefix, _ in self._row_prefixes]
-            self._index = run_of, offset, prefix_of, n_of, memos, self._splits, self._kernel.key
-        return self._index
-
-    def product(self, i: int, j: int) -> tuple[int, int]:
-        """The key of X[i] * Y[j], from the kernel and a product memo of X[i]'s row prefix."""
-        run_of, offset, prefix_of, n_of, memos, splits, key = self._index or self._positions()
-        memo, u, alpha, syl, syl_sum = memos[prefix_of[i]]
-        n = n_of[i]
-        pid, n0 = key(memo, u, alpha, syl, n, splits[run_of[j]][(syl_sum + n) & 1])
-        return pid, n0 + offset[j]
-
-    def is_run(self, cols: list) -> bool:
-        """True when the columns cols are consecutive elements, in order, of one b-run."""
-        run_of, offset = self._positions()[:2]
-        t0 = offset[cols[0]]
-        return list(self.runs[run_of[cols[0]]][t0 : t0 + len(cols)]) == cols
-
-    def runs_of(self, cols: Iterable[int]) -> list[int]:
-        """The b-runs that hold the columns cols, each once."""
-        run_of = self._positions()[0]
-        return list(dict.fromkeys(run_of[j] for j in cols))
 
     def key_of(self, w: NormalForm) -> tuple[int, int]:
         """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""

@@ -21,7 +21,7 @@ from nup.checker import (
 )
 from nup.cli import main
 from nup.families import FamilySpec, SliceLabel, build_family, progression_bounds
-from nup.sets import load_set_file, make_set, product_table
+from nup.sets import b_key, load_set_file, make_set, product_table
 from nup.words import GroupParams, from_string, from_word
 
 
@@ -59,8 +59,9 @@ def claims_and_oracle(spec, gset):
 
 
 def chart_slices(inv):
-    """(row, ctx, source pairs (si, ri, key)) of every chart instance whose
-    slice keys are consecutive, the only slices the chart reads pairs for."""
+    """(row, ctx, source pairs (si, ri, z)) of every chart instance whose
+    slice products' b-coordinates z are consecutive, the only slices the
+    chart reads pairs for; each z is b_key of a plain multiply."""
     for row in checker._CHART:
         for n in checker._VAR_VALUES[row.var](inv.M):
             ctx = checker._Ctx(inv, n)
@@ -72,9 +73,9 @@ def chart_slices(inv):
             cols = [inv.lookup(rfam, ridx, j) for j in range(rlo, rhi + 1)]
             if li is None or None in cols:
                 continue
-            sources = [(li, ri, inv.table.product(li, ri)) for ri in cols]
-            (pid, n0), *_ = keys = sorted(z for _, _, z in sources)
-            if keys == [(pid, n0 + t) for t in range(len(keys))]:
+            sources = [(li, ri, b_key(inv.gset[li] * inv.gset[ri])) for ri in cols]
+            (prefix, n0), *_ = keys = sorted(z for _, _, z in sources)
+            if keys == [(prefix, n0 + t) for t in range(len(keys))]:
                 yield row, ctx, sources
 
 
@@ -301,8 +302,8 @@ class TestRewriteIdentities:
             tgt_left, tgt_right = row.target(ctx)
             lefts, rights = set(inv.prog[tgt_left].values()), set(inv.prog[tgt_right].values())
             residues = set()
-            for li, ri, z in sources:
-                for a, b in table.factorizations(table.element_of(z)):
+            for li, ri, _ in sources:
+                for a, b in table.factorizations(inv.gset[li] * inv.gset[ri]):
                     if a in lefts and b in rights and (a, b) != (li, ri):
                         residues.add(labels[a].j % M)
             if row.residue is None:
@@ -325,16 +326,17 @@ class TestCoverageAccounting:
                 if inv.is_marked(i, j):
                     assert table.multiplicity(gset[i] * gset[j]) >= 2
 
-    def test_span_cache_does_not_grow_with_q(self):
-        # the Z claims ask for about 4(M+1)q single columns; only the longer
-        # spans of the diagonals and containments, a fixed number, are cached
+    def test_identity_cache_does_not_grow_with_q(self):
+        # the Z claims walk about 4(M+1)q single pairs; only the blocks of
+        # right factors of the diagonals and containments, a fixed number,
+        # have their identities cached
         sizes = []
         for q in (5, 101):
             spec = FamilySpec(1, 1, q)
             inv = Inventory(spec, build_family(spec))
             run_all_claims(inv)
-            sizes.append(len(inv._spans))
-        assert sizes[0] == sizes[1]
+            sizes.append(len(inv._steps))
+        assert 0 < sizes[0] == sizes[1]
 
 
 DIFFERENTIAL_POINTS = [(1,), (2,), (3,), (4,), (1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5)]
@@ -377,26 +379,34 @@ class TestTableReadMatchesOracle:
         assert summary["soundness_ok"]
         assert summary["consistent"]
 
-    def test_claims_do_not_multiply(self, monkeypatch):
-        spec = FamilySpec(2, 1, 5)
-        inv = Inventory(spec, build_family(spec))
-        from nup.words import NormalForm
+    def test_diagonals_cancel_the_left_factor(self):
+        # a diagonal or containment block whose left factors are one b-run
+        # costs a few lines per left element; reading two products per left
+        # pair and right pair grows about 8x from base k = 4 to 5, the set
+        # about 4x.  The work is counted as lines run in _pair_claim
+        code = checker._pair_claim.__code__
+        lines = []
 
-        calls = 0
-        mul = NormalForm.__mul__
+        def count(frame, event, arg):
+            if event == "line":
+                lines[-1] += 1
+            return count
 
-        def counting(self, other):
-            nonlocal calls
-            calls += 1
-            return mul(self, other)
+        def trace(frame, event, arg):
+            return count if frame.f_code is code else None
 
-        monkeypatch.setattr(NormalForm, "__mul__", counting)
-        claims = run_all_claims(inv)
-        assert inv.coverage() == 1.0
-        assert all(c.status != FAIL for c in claims)
-        # products are keys read through the table's kernel, whose product
-        # memos, made on first read, multiply at most as often as the scan
-        assert 0 < calls <= inv.table.multiplies
+        for k in (4, 5):
+            spec = FamilySpec(k)
+            inv = Inventory(spec, build_family(spec))
+            lines.append(0)
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                claims = [c for family in ("Y", "X", "Z") for c in check_diagonals(inv, family)]
+            finally:
+                sys.settrace(previous)
+            assert all(c.status == PASS for c in claims)
+        assert 0 < lines[1] <= 5 * lines[0], lines
 
 
 DAMAGES = ("drop-elements", "drop-progressions", "keep-one", "relabel", "relabel-foreign", "add-foreign", "swap")
@@ -516,19 +526,18 @@ class TestDamagedSets:
 def brute_alternative(inv, source, target, residue):
     """The first (li, w) of the target block with the source's product, other
     than the source pair: every admissible left row in order, then every
-    column of the runs that hold the target right progression."""
+    element of the target right progression, each product multiplied."""
     si, ri, z = source
     tgt_left, tgt_right = target
-    memb, labels, table = inv.prog.get(tgt_right, {}), inv.gset.labels, inv.table
+    els = inv.gset.elements
     lo, hi = inv.bounds[tgt_left]
     for c in range(lo, hi + 1):
         li = inv.prog.get(tgt_left, {}).get(c)
         if li is None or residue is not None and (c - residue) % inv.M:
             continue
-        for r in table.runs_of(memb.values()):
-            for w in table.runs[r]:
-                if memb.get(labels[w].j) == w and (li, w) != (si, ri) and table.product(li, w) == z:
-                    return li, w
+        for w in inv.prog.get(tgt_right, {}).values():
+            if (li, w) != (si, ri) and b_key(els[li] * els[w]) == z:
+                return li, w
     return None
 
 

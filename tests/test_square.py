@@ -28,9 +28,30 @@ ACCEPTANCE_06 = [(1, 1, 3), (1, 3, 3), (1, 1, 5), (2, 1, 5), (2, 3, 5)]
 REFERENCE_POINTS = [(k,) for k in range(1, 6)] + ACCEPTANCE_06 + [(3, 1, 9), (3, 3, 9)]
 
 
+def kernel_keys(table, X, Y):
+    """key(i, j), the key of X[i] * Y[j] read through the table's kernel as
+    the scan reads it: one RunProducts.key per row and b-run of Y, with a
+    product memo per row prefix, moved by the column's offset in its run."""
+    kernel, memos, heads, where = table._kernel, {}, {}, {}
+    for r, run in enumerate(table.runs):
+        where.update((j, (r, t)) for t, j in enumerate(run))
+        split = kernel.split(Y[run[0]])
+        for i, x in enumerate(X):
+            prefix, n = b_key(x)
+            heads[i, r] = kernel.key(memos.setdefault(prefix, {}), x.u, x.alpha, x.syllables, n, split[(sum(x.syllables) + n) & 1])
+
+    def key(i, j):
+        r, t = where[j]
+        pid, n0 = heads[i, r]
+        return pid, n0 + t
+
+    return key
+
+
 def assert_same_as_brute(X, Y):
     table = product_table(X, Y)
     brute = brute_pairs(X, Y)
+    key_of = kernel_keys(table, X, Y)
     items = table.items()
     assert [z for z, _ in items] == sorted(brute)
     assert dict(items) == brute
@@ -40,7 +61,7 @@ def assert_same_as_brute(X, Y):
     for z, pairs in brute.items():
         key = table.key_of(z)
         assert table.element_of(key) == z
-        assert all(table.product(i, j) == key for i, j in pairs)
+        assert all(key_of(i, j) == key for i, j in pairs)
     for z in random.Random(len(brute)).sample(sorted(brute), min(len(brute), 1500)):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
@@ -174,14 +195,15 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     # every pair listed for a key has that key
     T = build_family(FamilySpec(*point))
     table = product_table(T, T)
+    key_of = kernel_keys(table, T, T)
     n = len(T)
     shared = 0
     for i in range(n):
         for j in range(n):
-            key = table.product(i, j)
+            key = key_of(i, j)
             pairs = table.factorizations(table.element_of(key))
             assert (i, j) in pairs and pairs == sorted(pairs)
-            assert all(table.product(*pair) == key for pair in pairs)
+            assert all(key_of(*pair) == key for pair in pairs)
             shared += len(pairs) > 1
     assert shared  # other rows do meet some of these products
     # prefix id -1 (key_of's answer for a prefix no product has) is no prefix,
@@ -249,24 +271,26 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     assert calls == 1056  # len() and counters() multiply nothing
     table.uniques(), table.factorizations(z)
     assert calls == 1056  # nor do the pair lists
-    # the table keeps no product memo: reading every pair's key multiplies
-    # once per entry of the memos made on first read, at most the scan's
+    # the table keeps no product memo: reading every pair's key again through
+    # its kernel multiplies once per entry of fresh memos, at most the scan's
     # count again
-    keys = [table.product(i, j) for i in range(len(T)) for j in range(len(T))]
+    key_of = kernel_keys(table, T, T)
+    keys = [key_of(i, j) for i in range(len(T)) for j in range(len(T))]
     assert 1056 < calls <= 2 * 1056
     assert len(set(keys)) == len(table)
 
 
 def assert_same_triples(X, Y):
     """The triple oracle: the key of every row times every run head, read
-    through product, is reference_cells' (prefix, n0); the weights of each
+    through the kernel, is reference_cells' (prefix, n0); the weights of each
     (prefix, n0, run length) add up to the number of (row, run) pairs that
     meet it, and all weights to |X| times the runs; and each triple's
     recovered pairs are its own."""
     table = product_table(X, Y)
     cells = reference_cells(X, Y)
     assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight)] == ["i", "q", "i", "i"]
-    keys = [table.product(i, run[0]) for i in range(len(X)) for run in table.runs]
+    key_of = kernel_keys(table, X, Y)
+    keys = [key_of(i, run[0]) for i in range(len(X)) for run in table.runs]
     assert [(table.prefixes[pid], n0, length) for (pid, n0), (_, _, length) in zip(keys, cells)] == cells
     pid, n0, length, weight = table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight
     weights: Counter = Counter()
