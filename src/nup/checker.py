@@ -36,12 +36,12 @@ each mark records a second, distinct factorization of the same product)
 implies that no element of the square is uniquely represented.  That
 implication is cross-checked against the actual factorization table.
 
-A diagonal or containment block whose left factors are one b-run, u_(v+1)
-= u_(v) b, is decided by cancelling them: u_(v+1) W_c = u_(v) W_(c+1) holds
+Each left pair of a diagonal or containment claim is decided on its own.
+A b-step u_(v+1) = u_(v) b cancels: u_(v+1) W_c = u_(v) W_(c+1) holds
 exactly when b W_c = W_(c+1), and the upper containment exactly when X_0[j]
-= b X_(M-1)[j+M] (the relator): one multiply by b per right factor.  Other
-blocks are walked pair by pair.  A chart shape ends in b^j, so its range
-lo..hi has the b-coordinates (prefix, n + t) of its start (prefix, n).
+= b X_(M-1)[j+M] (the relator), one multiply by b per right factor.  Any
+other left pair is walked.  A chart shape ends in b^j, so its range lo..hi
+has the b-coordinates (prefix, n + t) of its start (prefix, n).
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter
-from itertools import chain, pairwise
+from itertools import groupby, pairwise
 from typing import Callable, NamedTuple, Optional
 
-from .families import FAMILIES, FamilySpec, SliceLabel, build_family, progression_bounds, scan_report
-from .sets import GroupSet, b_key, b_runs, product_table
+from .families import FAMILIES, FamilySpec, SliceLabel, build_family, progression_bounds, scan_family
+from .sets import GroupSet, b_key, b_runs
 from .words import from_word, generator
 
 PASS = "pass"
@@ -85,11 +85,11 @@ class ClaimReport(NamedTuple):
 
 class Inventory:
     """Labeled-set view used by all claims: the spec's progressions with
-    their j ranges (bounds), element lookup by label, the square's
-    factorization table, and coverage, one int per row i whose bit j marks
-    the pair (i, j).  A set it cannot check is refused before the table is
-    built, and an element missing from the set fails the claims that name
-    it.  A cancelled block's right factors and a target's runs are cached.
+    their j ranges (bounds), element lookup by label, coverage, one int per
+    row i whose bit j marks the pair (i, j), and, from one pass over the
+    set's b-runs, each element's successor x b (_next) and each
+    progression's maximal b-runs in b_runs order (runs).  A set it cannot
+    check is refused before any scan; a missing element fails its claims.
     """
 
     def __init__(self, spec: FamilySpec, gset: GroupSet):
@@ -117,26 +117,23 @@ class Inventory:
         self.top = self.bounds[("Y", 0)][1]  # largest X/Y trailing exponent
         self.D = self.bounds[("Z", 0)][1]
         self.size = len(gset)
-        self.table = product_table(gset, gset)
         self._rows = [0] * self.size
         self._next = array("i", [-1]) * self.size  # els[i] * b = els[_next[i]], or -1
-        for i, j in chain.from_iterable(map(pairwise, self.table.runs)):
-            self._next[i] = j
-        self._steps, self._runs = {}, {}  # read by cancelled and runs
+        self.runs, self._steps = {}, {}  # read by _alternatives and cancelled
+        for run in b_runs(gset.elements):
+            for i, j in pairwise(run):
+                self._next[i] = j
+            for key, part in groupby(run, lambda i: gset.labels[i][:2]):
+                self.runs.setdefault(key, []).append(list(part))
 
     def lookup(self, fam: str, idx: int, j: int) -> Optional[int]:
         return self.prog.get((fam, idx), _NONE).get(j)
 
-    def cancelled(self, lefts, pairs, rights, length: int) -> Optional[tuple[int, int, list]]:
-        """For left pairs of one progression, all (u b, u) or all (u, u b), with
-        element indices pairs: the column bits a and b of the right pairs
-        shifted by t < length with b right_a = right_b (right_a = b right_b),
-        and the other shifted pairs, in order; cached per rights.  Else None."""
-        if len({lab[:2] for pair in lefts for lab in pair}) != 1 or any(None in pair for pair in pairs):
-            return None
-        up = all(self._next[ia] == ib for ia, ib in pairs)
-        if not up and not all(self._next[ib] == ia for ia, ib in pairs):
-            return None
+    def cancelled(self, rights, length: int, up: bool) -> tuple[int, int, list]:
+        """For a left pair (u, u b) when up, else (u b, u): the column bits a
+        and b of the right pairs shifted by t < length with right_a = b
+        right_b (b right_a = right_b), and the other shifted pairs, in order;
+        cached per rights, length and direction."""
         key = (tuple(rights), length, up)
         if key not in self._steps:
             els, b, cols, bad = self.gset.elements, generator(self.params, "b"), [], []
@@ -149,13 +146,6 @@ class Inventory:
                         cols.append((ca, cb))
             self._steps[key] = sum(1 << ca for ca, _ in cols), sum(1 << cb for _, cb in cols), bad
         return self._steps[key]
-
-    def runs(self, key: tuple[str, int]) -> list[list[int]]:
-        """The maximal b-runs of progression key's elements, as element indices; cached."""
-        if key not in self._runs:
-            members = list(self.prog.get(key, _NONE).values())
-            self._runs[key] = [[members[p] for p in run] for run in b_runs([self.gset[i] for i in members])]
-        return self._runs[key]
 
     def mark(self, i: int, j: int) -> None:
         self._rows[i] |= 1 << j
@@ -204,35 +194,35 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
     """One report over blocks (lefts, rights, length): for every left pair
     (left_a, left_b), right pair (right_a, right_b) and t < length, the claim
     left_a * right_a = left_b * right_b with both right labels shifted by t.
-    Factors are labels (family, index, j).  In a block whose left pairs are
-    one b-run the left factors cancel (Inventory.cancelled); any other is
-    walked pair by pair, but a missing left element fails every pair of its
-    block as it fails the first.  The witness is the first failure."""
+    Factors are labels (family, index, j).  Each left pair is decided on its
+    own: a missing element fails all its claims with one witness, a b-step
+    cancels (Inventory.cancelled, read once per block and direction), and
+    any other pair is walked.  The witness is the first failure."""
     count, fails, witness = 0, 0, None
     for lefts, rights, length in blocks:
         count += len(lefts) * len(rights) * length
-        pairs = [(inv.lookup(*la), inv.lookup(*lb)) for la, lb in lefts]
-        cancelled = inv.cancelled(lefts, pairs, rights, length)
-        if cancelled is not None:
-            cols_a, cols_b, bad = cancelled
-            for ia, ib in pairs:
+        steps: dict = {}
+        for la, lb in lefts if rights else ():
+            ia, ib = inv.lookup(*la), inv.lookup(*lb)
+            if ia is None or ib is None:
+                fails += len(rights) * length
+                witness = witness or _pair_witness(inv, la, rights[0][0], lb, rights[0][1])
+            elif (up := inv._next[ia] == ib) or inv._next[ib] == ia:
+                if up not in steps:
+                    steps[up] = inv.cancelled(rights, length, up)
+                cols_a, cols_b, bad = steps[up]
                 inv._rows[ia] |= cols_a
                 inv._rows[ib] |= cols_b
-            if bad:
-                fails += len(pairs) * len(bad)
-                witness = witness or _pair_witness(inv, lefts[0][0], bad[0][0], lefts[0][1], bad[0][1])
-            continue
-        for (la, lb), (ia, ib) in zip(lefts, pairs):
-            for ra, rb in rights:
-                if ia is None or ib is None:
-                    fails += length
-                    witness = witness or _pair_witness(inv, la, ra, lb, rb)
-                    continue
-                for t in range(length):
-                    w = _pair_witness(inv, la, (*ra[:2], ra[2] + t), lb, (*rb[:2], rb[2] + t))
-                    if w is not None:
-                        fails += 1
-                        witness = witness or w
+                if bad:
+                    fails += len(bad)
+                    witness = witness or _pair_witness(inv, la, bad[0][0], lb, bad[0][1])
+            else:
+                for ra, rb in rights:
+                    for t in range(length):
+                        w = _pair_witness(inv, la, (*ra[:2], ra[2] + t), lb, (*rb[:2], rb[2] + t))
+                        if w is not None:
+                            fails += 1
+                            witness = witness or w
     return ClaimReport(kind, source, params, PASS if fails == 0 else FAIL, count, witness)
 
 
@@ -424,7 +414,7 @@ def _alternatives(inv: Inventory, key: tuple, sources: list, target, residue) ->
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
-    row, els, runs = inv.prog.get(tgt_left, _NONE), inv.gset.elements, inv.runs(tgt_right)
+    row, els, runs = inv.prog.get(tgt_left, _NONE), inv.gset.elements, inv.runs.get(tgt_right, [])
     size = len(sources)
     source_at = [None] * size
     for si, ri, z in sources:
@@ -548,21 +538,22 @@ def run_all_claims(inv: Inventory) -> list[ClaimReport]:
 
 def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> dict:
     """Run every structured claim plus the end-to-end unique-product scan,
-    and return the check report: scan_report's fields with the claims, their
-    coverage, the cross-checks, the wall time and the exit status.
+    and return the check report: scan_family's report, of the family's runs
+    as for verify or of gset, with the claims, their coverage, the
+    cross-checks, the wall time and the exit status.  build_s covers the
+    built set and the Inventory, which refuses a bad set before the scan.
 
     The two must agree: all claims passing with full coverage implies a zero
     unique-product count.
     """
     t0 = time.perf_counter()
-    gset = build_family(spec) if gset is None else gset
+    inv = Inventory(spec, build_family(spec) if gset is None else gset)
+    build_s = time.perf_counter() - t0
+    _, _, uniques, report = scan_family(spec, gset)
+    report["timings"]["build_s"] = round(build_s, 6)
     t1 = time.perf_counter()
-    inv = Inventory(spec, gset)
-    uniques = inv.table.uniques()
-    t2 = time.perf_counter()
-    report = scan_report(spec, inv.table, uniques, gset.duplicates_removed, t1 - t0, t2 - t1)
     claims = [c.as_dict() for c in run_all_claims(inv)]
-    report["timings"]["claims_s"] = round(time.perf_counter() - t2, 6)
+    report["timings"]["claims_s"] = round(time.perf_counter() - t1, 6)
     counts = Counter(c["status"] for c in claims)
     coverage = inv.coverage()
     report.update(
@@ -571,7 +562,7 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> dict:
         claims_summary={"pass": counts[PASS], "fail": counts[FAIL], "typo_suspect": counts[TYPO_SUSPECT]},
         coverage=coverage,
         covered_pairs=inv.covered_pairs(),
-        total_pairs=len(gset) ** 2,
+        total_pairs=inv.size ** 2,
         # soundness: a marked pair exhibits a second factorization, so its
         # product can never sit in the table with multiplicity one
         soundness_ok=all(not inv.is_marked(i, j) for _, (i, j) in uniques),

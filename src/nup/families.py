@@ -19,8 +19,8 @@ of total size (2M^2 + 5M + 2)q - (M+1); at p = q = 1 the two families agree
 elementwise.  Every element carries a SliceLabel (family, index, j) so the
 checker can address progressions symbolically; element identity, not the
 label, drives set semantics.  scan_family scans the square of the
-progressions as b-runs (family_runs), building no element, for verify; it
-lives here, not in the checker, so that verify never imports the checker.
+progressions as b-runs (family_runs), building no element, for verify and
+check; it lives here so that verify never imports the checker.
 """
 
 from __future__ import annotations
@@ -175,23 +175,10 @@ def family_runs(spec: FamilySpec) -> RunSet:
     return RunSet(params, runs)
 
 
-def scan_report(spec: FamilySpec, table: FactorizationTable, uniques: list, duplicates: int, build_s: float, scan_s: float) -> dict:
-    """The fields that the verify and check reports share; claims_s is 0.0."""
-    return {
-        "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
-        "set_size": table.cols,
-        "expected_size": expected_cardinality(spec),
-        "duplicates_removed": duplicates,
-        "unique_count": len(uniques),
-        "witnesses": [[str(z), [i, j]] for z, (i, j) in uniques],
-        "counters": table.counters(),
-        "timings": {"build_s": round(build_s, 6), "scan_s": round(scan_s, 6), "claims_s": 0.0},
-    }
-
-
 def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Optional[GroupSet], FactorizationTable, list, dict]:
-    """(gset, table, uniques, scan_report) of the square of gset, or of the
-    family's runs; gset stays None then unless a witness needs its indices."""
+    """(gset, table, uniques, report) of the square of gset, or of the
+    family's runs; gset stays None then unless a witness needs its indices.
+    The report has the fields of verify and check, with claims_s 0.0."""
     t0 = time.perf_counter()
     S = family_runs(spec) if gset is None else gset
     t1 = time.perf_counter()
@@ -202,4 +189,14 @@ def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Opti
         index = {p: gset.index_of(_from_b_key(spec.k, prefix, n0 + t)) for head, ix in S.runs
                  for prefix, n0 in [b_key(head)] for t, p in enumerate(ix)}
         uniques = [(z, (index[i], index[j])) for z, (i, j) in uniques]
-    return gset, table, uniques, scan_report(spec, table, uniques, 0 if gset is None else gset.duplicates_removed, t1 - t0, time.perf_counter() - t1)
+    report = {
+        "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
+        "set_size": table.cols,
+        "expected_size": expected_cardinality(spec),
+        "duplicates_removed": 0 if gset is None else gset.duplicates_removed,
+        "unique_count": len(uniques),
+        "witnesses": [[str(z), [i, j]] for z, (i, j) in uniques],
+        "counters": table.counters(),
+        "timings": {"build_s": round(t1 - t0, 6), "scan_s": round(time.perf_counter() - t1, 6), "claims_s": 0.0},
+    }
+    return gset, table, uniques, report

@@ -21,8 +21,8 @@ from nup.checker import (
 )
 from nup.cli import main
 from nup.families import FamilySpec, SliceLabel, build_family, progression_bounds
-from nup.sets import b_key, load_set_file, make_set, product_table
-from nup.words import GroupParams, from_string, from_word
+from nup.sets import b_key, b_runs, load_set_file, make_set, product_table
+from nup.words import GroupParams, NormalForm, from_string, from_word
 
 
 def tampered_family(spec, drop_word):
@@ -295,7 +295,7 @@ class TestRewriteIdentities:
         # class alone; a row with no residue needs more than one class, so a
         # residue loosened to None fails here as a shifted one fails above
         inv = Inventory(spec, build_family(spec))
-        M, labels, table = inv.M, inv.gset.labels, inv.table
+        M, labels, table = inv.M, inv.gset.labels, product_table(inv.gset, inv.gset)
         slices = list(chart_slices(inv))
         assert len(slices) == sum(len(checker._VAR_VALUES[row.var](M)) for row in checker._CHART)
         for row, ctx, sources in slices:
@@ -521,6 +521,40 @@ class TestDamagedSets:
         report = verify_family(spec, make_set(spec.params, [full[i]], [full.labels[i]]))
         assert time.perf_counter() - t0 < 2.0
         assert report["exit_status"] == 1 and report["consistent"] and report["soundness_ok"]
+
+    def test_broken_left_pair_cancels_the_rest(self, monkeypatch):
+        # the label Y 1 3 moves to another element (that of X 3 5, which so
+        # goes missing), so the two left pairs that name it are no b-step and
+        # are walked; every other left pair of their blocks still cancels.
+        # Walking the whole block cost 37,238 multiplies at T(4)
+        for k in (3, 4):
+            spec = FamilySpec(k)
+            full = build_family(spec)
+            broken = from_string("a^2 b^3 a b^5", spec.params)
+            elements = [broken if lab == SliceLabel("Y", 1, 3) else w for w, lab in zip(full.elements, full.labels)]
+            gset = make_set(spec.params, elements, full.labels)
+            (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, gset)
+            assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
+            assert coverage_bytes(inv) == coverage_bytes(oracle_inv)
+            assert any(c.status == FAIL and c.source == "table:Y1*Y" for c in ours)
+        inv, calls, mul = Inventory(spec, gset), [], NormalForm.__mul__
+        monkeypatch.setattr(NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        run_all_claims(inv)
+        assert len(calls) <= 8000, len(calls)
+
+    @pytest.mark.parametrize("damage", (None,) + DAMAGES)
+    def test_runs_are_each_progressions_b_runs(self, damage):
+        # the b-run pass cut by progression gives what b_runs gives over the
+        # progression's own members
+        points = [(1,), (2,), (3,), (4,), (2, 1, 5)] if damage is None else [(2,), (1, 1, 3)]
+        for point in points:
+            spec = FamilySpec(*point)
+            gset = build_family(spec) if damage is None else damaged_family(spec, damage, random.Random(f"runs {damage}"))
+            inv = Inventory(spec, gset)
+            assert set(inv.runs) == set(inv.prog)
+            for key, js in inv.prog.items():
+                members = list(js.values())
+                assert inv.runs[key] == [[members[p] for p in run] for run in b_runs([gset[i] for i in members])], key
 
 
 def brute_alternative(inv, source, target, residue):

@@ -418,6 +418,14 @@ class TestReportBlocks:
         assert data["counters"]["distinct_products"] == 462
         assert set(data["timings"]) == {"build_s", "scan_s", "claims_s"}
         assert all(t >= 0 for t in data["timings"].values())
+        # check's scan is verify's: the family's runs, the same counters
+        for argv in (["--k", "2"], ["--k", "2", "--p", "1", "--q", "5"]):
+            reports = []
+            for command in ("verify", "check"):
+                main([command, *argv, "--json", str(path)])
+                reports.append(json.loads(path.read_text()))
+            fields = ("counters", "set_size", "unique_count", "witnesses")
+            assert [reports[0][f] for f in fields] == [reports[1][f] for f in fields], argv
 
     def test_report_keys(self, tmp_path, capsys):
         # the keys the benchmark's judges and the CI steps read stay put
