@@ -18,9 +18,11 @@ q >= 1 with M | q-1 and stretches every progression:
 of total size (2M^2 + 5M + 2)q - (M+1); at p = q = 1 the two families agree
 elementwise.  Every element carries a SliceLabel (family, index, j) so the
 checker can address progressions symbolically; element identity, not the
-label, drives set semantics.  scan_family scans the square of the
-progressions as b-runs (family_runs), building no element, for verify and
-check; it lives here so that verify never imports the checker.
+label, drives set semantics.  The progressions are walked once, in
+family_runs, which folds one word per progression, its head: build_family
+steps each head's b-coordinate n to the rest of its progression, and
+scan_family scans the square of the runs, building no element, for verify
+and check; it lives here so that verify never imports the checker.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from .sets import FactorizationTable, GroupSet, RunSet, _from_b_key, b_key, make_set, product_table
-from .words import MAX_K, GroupParams, NormalForm, from_word
+from .words import MAX_K, GroupParams, from_word
 
 FAMILIES = ("X", "Y", "Z")  # in progression order, which is also string order
 
@@ -138,41 +140,31 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     return predicted
 
 
-def _slice_element(params: GroupParams, p: int, fam: str, idx: int, j: int) -> NormalForm:
-    if fam == "X":
-        tokens = (("b", idx), ("a", -p), ("b", j))
-    elif fam == "Y":
-        tokens = (("b", idx), ("a", p), ("b", j))
-    else:
-        tokens = (("b", j),)
-    return from_word([t for t in tokens if t[1] != 0], params)
-
-
-def build_family(spec: FamilySpec) -> GroupSet:
-    """Build the labeled set; raises if the construction ever collides."""
-    params = spec.params
-    p = spec.p_eff
-    elements: list[NormalForm] = []
-    labels: list[SliceLabel] = []
-    bounds = progression_bounds(spec)
-    for (fam, idx), (lo, hi) in bounds.items():
-        for j in range(lo, hi + 1):
-            elements.append(_slice_element(params, p, fam, idx, j))
-            labels.append(SliceLabel(fam, idx, j))
-    gset = make_set(params, elements, labels)
-    if gset.duplicates_removed:
-        raise RuntimeError(f"family construction produced {gset.duplicates_removed} duplicate elements")
-    return gset
-
-
 def family_runs(spec: FamilySpec) -> RunSet:
     """The family as its b-runs (head, indices), one per progression, with
     the elements numbered along the progressions; only the heads are built."""
     params, p, runs, start = spec.params, spec.p_eff, [], 0
     for (fam, idx), (lo, hi) in progression_bounds(spec).items():
-        runs.append((_slice_element(params, p, fam, idx, lo), range(start, start + hi - lo + 1)))
+        # the head: b^idx a^-p b^lo in X, b^idx a^p b^lo in Y, b^lo in Z
+        word = [("b", lo)] if fam == "Z" else [("b", idx), ("a", p if fam == "Y" else -p), ("b", lo)]
+        runs.append((from_word([t for t in word if t[1]], params), range(start, start + hi - lo + 1)))
         start += hi - lo + 1
     return RunSet(params, runs)
+
+
+def build_family(spec: FamilySpec) -> GroupSet:
+    """Build the labeled set from family_runs: element t of a progression is
+    its head times b^t, the key (prefix, n0 + t) of a head keyed (prefix, n0),
+    labeled j = lo + t; raises if the construction ever collides."""
+    k, elements, labels = spec.k, [], []
+    for ((fam, idx), (lo, _)), (head, ix) in zip(progression_bounds(spec).items(), family_runs(spec).runs):
+        prefix, n0 = b_key(head)
+        elements += [_from_b_key(k, prefix, n0 + t) for t in range(len(ix))]
+        labels += [SliceLabel(fam, idx, lo + t) for t in range(len(ix))]
+    gset = make_set(spec.params, elements, labels)
+    if gset.duplicates_removed:
+        raise RuntimeError(f"family construction produced {gset.duplicates_removed} duplicate elements")
+    return gset
 
 
 def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Optional[GroupSet], FactorizationTable, list, dict]:

@@ -24,7 +24,8 @@ sorted into the next state.  A mutate-one move multiplies an element by a
 generator once per (element, generator), through a memo of the state.
 The table drops its rows, ids and memos once it holds more than
 max(2 * size, MAX_UNIVERSE_SIZE // len(universe)) of them, so its memory does
-not grow with the budget.  score() stays the exact recheck of the answer.
+not grow with the budget.  score() stays the exact recheck of the answer;
+past the table's 64-bit b-coordinates it multiplies every pair.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from typing import NamedTuple, Optional
 
 from .families import FamilySpec, build_family
@@ -138,7 +139,10 @@ def score(S: GroupSet) -> int:
     """Number of uniquely represented elements of S*S; 0 means success."""
     if len(S) == 0:
         raise ValueError("empty set")
-    return product_table(S, S).unique_count()
+    try:
+        return product_table(S, S).unique_count()
+    except ValueError:  # the table's only refusal of one GroupSet's square: an n past 64 bits, from k = 62 on
+        return sum(c == 1 for c in Counter(x * y for x in S for y in S).values())
 
 
 def _restart_seed(master: int, r: int) -> int:

@@ -38,8 +38,9 @@ for the scaled sets T(1, q) at every q.
 
 The table stores the square once, as weighted intervals read from the
 b-runs of both factors: one triple (prefix id, n0, run length, weight) per
-interval that rows of one row prefix meet, with nothing per row or pair.  A
-sweep over each prefix's triples gives the distinct and the unique products.
+interval that rows of one row prefix meet, with nothing per row or pair.  One
+sweep over each prefix's triples, run as the table is built, counts the
+distinct and the unique products.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -255,6 +256,8 @@ class FactorizationTable:
     it) and nz triple_nz[t]; the triples of prefix pid are linked from
     last_triple[pid] through triple_prev, ending at -1.  All are flat arrays
     of machine ints; a product beyond 64 bits is refused with a ValueError.
+    The constructor ends with the one sweep of the triples, and len,
+    unique_count, uniques and counters read the counts it stored.
     Nothing is kept per row or pair: a row prefix's product memo lives only
     while its rows are scanned.  key_of and element_of convert between an
     element and its key (prefix id, n).  The pair lists recover a triple's
@@ -341,44 +344,42 @@ class FactorizationTable:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
-        self._counts = None
+        self._counts = self._sweep()
 
     def _sweep(self) -> tuple[int, int, list]:
         """(distinct products, unique products, ids of the prefixes holding a
         unique product), from one sweep of every prefix's triples."""
-        if self._counts is None:
-            n0, lens, weights, prev_of = self.triple_n0, self.triple_len, self.triple_weight, self.triple_prev
-            # an event is pos << shift | half + the change of the count there,
-            # and every weight is below half, so the ints sort by position;
-            # they stay small, so the sort compares them fast
-            shift = max(weights, default=0).bit_length() + 1
-            half, low = 1 << (shift - 1), (1 << shift) - 1
-            distinct = unique = 0
-            pids = []
-            for pid, t in enumerate(self.last_triple):
-                events = []
-                add = events.append
-                while t >= 0:
-                    start, w = n0[t] << shift, weights[t]
-                    add(start + half + w)
-                    add(start + (lens[t] << shift) + half - w)
-                    t = prev_of[t]
-                events.sort()
-                covered = once = count = prev = 0
-                for e in events:
-                    pos = e >> shift
-                    if count:
-                        covered += pos - prev
-                        if count == 1:
-                            once += pos - prev
-                    count += (e & low) - half
-                    prev = pos
-                distinct += covered
-                if once:
-                    unique += once
-                    pids.append(pid)
-            self._counts = distinct, unique, pids
-        return self._counts
+        n0, lens, weights, prev_of = self.triple_n0, self.triple_len, self.triple_weight, self.triple_prev
+        # an event is pos << shift | half + the change of the count there,
+        # and every weight is below half, so the ints sort by position;
+        # they stay small, so the sort compares them fast
+        shift = max(weights, default=0).bit_length() + 1
+        half, low = 1 << (shift - 1), (1 << shift) - 1
+        distinct = unique = 0
+        pids = []
+        for pid, t in enumerate(self.last_triple):
+            events = []
+            add = events.append
+            while t >= 0:
+                start, w = n0[t] << shift, weights[t]
+                add(start + half + w)
+                add(start + (lens[t] << shift) + half - w)
+                t = prev_of[t]
+            events.sort()
+            covered = once = count = prev = 0
+            for e in events:
+                pos = e >> shift
+                if count:
+                    covered += pos - prev
+                    if count == 1:
+                        once += pos - prev
+                count += (e & low) - half
+                prev = pos
+            distinct += covered
+            if once:
+                unique += once
+                pids.append(pid)
+        return distinct, unique, pids
 
     def counters(self) -> dict:
         return {"elements": self.cols, "runs": len(self.runs), "multiplies": self.multiplies,
@@ -388,7 +389,7 @@ class FactorizationTable:
         return self.rows * self.cols
 
     def __len__(self):
-        return self._sweep()[0]
+        return self._counts[0]
 
     # -- products by key ------------------------------------------------------
 
@@ -456,12 +457,12 @@ class FactorizationTable:
 
     def unique_count(self) -> int:
         """Number of products with exactly one factorization."""
-        return self._sweep()[1]
+        return self._counts[1]
 
     def uniques(self) -> list:
         """(z, (i, j)) for every product with exactly one factorization, in
         canonical order; only the prefixes that hold one are expanded."""
-        out = [(z, pairs[0]) for pid in self._sweep()[2] for z, pairs in self._points(pid) if len(pairs) == 1]
+        out = [(z, pairs[0]) for pid in self._counts[2] for z, pairs in self._points(pid) if len(pairs) == 1]
         out.sort(key=lambda t: t[0])
         return out
 
@@ -473,11 +474,9 @@ def product_table(X: GroupSet | RunSet, Y: GroupSet | RunSet) -> FactorizationTa
     return FactorizationTable(X, Y)
 
 
-def unique_products(X: GroupSet, Y: GroupSet, table: Optional[FactorizationTable] = None) -> list:
+def unique_products(X: GroupSet, Y: GroupSet) -> list:
     """The products with exactly one factorization, in canonical order."""
-    if table is None:
-        table = product_table(X, Y)
-    return table.uniques()
+    return product_table(X, Y).uniques()
 
 
 # -- set files ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
 from nup.search import SearchConfig
 from nup.sets import load_set_file, product_table
-from nup.words import MAX_K, GroupParams
+from nup.words import MAX_K, GroupParams, from_string
 
 DATA = Path(__file__).parent / "data"
 
@@ -388,6 +389,17 @@ class TestHugeK:
         assert main(["eval", "--k", str(MAX_K), "ab^-1a"]) == 0
         assert main(["eval", "--k", str(MAX_K + 1), "b"]) == 2
         assert f"k = {MAX_K + 1} is above" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [62, 63, 64])
+    def test_search_finishes_past_64_bit_coordinates(self, k, tmp_path, capsys):
+        # products' n pass the table's 64 bits here, so the final recheck
+        # counts the square pair by pair
+        out = tmp_path / "s.json"
+        assert main(["search", "--k", str(k), "--size", "4", "--budget", "5", "--json", str(out)]) in (0, 1)
+        result = json.loads(out.read_text())["result"]
+        S = [from_string(t, GroupParams(k)) for t in result["elements"]]
+        counts = Counter(x * y for x in S for y in S)
+        assert result["score"] == sum(c == 1 for c in counts.values())
 
 
 def test_commands_import_neither_dataclasses_nor_inspect():

@@ -11,8 +11,9 @@ from nup.families import (
     scan_family,
     z_halfwidth,
 )
-from nup.sets import RunSet, make_set
-from nup.words import GroupParams, from_string, generator
+from nup.cli import main
+from nup.sets import RunSet, make_set, save_set_file
+from nup.words import GroupParams, from_string, from_word, generator
 
 
 class TestSpecValidation:
@@ -94,6 +95,49 @@ class TestBaseSet:
             for js in by_slice.values():
                 for j in sorted(js)[:-1]:
                     assert js[j] * b == js[j + 1]
+
+
+def folded_family(spec):
+    """The family with one word folded per element, X_i's b^i a^-p b^j, Y_l's
+    b^l a^p b^j and Z's b^j: the reference for build_family."""
+    params, p, elements, labels = spec.params, spec.p_eff, [], []
+    for (fam, idx), (lo, hi) in progression_bounds(spec).items():
+        for j in range(lo, hi + 1):
+            tokens = (("b", j),) if fam == "Z" else (("b", idx), ("a", -p if fam == "X" else p), ("b", j))
+            elements.append(from_word([t for t in tokens if t[1] != 0], params))
+            labels.append(SliceLabel(fam, idx, j))
+    return make_set(params, elements, labels)
+
+
+BUILD_POINTS = [(k,) for k in range(1, 7)] + [(1, 1, 3), (1, 3, 5), (2, 1, 5), (3, 1, 9), (2, 1, 201), (1, 1, 801)]
+
+
+class TestBuildFamily:
+    """build_family steps the heads of family_runs along their progressions;
+    the reference folds a word per element."""
+
+    @pytest.mark.parametrize("point", BUILD_POINTS, ids=lambda p: "-".join(map(str, p)))
+    def test_equals_the_word_fold(self, point, tmp_path, monkeypatch):
+        spec = FamilySpec(*point)
+        folded, folds = folded_family(spec), 0
+
+        def counting(word, params):
+            nonlocal folds
+            folds += 1
+            return from_word(word, params)
+
+        monkeypatch.setattr(families, "from_word", counting)
+        built = build_family(spec)
+        assert folds == len(progression_bounds(spec))  # one fold per progression, its head
+        assert built.elements == folded.elements and built.labels == folded.labels
+        assert built.duplicates_removed == folded.duplicates_removed == 0
+        # export-set writes the reference's file byte for byte
+        args = ["export-set", "--k", str(spec.k), "-o", str(tmp_path / "built.txt")]
+        if spec.scaled:
+            args += ["--p", str(spec.p), "--q", str(spec.q)]
+        assert main(args) == 0
+        save_set_file(folded, tmp_path / "folded.txt", header=spec.describe())
+        assert (tmp_path / "built.txt").read_bytes() == (tmp_path / "folded.txt").read_bytes()
 
 
 class TestScaledSet:

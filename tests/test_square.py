@@ -66,7 +66,7 @@ def assert_same_as_brute(X, Y):
         assert table.factorizations(z) == brute[z]
         assert table.multiplicity(z) == len(brute[z])
     uniques = brute_uniques({z: [len(pairs), pairs[0]] for z, pairs in brute.items()})
-    assert unique_products(X, Y, table=table) == uniques
+    assert table.uniques() == unique_products(X, Y) == uniques
     assert table.unique_count() == len(uniques)
     return table
 
@@ -129,7 +129,7 @@ class TestAgainstBrute:
         counts = brute_counts(T, T)
         assert len(table) == len(counts)
         assert table.total_pairs() == sum(c for c, _ in counts.values())
-        assert unique_products(T, T, table=table) == brute_uniques(counts) == []
+        assert table.uniques() == brute_uniques(counts) == []
         rng = random.Random(9)
         for z in rng.sample(sorted(counts), 300):
             assert table.multiplicity(z) == counts[z][0]
@@ -215,7 +215,8 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
 
 
-@pytest.mark.parametrize(
+# a family and a set with unique products, for the tests of the one sweep
+SWEPT = pytest.mark.parametrize(
     "make",
     [
         lambda: build_family(FamilySpec(2, 1, 5)),
@@ -223,11 +224,13 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     ],
     ids=["T(2,1,5)", "with-uniques"],
 )
-def test_one_sweep_per_prefix(make):
-    # every count reads the one sweep of the first, which walks the triples
-    # of every prefix once
+
+
+@SWEPT
+def test_one_sweep_per_prefix(make, monkeypatch):
+    # the table sweeps the triples of every prefix once, as it is built, and
+    # every count reads that sweep
     S = make()
-    table = product_table(S, S)
     walks = 0
 
     class Walked(list):
@@ -236,12 +239,37 @@ def test_one_sweep_per_prefix(make):
             walks += 1
             return super().__iter__()
 
-    table.last_triple = Walked(table.last_triple)
+    sweep = sets.FactorizationTable._sweep
+
+    def walked_sweep(self):
+        self.last_triple = Walked(self.last_triple)
+        return sweep(self)
+
+    monkeypatch.setattr(sets.FactorizationTable, "_sweep", walked_sweep)
+    table = product_table(S, S)
+    assert walks == 1
     counts = brute_counts(S, S)
     assert table.uniques() == brute_uniques(counts)
     assert len(table) == table.counters()["distinct_products"] == len(counts)
     assert table.unique_count() == len(brute_uniques(counts))
     assert walks == 1
+
+
+@SWEPT
+def test_counts_are_fixed_when_the_table_is_built(make, monkeypatch):
+    # product_table returns with its counts already swept: none of the
+    # readers sweeps again
+    S = make()
+    table = product_table(S, S)
+
+    def no_sweep(self):
+        raise AssertionError("swept after the table was built")
+
+    monkeypatch.setattr(sets.FactorizationTable, "_sweep", no_sweep)
+    counts = brute_counts(S, S)
+    assert len(table) == table.counters()["distinct_products"] == len(counts)
+    assert table.unique_count() == len(brute_uniques(counts))
+    assert table.uniques() == brute_uniques(counts)
 
 
 def test_b_coordinate_beyond_64_bits_refused():
