@@ -30,18 +30,19 @@ siblings; the checker tests the printed range first and only on failure
 retests the pattern-consistent range, reporting the row as typo-suspect.  It
 never silently corrects.
 
-Every verified match marks both factorization pairs it exhibits; at the end
-the marked pairs must cover the full |T|^2 factorization table, which (since
-each mark records a second, distinct factorization of the same product)
-implies that no element of the square is uniquely represented.  That
-implication is cross-checked against the actual factorization table.
+Every verified match marks both factorization pairs it exhibits; marks
+covering the full |T|^2 table imply (each records a second, distinct
+factorization of its product) that no element of the square is uniquely
+represented, which is cross-checked against the factorization table.
 
 Each left pair of a diagonal or containment claim is decided on its own.
 A b-step u_(v+1) = u_(v) b cancels: u_(v+1) W_c = u_(v) W_(c+1) holds
 exactly when b W_c = W_(c+1), and the upper containment exactly when X_0[j]
-= b X_(M-1)[j+M] (the relator), one multiply by b per right factor.  Any
-other left pair is walked.  A chart shape ends in b^j, so its range lo..hi
-has the b-coordinates (prefix, n + t) of its start (prefix, n).
+= b X_(M-1)[j+M] (the relator), one multiply by b per right factor, and
+its rows reference the block's shared column masks.  Any other left pair
+is walked.  A chart slice u W is one b-run exactly when its columns W are
+as a set, and u times their head keys it; a shape ends in b^j, so its range
+lo..hi has the b-coordinates (prefix, n + t) of its start (prefix, n).
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter
+from functools import reduce
 from itertools import groupby, pairwise
+from operator import or_
 from typing import Callable, NamedTuple, Optional
 
 from .families import FAMILIES, FamilySpec, SliceLabel, build_family, progression_bounds, scan_family
@@ -85,12 +88,12 @@ class ClaimReport(NamedTuple):
 
 class Inventory:
     """Labeled-set view used by all claims: the spec's progressions with
-    their j ranges (bounds), element lookup by label, coverage, one int per
-    row i whose bit j marks the pair (i, j), and, from one pass over the
-    set's b-runs, each element's successor x b (_next) and each
-    progression's maximal b-runs in b_runs order (runs).  A set it cannot
-    check is refused before any scan; a missing element fails its claims.
-    """
+    their j ranges (bounds), element lookup by label, coverage, and, from
+    one pass over the set's b-runs, each element's successor x b (_next) and
+    each progression's maximal b-runs in b_runs order (runs).  Bit j of row
+    i marks the pair (i, j); a row is its single marks (_rows) ORed, when
+    read, with the masks of _steps it references (_shared).  A set it cannot
+    check is refused before any scan; a missing element fails its claims."""
 
     def __init__(self, spec: FamilySpec, gset: GroupSet):
         if gset.labels is None:
@@ -117,7 +120,7 @@ class Inventory:
         self.top = self.bounds[("Y", 0)][1]  # largest X/Y trailing exponent
         self.D = self.bounds[("Z", 0)][1]
         self.size = len(gset)
-        self._rows = [0] * self.size
+        self._rows, self._shared = [0] * self.size, [()] * self.size
         self._next = array("i", [-1]) * self.size  # els[i] * b = els[_next[i]], or -1
         self.runs, self._steps = {}, {}  # read by _alternatives and cancelled
         for run in b_runs(gset.elements):
@@ -150,11 +153,14 @@ class Inventory:
     def mark(self, i: int, j: int) -> None:
         self._rows[i] |= 1 << j
 
+    def row(self, i: int) -> int:
+        return reduce(or_, self._shared[i], self._rows[i])
+
     def is_marked(self, i: int, j: int) -> bool:
-        return bool(self._rows[i] >> j & 1)
+        return bool(self.row(i) >> j & 1)
 
     def covered_pairs(self) -> int:
-        return sum(row.bit_count() for row in self._rows)
+        return sum(self.row(i).bit_count() for i in range(self.size))
 
     def coverage(self) -> float:
         return self.covered_pairs() / (self.size * self.size)
@@ -162,8 +168,8 @@ class Inventory:
     def uncovered(self, limit: int = 10) -> list[tuple[int, int]]:
         out = []
         full = (1 << self.size) - 1
-        for i, row in enumerate(self._rows):
-            gaps = full & ~row
+        for i in range(self.size):
+            gaps = full & ~self.row(i)
             while gaps and len(out) < limit:
                 j = (gaps & -gaps).bit_length() - 1
                 out.append((i, j))
@@ -211,8 +217,8 @@ def _pair_claim(inv: Inventory, kind: str, source: str, params: dict, blocks) ->
                 if up not in steps:
                     steps[up] = inv.cancelled(rights, length, up)
                 cols_a, cols_b, bad = steps[up]
-                inv._rows[ia] |= cols_a
-                inv._rows[ib] |= cols_b
+                inv._shared[ia] += (cols_a,)
+                inv._shared[ib] += (cols_b,)
                 if bad:
                     fails += len(bad)
                     witness = witness or _pair_witness(inv, la, bad[0][0], lb, bad[0][1])
@@ -397,28 +403,25 @@ _VAR_VALUES: dict[str, Callable[[int], range]] = {
 }
 
 
-def _alternatives(inv: Inventory, key: tuple, sources: list, target, residue) -> list:
-    """For each source pair (si, ri, z) of a slice whose b-coordinates z are
-    (prefix, n + t), t < len(sources), with key = (prefix, n): the first pair
-    (u', w') of the target block with product z other than (si, ri), in the
-    order of its left rows, or None.  The left rows in scope are the target
-    left progression's, with a residue only those whose trailing exponent is
-    congruent to it mod M; w' lies in the target right progression, and a
-    row meets each product at most once.
+def _alternatives(inv: Inventory, head: tuple, si: int, run: list, target, residue) -> list:
+    """For each source pair (si, run[t]) of a slice whose b-coordinates are
+    (prefix, n + t), t < len(run), with head = (prefix, n): the first pair
+    (u', w') of the target block with that product other than the source
+    pair, in the order of its left rows, or None.  The left rows in scope
+    are the target left progression's, with a residue only those whose
+    trailing exponent is congruent to it mod M; w' lies in the target right
+    progression, and a row meets each product at most once.
 
     A row times a member run of that progression is one interval, so each
     row multiplies once per run and walks the slice elements in that
     interval still without a pair, skipped over by a next-unpaired array
     with path halving."""
-    (prefix, n), (tgt_left, tgt_right) = key, target
+    (prefix, n), (tgt_left, tgt_right) = head, target
     lo, hi = inv.bounds[tgt_left]
     if residue is not None:
         lo += (residue - lo) % inv.M
     row, els, runs = inv.prog.get(tgt_left, _NONE), inv.gset.elements, inv.runs.get(tgt_right, [])
-    size = len(sources)
-    source_at = [None] * size
-    for si, ri, z in sources:
-        source_at[z[1] - n] = si, ri
+    size = len(run)
     found: list = [None] * size
     after = list(range(size + 1))  # after[t] leads to the first unpaired t' >= t; size ends
     left = size
@@ -426,26 +429,26 @@ def _alternatives(inv: Inventory, key: tuple, sources: list, target, residue) ->
         li = row.get(c)
         if li is None:
             continue
-        for run in runs:
-            p, m = b_key(els[li] * els[run[0]])
-            start = m - n  # the run's head meets the slice element t = start
-            if p != prefix or start >= size or start + len(run) <= 0:
+        for members in runs:
+            p, m = b_key(els[li] * els[members[0]])
+            start = m - n  # the member run's head meets the slice element t = start
+            if p != prefix or start >= size or start + len(members) <= 0:
                 continue
-            t, end = max(start, 0), min(start + len(run), size)
+            t, end = max(start, 0), min(start + len(members), size)
             while True:
                 while after[t] != t:
                     after[t] = t = after[after[t]]
                 if t >= end:
                     break
-                w = run[t - start]
-                if (li, w) != source_at[t]:
+                w = members[t - start]
+                if li != si or w != run[t]:
                     found[t] = li, w
                     after[t] = t + 1
                     left -= 1
                 t += 1
         if not left:
             break
-    return [found[z[1] - n] for _, _, z in sources]
+    return found
 
 
 def check_chart(inv: Inventory) -> list[ClaimReport]:
@@ -483,15 +486,12 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                 missing = {"reason": "missing slice element", "j": rlo + cols.index(None)}
                 reports.append(ClaimReport("ChartRow", source, params, FAIL, 0, missing))
                 continue
-            src_pairs = [(li, ri, b_key(els[li] * els[ri])) for ri in cols]
-            src_sorted = sorted(z for _, _, z in src_pairs)
+            run = [cols[t] for t in b_runs([els[ri] for ri in cols])[0]]  # all of cols when they are one b-run
+            head = b_key(els[li] * els[run[0]])
 
             def range_matches(rng):
                 lo, hi = rng
-                if hi - lo + 1 != len(src_sorted):
-                    return False
-                prefix, n = b_key(from_word(row.shape(ctx, lo), inv.params))  # shapes end in b^j
-                return src_sorted == [(prefix, n + t) for t in range(hi - lo + 1)]
+                return hi - lo + 1 == len(run) == len(cols) and b_key(from_word(row.shape(ctx, lo), inv.params)) == head
 
             if range_matches(printed_rng):
                 used, suspect = printed_rng, False
@@ -504,26 +504,26 @@ def check_chart(inv: Inventory) -> list[ClaimReport]:
                     "pattern_range": list(pattern_rng),
                     "slice_elements": [str(w) for w in sorted(els[li] * els[ri] for ri in cols)[:4]],
                 }
-                reports.append(ClaimReport("ChartRow", source, params, FAIL, len(src_pairs), witness))
+                reports.append(ClaimReport("ChartRow", source, params, FAIL, len(cols), witness))
                 continue
             params["range_used"] = list(used)
             # membership of every rewritten element in the target block
             witness, fails = None, 0
-            alts = _alternatives(inv, src_sorted[0], src_pairs, (tgt_left, tgt_right), row.residue)
-            for (si, ri, _), alt in zip(src_pairs, alts):
+            alts = dict(zip(run, _alternatives(inv, head, li, run, (tgt_left, tgt_right), row.residue)))
+            for ri, alt in zip(cols, map(alts.get, cols)):
                 if alt is None:
                     fails += 1
                     if witness is None:
                         witness = {
                             "reason": "no alternative factorization in target block",
-                            "element": str(els[si] * els[ri]),
-                            "source_pair": [si, ri],
+                            "element": str(els[li] * els[ri]),
+                            "source_pair": [li, ri],
                         }
                     continue
-                inv.mark(si, ri)
+                inv.mark(li, ri)
                 inv.mark(*alt)
             status = FAIL if fails else (TYPO_SUSPECT if suspect else PASS)
-            reports.append(ClaimReport("ChartRow", source, params, status, len(src_pairs), witness))
+            reports.append(ClaimReport("ChartRow", source, params, status, len(cols), witness))
     return reports
 
 
@@ -555,20 +555,20 @@ def verify_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> dict:
     claims = [c.as_dict() for c in run_all_claims(inv)]
     report["timings"]["claims_s"] = round(time.perf_counter() - t1, 6)
     counts = Counter(c["status"] for c in claims)
-    coverage = inv.coverage()
+    covered, total = inv.covered_pairs(), inv.size ** 2
     report.update(
         spec=report["parameters"],
         claims=claims,
         claims_summary={"pass": counts[PASS], "fail": counts[FAIL], "typo_suspect": counts[TYPO_SUSPECT]},
-        coverage=coverage,
-        covered_pairs=inv.covered_pairs(),
-        total_pairs=inv.size ** 2,
+        coverage=covered / total,
+        covered_pairs=covered,
+        total_pairs=total,
         # soundness: a marked pair exhibits a second factorization, so its
         # product can never sit in the table with multiplicity one
         soundness_ok=all(not inv.is_marked(i, j) for _, (i, j) in uniques),
-        consistent=counts[FAIL] > 0 or coverage < 1.0 or not uniques,
-        uncovered_sample=[list(t) for t in inv.uncovered()],
+        consistent=counts[FAIL] > 0 or covered < total or not uniques,
+        uncovered_sample=[list(t) for t in inv.uncovered()] if covered < total else [],
         wall_time_s=round(time.perf_counter() - t0, 6),
-        exit_status=0 if counts[FAIL] == counts[TYPO_SUSPECT] == 0 and coverage == 1.0 and not uniques else 1,
+        exit_status=0 if counts[FAIL] == counts[TYPO_SUSPECT] == 0 and covered == total and not uniques else 1,
     )
     return report

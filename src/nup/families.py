@@ -116,15 +116,15 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # element: less the interpreter's 15.2 MiB, it leaves 534, 589, 579 and 599
 # B per element at base k = 6..9 (19.5, 33.9, 88.2 and 315.7 MiB), mostly
 # triples and product prefixes, and export-set 409 and 456 at k = 8 and 9.
-# check adds the elements and table, 1,000 B per element, and 0.15 B per
-# pair of coverage bits: less check --k 1's 16.8 MiB, its peaks at base k =
-# 5, 6, 7 and (1,1,801), (2,1,201), (2,1,401), (1,1,1601) (18.9, 32.8,
-# 189.5, 60.6, 38.0, 91.0, 172.3 MiB) leave at most 713 B per element beyond
-# the bits.  This admits verify --k 9 and check --k 7 (190 MiB), and refuses
-# k >= 10 and check --k 8.
+# check adds the labeled set, its Inventory and a row of up to |T| bits per
+# element with single marks, about five progressions of (M + 2) q (the Z
+# slices' four and Z_0, marked by the chart's Z*Z targets): less check --k
+# 1's 16.8 MiB and those rows, its peaks at base k = 6, 7, 8 and (1,1,801),
+# (2,1,401), (1,1,2401), (2,1,801), (3,1,201), (4,1,65) (24.9, 55.0, 188.8,
+# 54.5, 61.8, 272.6, 169.3, 81.5, 71.1 MiB) leave at most 1,204 B per element.
 MEMORY_BUDGET = 512 << 20
 _ELEMENT_BYTES = 620
-_CHECK_BYTES = 1000
+_CHECK_BYTES = 1400
 
 
 def check_memory(spec: FamilySpec, claims: bool = False) -> int:
@@ -134,7 +134,7 @@ def check_memory(spec: FamilySpec, claims: bool = False) -> int:
     if spec.k > MAX_K:  # |T| > 2^(2k+1): say so without computing 2^k
         raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
-    predicted = size * _CHECK_BYTES + size * size * 3 // 20 if claims else size * _ELEMENT_BYTES
+    predicted = size * (_CHECK_BYTES + 5 * ((1 << spec.k) + 2) * spec.q_eff // 8) if claims else size * _ELEMENT_BYTES
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted

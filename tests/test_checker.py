@@ -338,6 +338,30 @@ class TestCoverageAccounting:
             sizes.append(len(inv._steps))
         assert 0 < sizes[0] == sizes[1]
 
+    @pytest.mark.parametrize("point", [(4,), (2, 1, 5)], ids=lambda p: "-".join(map(str, p)))
+    def test_cancelled_masks_are_shared(self, point):
+        # a cancelled block's column masks are referenced by its rows, not
+        # copied into them: |T| bits per row would be most of check's memory
+        spec = FamilySpec(*point)
+        inv = Inventory(spec, build_family(spec))
+        run_all_claims(inv)
+        cached = [mask for cols_a, cols_b, _ in inv._steps.values() for mask in (cols_a, cols_b)]
+        shared = [mask for masks in inv._shared for mask in masks]
+        assert shared and all(any(mask is c for c in cached) for mask in shared)
+        assert inv.covered_pairs() == inv.size ** 2
+
+    def test_uncovered_sample_is_the_first_gaps(self):
+        # an element labeled into a progression the spec does not have is in
+        # no claim; the sample is the first ten unmarked pairs, row-major
+        spec = FamilySpec(2)
+        gset = relabeled(spec, {SliceLabel("X", 1, 4): SliceLabel("Y", 9, 4)})
+        inv = Inventory(spec, gset)
+        run_all_claims(inv)
+        gaps = [[i, j] for i in range(inv.size) for j in range(inv.size) if not inv.is_marked(i, j)]
+        report = verify_family(spec, gset)
+        assert len(gaps) == report["total_pairs"] - report["covered_pairs"] > 0
+        assert report["uncovered_sample"] == gaps[:10]
+
 
 DIFFERENTIAL_POINTS = [(1,), (2,), (3,), (4,), (1, 1, 3), (1, 3, 5), (2, 1, 5), (2, 3, 5)]
 
@@ -365,8 +389,24 @@ class TestTableReadMatchesOracle:
             # an element of a chart target labeled into another progression,
             # so its run holds a column outside the target block
             (FamilySpec(2), lambda spec: relabeled(spec, {SliceLabel("X", 1, 4): SliceLabel("Y", 9, 4)})),
+            # two labels swapped inside the chart slices' right progression
+            # Y_0, so their columns form one b-run only as a set
+            (FamilySpec(2), lambda spec: swapped_labels(spec, ("Y", 0), 1, 4)),
+            # and X_1's element j = 0 labeled away, so the slice of row
+            # y(l,lo)Y0 has elements without a pair, out of b-order: its
+            # witness is the first in the columns' j order
+            (FamilySpec(2), lambda spec: relabeled(spec, {
+                SliceLabel("Y", 0, 1): SliceLabel("Y", 0, 4), SliceLabel("Y", 0, 4): SliceLabel("Y", 0, 1),
+                SliceLabel("X", 1, 0): SliceLabel("Y", 9, 0),
+            })),
+            # Y_0's label j = 5 on the element of X_1 0, so a slice's columns
+            # are all present, and all but one form a b-run from its head
+            (FamilySpec(2), lambda spec: relabeled(spec, {SliceLabel("Y", 0, 5): SliceLabel("Y", 9, 5), SliceLabel("X", 1, 0): SliceLabel("Y", 0, 5)})),
         ],
-        ids=["swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "drop-target-k2", "foreign-progression-k2"],
+        ids=[
+            "swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "drop-target-k2", "foreign-progression-k2",
+            "swap-chart-right-k2", "swap-chart-right-drop-target-k2", "foreign-chart-column-k2",
+        ],
     )
     def test_tampered_sets(self, spec, make):
         broken = make(spec)
@@ -584,7 +624,9 @@ class TestAlternatives:
         slices = 0
         for row, ctx, sources in chart_slices(inv):
             target = row.target(ctx)
-            found = checker._alternatives(inv, min(z for _, _, z in sources), sources, target, row.residue)
+            sources = sorted(sources, key=lambda s: s[2])
+            run = [ri for _, ri, _ in sources]
+            found = checker._alternatives(inv, sources[0][2], sources[0][0], run, target, row.residue)
             assert found == [brute_alternative(inv, s, target, row.residue) for s in sources], (row.tag, ctx.n)
             slices += 1
         assert slices
@@ -599,6 +641,18 @@ class TestAlternatives:
     @pytest.mark.parametrize("spec, make", _TAMPERED.args[1], ids=_TAMPERED.kwargs["ids"])
     def test_first_pair_on_tampered_sets(self, spec, make):
         self.assert_first_pairs(spec, make(spec))
+
+    @pytest.mark.parametrize("point, most", [((4,), 680), ((2, 1, 5), 242)], ids=["4", "2-1-5"])
+    def test_chart_multiplies_once_per_slice(self, point, most, monkeypatch):
+        # a slice whose columns are one b-run is read from one product, and
+        # each target row from one per member run; a product per column
+        # made 2,728 and 946 multiplies here
+        spec = FamilySpec(*point)
+        inv, calls, mul = Inventory(spec, build_family(spec)), [], NormalForm.__mul__
+        monkeypatch.setattr(NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        reports = check_chart(inv)
+        assert all(c.status != FAIL for c in reports)
+        assert 0 < len(calls) <= most, len(calls)
 
     def test_work_grows_linearly_in_q(self):
         # each slice element is tested once per row that meets it until it
