@@ -29,9 +29,9 @@ from .sets import save_set_file
 from .words import GroupParams, ParseError, from_string, to_string
 
 
-def _family_spec(args, claims: bool = False) -> FamilySpec:
+def _family_spec(args) -> FamilySpec:
     spec = FamilySpec(args.k, args.p, args.q)
-    check_memory(spec, claims)
+    check_memory(spec)
     return spec
 
 
@@ -70,7 +70,7 @@ def cmd_verify(args) -> int:
 def cmd_check(args) -> int:
     from .checker import verify_family
 
-    spec = _family_spec(args, claims=True)
+    spec = _family_spec(args)
     report = verify_family(spec)
     counts = report["claims_summary"]
     print(f"set: {spec.describe()}")

@@ -116,25 +116,20 @@ def expected_cardinality(spec: FamilySpec) -> int:
 # element: less the interpreter's 15.2 MiB, it leaves 534, 589, 579 and 599
 # B per element at base k = 6..9 (19.5, 33.9, 88.2 and 315.7 MiB), mostly
 # triples and product prefixes, and export-set 409 and 456 at k = 8 and 9.
-# check adds the labeled set, its Inventory and a row of up to |T| bits per
-# element with single marks, about five progressions of (M + 2) q (the Z
-# slices' four and Z_0, marked by the chart's Z*Z targets): less check --k
-# 1's 16.8 MiB and those rows, its peaks at base k = 6, 7, 8 and (1,1,801),
-# (2,1,401), (1,1,2401), (2,1,801), (3,1,201), (4,1,65) (24.9, 55.0, 188.8,
-# 54.5, 61.8, 272.6, 169.3, 81.5, 71.1 MiB) leave at most 1,204 B per element.
+# check peaks in the same scan: its claims, run after the table is freed,
+# keep no element and peak at 25 MiB past the interpreter at base k = 9.
 MEMORY_BUDGET = 512 << 20
 _ELEMENT_BYTES = 620
-_CHECK_BYTES = 1400
 
 
-def check_memory(spec: FamilySpec, claims: bool = False) -> int:
-    """The predicted peak bytes of scanning the family's square, or of its
-    claims when claims is set; ValueError above MEMORY_BUDGET."""
+def check_memory(spec: FamilySpec) -> int:
+    """The predicted peak bytes of verify or check on the family, those of
+    scanning its square; ValueError above MEMORY_BUDGET."""
     limit = f"the budget of {MEMORY_BUDGET >> 20} MiB"
     if spec.k > MAX_K:  # |T| > 2^(2k+1): say so without computing 2^k
         raise ValueError(f"{spec.describe()} has more than 2^{2 * spec.k + 1} elements, above {limit}")
     size = expected_cardinality(spec)
-    predicted = size * (_CHECK_BYTES + 5 * ((1 << spec.k) + 2) * spec.q_eff // 8) if claims else size * _ELEMENT_BYTES
+    predicted = size * _ELEMENT_BYTES
     if predicted > MEMORY_BUDGET:
         raise ValueError(f"{spec.describe()} would have {size} elements and need about {predicted >> 20:,} MiB, above {limit}")
     return predicted

@@ -2,16 +2,43 @@
 
 Every claim multiplies the NormalForms it names and compares the products;
 the chart locates a rewritten element z in its target block by computing
-u'^-1 * z for each admissible left factor u'.  It reads the progression
-lookup of an Inventory and marks that Inventory's coverage, and shares the
-chart rows (nup.checker._CHART) with the table-reading checker, so the two
-differ only in how a product is named and compared.
+u'^-1 * z for each admissible left factor u'.  It keeps its own Inventory,
+the labeled set by label with every marked pair, and reads the chart rows of
+nup.chart as the checker does, so the two differ only in how a product is
+named and compared.
 """
 
 from __future__ import annotations
 
-from nup.checker import FAIL, PASS, TYPO_SUSPECT, _CHART, _VAR_VALUES, ClaimReport, _Ctx
+from nup import chart
+from nup.checker import FAIL, PASS, TYPO_SUSPECT, ClaimReport
+from nup.families import progression_bounds
 from nup.words import from_word
+
+
+class Inventory:
+    """A labeled set as the oracle reads it: each progression's elements by
+    j, label by label, and the marked pairs (i, j) of canonical indices."""
+
+    def __init__(self, spec, gset):
+        self.spec, self.gset, self.params = spec, gset, spec.params
+        self.M, self.q, self.p = 1 << spec.k, spec.q_eff, spec.p_eff
+        self.bounds = progression_bounds(spec)
+        self.top, self.D = self.bounds[("Y", 0)][1], self.bounds[("Z", 0)][1]
+        self.size = len(gset)
+        self.prog: dict = {}
+        for i, lab in enumerate(gset.labels):
+            self.prog.setdefault(lab[:2], {})[lab[2]] = i
+        self.rows: dict = {}
+
+    def lookup(self, fam, idx, j):
+        return self.prog.get((fam, idx), {}).get(j)
+
+    def mark(self, i, j):
+        self.rows.setdefault(i, set()).add(j)
+
+    def marked(self, i):
+        return self.rows.get(i, set())
 
 
 class ElementView:
@@ -136,9 +163,9 @@ def check_chart(view):
     inv = view.inv
     reports = []
     M = inv.M
-    for row in _CHART:
-        for n in _VAR_VALUES[row.var](M):
-            ctx = _Ctx(inv, n)
+    for row in chart.CHART:
+        for n in chart.VAR_VALUES[row.var](M):
+            ctx = chart.context(inv, n)
             lfam, lidx, lexp = row.left(ctx)
             rfam, ridx = row.right(ctx)
             li = inv.lookup(lfam, lidx, lexp)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import claims_oracle
 from conftest import random_element
-from nup import checker, sets
+from nup import chart, checker, sets
 from nup.checker import (
     FAIL,
     PASS,
@@ -21,7 +22,7 @@ from nup.checker import (
 )
 from nup.cli import main
 from nup.families import FamilySpec, SliceLabel, build_family, progression_bounds
-from nup.sets import b_key, b_runs, load_set_file, make_set, product_table
+from nup.sets import b_key, load_set_file, make_set, product_table
 from nup.words import GroupParams, NormalForm, from_string, from_word
 
 
@@ -40,6 +41,13 @@ def relabeled(spec, changes):
     return make_set(spec.params, full.elements, [changes.get(lab, lab) for lab in full.labels])
 
 
+def replaced(spec, words):
+    """The labeled set with the element of each label in words replaced by the word's."""
+    full = build_family(spec)
+    new = {lab: from_string(word, spec.params) for lab, word in words.items()}
+    return make_set(spec.params, [new.get(lab, w) for w, lab in zip(full.elements, full.labels)], full.labels)
+
+
 def swapped_labels(spec, key, j1, j2):
     """The labeled set with the labels (key, j1) and (key, j2) exchanged."""
     a, b = SliceLabel(*key, j1), SliceLabel(*key, j2)
@@ -49,22 +57,23 @@ def swapped_labels(spec, key, j1, j2):
 def coverage_bytes(inv):
     """The coverage as one byte per pair (i, j), row-major."""
     n = inv.size
-    return bytearray(inv.is_marked(i, j) for i in range(n) for j in range(n))
+    return bytearray(j in marked for i in range(n) for marked in [inv.marked(i)] for j in range(n))
 
 
 def claims_and_oracle(spec, gset):
-    """The table-read claims and the element-wise oracle's, each on a fresh Inventory."""
-    ours, theirs = Inventory(spec, gset), Inventory(spec, gset)
+    """The checker's claims and the element-wise oracle's, each on its own Inventory."""
+    ours, theirs = Inventory(spec, gset), claims_oracle.Inventory(spec, gset)
     return (ours, run_all_claims(ours)), (theirs, claims_oracle.run_all_claims(theirs))
 
 
 def chart_slices(inv):
     """(row, ctx, source pairs (si, ri, z)) of every chart instance whose
     slice products' b-coordinates z are consecutive, the only slices the
-    chart reads pairs for; each z is b_key of a plain multiply."""
-    for row in checker._CHART:
-        for n in checker._VAR_VALUES[row.var](inv.M):
-            ctx = checker._Ctx(inv, n)
+    chart reads pairs for; each z is b_key of a plain multiply.  inv is the
+    oracle's Inventory, which looks elements up by label."""
+    for row in chart.CHART:
+        for n in chart.VAR_VALUES[row.var](inv.M):
+            ctx = chart.context(inv, n)
             li = inv.lookup(*row.left(ctx))
             rfam, ridx = row.right(ctx)
             rlo, rhi = inv.bounds[(rfam, ridx)]
@@ -86,7 +95,7 @@ class TestClaimSuites:
         claims = run_all_claims(inv)
         assert claims
         assert all(c.status == PASS for c in claims)
-        assert inv.coverage() == 1.0
+        assert inv.covered_pairs() == inv.size ** 2
 
     def test_diagonal_kinds(self):
         spec = FamilySpec(2)
@@ -170,6 +179,20 @@ class TestSummary:
         assert s["claims_summary"]["fail"] == 0
         assert s["exit_status"] == 1  # the typo-suspect rows
 
+    def test_printed_range_is_writable(self):
+        # the printed range of y(M-1,lo)Y0 ends at 2^q + 2q - 1, which str()
+        # and json refuse past 4,300 digits (q > 14,284 at the default limit);
+        # past it the end shows as an exact 2^e + r, and below it stays an int
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if not limit:
+            pytest.skip("this Python converts ints of any length")
+        q = next(q for q in range(1, 20 * limit, 2) if 2**q + 2 * q - 1 >= 10**limit)
+        below, past = 2 ** (q - 2) + 2 * (q - 2) - 1, 2**q + 2 * q - 1
+        assert checker._shown(below) == below and len(str(below)) == limit
+        assert checker._shown(past) == f"2^{q} + {2 * q - 1}"
+        assert json.loads(json.dumps([1, checker._shown(past)])) == [1, f"2^{q} + {2 * q - 1}"]
+        assert [checker._shown(x) for x in (0, 1, -5, 10**limit - 1)] == [0, 1, -5, 10**limit - 1]
+
     def test_report_dict_schema(self):
         d = verify_family(FamilySpec(1))
         assert set(d) == {
@@ -179,6 +202,31 @@ class TestSummary:
         }
         for claim in d["claims"]:
             assert {"source", "kind", "params", "status", "count"} <= set(claim) <= {"source", "kind", "params", "status", "count", "witness"}
+
+
+class TestMultiplyCounts:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_few_per_progression(self, k, monkeypatch):
+        # each claim is decided once per pair of runs: the diagonal and Z
+        # claims made 543 and 272 multiplies at base k = 4 and 131,583 and
+        # 4,112 at k = 8, one per element of their blocks; the chart names
+        # each product of a (row progression, right progression, exponent
+        # mod M) once, where it made one per target row and member run
+        inv, calls, mul = Inventory(FamilySpec(k)), [], NormalForm.__mul__
+        monkeypatch.setattr(NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        claims = [c for family in ("Y", "X", "Z") for c in check_diagonals(inv, family)] + check_z_endpoints(inv)
+        assert all(c.status == PASS for c in claims)
+        assert 0 < len(calls) <= 12 * len(inv.bounds), len(calls)
+        named = set()
+        for row in chart.CHART:
+            for n in chart.VAR_VALUES[row.var](inv.M):
+                ctx = chart.context(inv, n)
+                (lfam, lidx, lexp), (tgt_left, tgt_right) = row.left(ctx), row.target(ctx)
+                named.add((lfam, lidx, row.right(ctx), lexp % inv.M))
+                named |= {(*tgt_left, tgt_right, r) for r in (range(inv.M) if row.residue is None else [row.residue])}
+        calls.clear()
+        assert all(c.status == PASS for c in check_chart(inv))
+        assert 0 < len(calls) <= len(named), (len(calls), len(named))
 
 
 class TestTamperedSets:
@@ -236,7 +284,7 @@ class TestRewriteIdentities:
         "mutate",
         [
             lambda row: row._replace(rng=lambda c: (row.rng(c)[0] + 1, row.rng(c)[1] + 1)),
-            lambda row: row._replace(shape=checker._lo(1, 2, 1)),
+            lambda row: row._replace(shape=chart._lo(1, 2, 1)),
         ],
         ids=["range-shifted", "shape-exponent"],
     )
@@ -244,9 +292,7 @@ class TestRewriteIdentities:
         # a claimed range of the right length that names other elements
         # fails the row in both checkers
         tag = "y(0,lo)Y0"
-        chart = [mutate(row) if row.tag == tag else row for row in checker._CHART]
-        monkeypatch.setattr(checker, "_CHART", chart)
-        monkeypatch.setattr(claims_oracle, "_CHART", chart)
+        monkeypatch.setattr(chart, "CHART", [mutate(row) if row.tag == tag else row for row in chart.CHART])
         spec = FamilySpec(2)
         (_, ours), (_, theirs) = claims_and_oracle(spec, build_family(spec))
         for claims in (ours, theirs):
@@ -260,9 +306,8 @@ class TestRewriteIdentities:
         # a row whose target block is its own slice's block finds each
         # element's own pair first; the checker must skip it, as the oracle does
         tag = "y(0,lo)Y0"
-        chart = [row._replace(target=lambda c: (("Y", 0), ("Y", 0)), residue=None) if row.tag == tag else row for row in checker._CHART]
-        monkeypatch.setattr(checker, "_CHART", chart)
-        monkeypatch.setattr(claims_oracle, "_CHART", chart)
+        rows = [row._replace(target=lambda c: (("Y", 0), ("Y", 0)), residue=None) if row.tag == tag else row for row in chart.CHART]
+        monkeypatch.setattr(chart, "CHART", rows)
         spec = FamilySpec(2)
         (inv, ours), (oracle_inv, theirs) = claims_and_oracle(spec, build_family(spec))
         assert [c.as_dict() for c in ours] == [c.as_dict() for c in theirs]
@@ -273,10 +318,10 @@ class TestRewriteIdentities:
         # a residue off by one excludes every left row that meets the slice,
         # so each instance of the row finds no second factorization
         inv = Inventory(spec, build_family(spec))
-        rows = [row for row in checker._CHART if row.residue is not None]
+        rows = [row for row in chart.CHART if row.residue is not None]
         assert len(rows) == 17
         for row in rows:
-            monkeypatch.setattr(checker, "_CHART", [row._replace(residue=(row.residue + 1) % inv.M)])
+            monkeypatch.setattr(chart, "CHART", [row._replace(residue=(row.residue + 1) % inv.M)])
             reports = check_chart(inv)
             assert reports, row.tag
             for report in reports:
@@ -294,10 +339,10 @@ class TestRewriteIdentities:
         # factorizations of a row's slice have left factors in its residue
         # class alone; a row with no residue needs more than one class, so a
         # residue loosened to None fails here as a shifted one fails above
-        inv = Inventory(spec, build_family(spec))
+        inv = claims_oracle.Inventory(spec, build_family(spec))
         M, labels, table = inv.M, inv.gset.labels, product_table(inv.gset, inv.gset)
         slices = list(chart_slices(inv))
-        assert len(slices) == sum(len(checker._VAR_VALUES[row.var](M)) for row in checker._CHART)
+        assert len(slices) == sum(len(chart.VAR_VALUES[row.var](M)) for row in chart.CHART)
         for row, ctx, sources in slices:
             tgt_left, tgt_right = row.target(ctx)
             lefts, rights = set(inv.prog[tgt_left].values()), set(inv.prog[tgt_right].values())
@@ -320,34 +365,38 @@ class TestCoverageAccounting:
         run_all_claims(inv)
         table = product_table(gset, gset)
         # spot-check: every marked pair's product has multiplicity >= 2
-        n = len(gset)
-        for i in range(n):
-            for j in range(n):
-                if inv.is_marked(i, j):
-                    assert table.multiplicity(gset[i] * gset[j]) >= 2
+        for i in range(len(gset)):
+            for j in inv.marked(i):
+                assert table.multiplicity(gset[i] * gset[j]) >= 2
 
-    def test_identity_cache_does_not_grow_with_q(self):
-        # the Z claims walk about 4(M+1)q single pairs; only the blocks of
-        # right factors of the diagonals and containments, a fixed number,
-        # have their identities cached
-        sizes = []
+    def test_identity_cache_does_not_grow_with_q(self, monkeypatch):
+        # each identity is decided once per pair of runs, and the cancelled
+        # blocks' intervals are cached once per block of right factors, so
+        # neither the multiplies of the diagonal and Z claims nor the cache
+        # grow with q; walking the Z slices made about 4(M+1)q multiplies
+        calls, mul, seen = [], NormalForm.__mul__, []
+        monkeypatch.setattr(NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
         for q in (5, 101):
-            spec = FamilySpec(1, 1, q)
-            inv = Inventory(spec, build_family(spec))
-            run_all_claims(inv)
-            sizes.append(len(inv._steps))
-        assert 0 < sizes[0] == sizes[1]
+            inv = Inventory(FamilySpec(1, 1, q))
+            calls.clear()
+            claims = [c for family in ("Y", "X", "Z") for c in check_diagonals(inv, family)] + check_z_endpoints(inv)
+            assert all(c.status == PASS for c in claims)
+            seen.append((len(calls), len(inv._cancelled)))
+        assert 0 < seen[0][0] and seen[0] == seen[1], seen
 
     @pytest.mark.parametrize("point", [(4,), (2, 1, 5)], ids=lambda p: "-".join(map(str, p)))
     def test_cancelled_masks_are_shared(self, point):
-        # a cancelled block's column masks are referenced by its rows, not
-        # copied into them: |T| bits per row would be most of check's memory
+        # a cancelled block's column intervals are referenced by its rows, one
+        # band per diagonal or containment block (five per left progression)
+        # and side, not copied into them: |T| bits per row would be most of
+        # check's memory.  An endpoint, a Z slice and the chart mark lines,
+        # one row times one interval
         spec = FamilySpec(*point)
-        inv = Inventory(spec, build_family(spec))
+        inv = Inventory(spec)
         run_all_claims(inv)
-        cached = [mask for cols_a, cols_b, _ in inv._steps.values() for mask in (cols_a, cols_b)]
-        shared = [mask for masks in inv._shared for mask in masks]
-        assert shared and all(any(mask is c for c in cached) for mask in shared)
+        cached = [cols for cols_a, cols_b, _, _ in inv._cancelled.values() for cols in (cols_a, cols_b)]
+        shared = [band for band in inv.bands if any(band[2] is cols for cols in cached)]
+        assert shared and len(inv.bands) == len(shared) <= 2 * 5 * len(inv.bounds)
         assert inv.covered_pairs() == inv.size ** 2
 
     def test_uncovered_sample_is_the_first_gaps(self):
@@ -357,7 +406,7 @@ class TestCoverageAccounting:
         gset = relabeled(spec, {SliceLabel("X", 1, 4): SliceLabel("Y", 9, 4)})
         inv = Inventory(spec, gset)
         run_all_claims(inv)
-        gaps = [[i, j] for i in range(inv.size) for j in range(inv.size) if not inv.is_marked(i, j)]
+        gaps = [[i, j] for i in range(inv.size) for marked in [inv.marked(i)] for j in range(inv.size) if j not in marked]
         report = verify_family(spec, gset)
         assert len(gaps) == report["total_pairs"] - report["covered_pairs"] > 0
         assert report["uncovered_sample"] == gaps[:10]
@@ -402,10 +451,15 @@ class TestTableReadMatchesOracle:
             # Y_0's label j = 5 on the element of X_1 0, so a slice's columns
             # are all present, and all but one form a b-run from its head
             (FamilySpec(2), lambda spec: relabeled(spec, {SliceLabel("Y", 0, 5): SliceLabel("Y", 9, 5), SliceLabel("X", 1, 0): SliceLabel("Y", 0, 5)})),
+            # Z 0 4 on a^2, which commutes with b^2 and not with b, and Z 0 -4
+            # on w a^2 w^-1, w = a b the first element of Y_0: the slice
+            # b^-4 Y_0 = Y_0 b^4 then holds at every other element of Y_0, so
+            # a right factor that is no power of b is decided element by element
+            (FamilySpec(2), lambda spec: replaced(spec, {SliceLabel("Z", 0, -4): "a b a^2 B A", SliceLabel("Z", 0, 4): "a^2"})),
         ],
         ids=[
             "swap-k2", "swap-1-1-3", "drop-k2", "drop-1-1-3", "drop-target-k2", "foreign-progression-k2",
-            "swap-chart-right-k2", "swap-chart-right-drop-target-k2", "foreign-chart-column-k2",
+            "swap-chart-right-k2", "swap-chart-right-drop-target-k2", "foreign-chart-column-k2", "z-ends-replaced-k2",
         ],
     )
     def test_tampered_sets(self, spec, make):
@@ -584,23 +638,31 @@ class TestDamagedSets:
 
     @pytest.mark.parametrize("damage", (None,) + DAMAGES)
     def test_runs_are_each_progressions_b_runs(self, damage):
-        # the b-run pass cut by progression gives what b_runs gives over the
-        # progression's own members
+        # each progression's runs are its members in label order, cut where
+        # a label is missing or the next element is no b-step: every run is
+        # a b-run of one progression, the runs hold every member once, and
+        # no two runs could be joined.  The family is one run per progression
         points = [(1,), (2,), (3,), (4,), (2, 1, 5)] if damage is None else [(2,), (1, 1, 3)]
         for point in points:
             spec = FamilySpec(*point)
             gset = build_family(spec) if damage is None else damaged_family(spec, damage, random.Random(f"runs {damage}"))
             inv = Inventory(spec, gset)
-            assert set(inv.runs) == set(inv.prog)
-            for key, js in inv.prog.items():
-                members = list(js.values())
-                assert inv.runs[key] == [[members[p] for p in run] for run in b_runs([gset[i] for i in members])], key
+            coord_of, index = inv._canonical()
+            assert sorted(coord_of) == [c for c0, n, _, _ in inv.runs for c in range(c0, c0 + n)]
+            for key, runs in inv.members.items():
+                for c0, n, prefix, n0 in runs:
+                    assert [(gset.labels[index[c0 + t]][:2], b_key(gset[index[c0 + t]])) for t in range(n)] == [(key, (prefix, n0 + t)) for t in range(n)]
+                for (c0, n, prefix, n0), (c1, _, prefix1, n1) in zip(runs, runs[1:]):
+                    assert c0 + n < c1 or (prefix, n0 + n) != (prefix1, n1), key
+            if damage is None:
+                assert list(inv.members) == list(progression_bounds(spec)) and len(inv.runs) == len(inv.members)
 
 
 def brute_alternative(inv, source, target, residue):
     """The first (li, w) of the target block with the source's product, other
     than the source pair: every admissible left row in order, then every
-    element of the target right progression, each product multiplied."""
+    element of the target right progression, each product multiplied; inv
+    is the oracle's Inventory."""
     si, ri, z = source
     tgt_left, tgt_right = target
     els = inv.gset.elements
@@ -620,14 +682,18 @@ _TAMPERED = TestTableReadMatchesOracle.test_tampered_sets.pytestmark[0]
 
 class TestAlternatives:
     def assert_first_pairs(self, spec, gset):
-        inv = Inventory(spec, gset)
+        # the checker works on numbers, which its canonical order maps to
+        # the indices of gset
+        inv, view = Inventory(spec, gset), claims_oracle.Inventory(spec, gset)
+        coord_of, index = inv._canonical()
         slices = 0
-        for row, ctx, sources in chart_slices(inv):
+        for row, ctx, sources in chart_slices(view):
             target = row.target(ctx)
             sources = sorted(sources, key=lambda s: s[2])
-            run = [ri for _, ri, _ in sources]
-            found = checker._alternatives(inv, sources[0][2], sources[0][0], run, target, row.residue)
-            assert found == [brute_alternative(inv, s, target, row.residue) for s in sources], (row.tag, ctx.n)
+            si, run = coord_of[sources[0][0]], [coord_of[ri] for _, ri, _ in sources]
+            found = checker._alternatives(inv, inv.named(*inv.key(si), run[0]), si, run, target, row.residue)
+            found = [alt and (index[alt[0]], index[alt[1]]) for alt in found]
+            assert found == [brute_alternative(view, s, target, row.residue) for s in sources], (row.tag, ctx.n)
             slices += 1
         assert slices
 

@@ -12,7 +12,7 @@ import pytest
 import nup
 from nup import checker, families, search
 from nup.cli import main
-from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality, progression_bounds
+from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
 from nup.search import SearchConfig
 from nup.sets import load_set_file, product_table
 from nup.words import MAX_K, GroupParams, from_string
@@ -267,8 +267,8 @@ class TestOversized:
             ["verify", "--k", "100000000", "--p", "1", "--q", "1"],
             ["verify", "--k", "1", "--p", "1", "--q", str(10**30 + 1)],
             ["check", "--k", "2", "--p", "3", "--q", str(4 * 10**40 + 1)],
-            ["check", "--k", "9"],
-            ["check", "--k", "1", "--p", "1", "--q", "4001"],
+            ["check", "--k", "10"],
+            ["check", "--k", "1", "--p", "1", "--q", "50001"],
             ["verify", "--k", "10"],
             ["export-set", "--k", "10", "-o", "unused.txt"],
         ],
@@ -294,44 +294,40 @@ class TestOversized:
 
     @pytest.mark.parametrize("k", [8, 9])
     def test_predicted_memory_printed(self, k, capsys):
-        # verify --k 9 and check --k 8 run, so check is refused from base
-        # k = 9, and verify from k = 10
-        command, claims, k = ("check", True, k + 1) if k == 8 else ("verify", False, k + 1)
+        # check (8) and verify (9) share one prediction: both run at base
+        # k = 9 and are refused from k = 10
+        command = "check" if k == 8 else "verify"
         with pytest.raises(ValueError) as refusal:
-            check_memory(FamilySpec(k), claims)
-        assert main([command, "--k", str(k)]) == 2
+            check_memory(FamilySpec(10))
+        assert main([command, "--k", "10"]) == 2
         assert str(refusal.value) in capsys.readouterr().err
 
     def test_budget_admits_k7(self):
-        # and check --k 8, verify --k 8 and 9, but neither check --k 9 nor
-        # anything at k = 10
-        assert check_memory(FamilySpec(7)) < check_memory(FamilySpec(7), claims=True) <= MEMORY_BUDGET
-        assert check_memory(FamilySpec(8)) < check_memory(FamilySpec(8), claims=True) <= MEMORY_BUDGET
-        assert check_memory(FamilySpec(8)) < check_memory(FamilySpec(9)) <= MEMORY_BUDGET
-        for k, claims in ((9, True), (10, False), (10, True)):
-            with pytest.raises(ValueError, match=r"need about [\d,]+ MiB"):
-                check_memory(FamilySpec(k), claims)
+        # and k = 8 and 9, for verify and check alike, but nothing at k = 10
+        assert check_memory(FamilySpec(7)) < check_memory(FamilySpec(8)) < check_memory(FamilySpec(9)) <= MEMORY_BUDGET
+        with pytest.raises(ValueError, match=r"need about [\d,]+ MiB"):
+            check_memory(FamilySpec(10))
 
     def test_check_budget_counts_the_coverage(self, monkeypatch, capsys):
-        # 80,017 elements in 5 runs: the scan fits, but the single marks of
-        # about five progressions of 16,004 rows, each of |T| bits, do not
+        # the coverage is bands and lines of intervals, never a row of |T|
+        # bits, so check fits wherever its scan does: (1,1,4001), whose
+        # single-mark rows took 683 MiB, is admitted, and a q whose scan
+        # would pass the budget is refused before anything is built
         assert check_memory(FamilySpec(1, 1, 4001)) <= MEMORY_BUDGET
         monkeypatch.setattr(checker, "verify_family", lambda spec: pytest.fail("check built the family"))
         t0 = time.perf_counter()
-        assert main(["check", "--k", "1", "--p", "1", "--q", "4001"]) == 2
+        assert main(["check", "--k", "1", "--p", "1", "--q", "50001"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "80017 elements and need about 870 MiB" in capsys.readouterr().err
+        assert "1000017 elements and need about 591 MiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [FamilySpec(1), FamilySpec(3), FamilySpec(1, 3, 5), FamilySpec(2, 1, 5), FamilySpec(3, 1, 9)])
     def test_prediction_counts_every_cell(self, spec):
         # one b-run per progression, and the table stores nothing per (row,
-        # run) pair, so the prediction is per element; check's adds a row of
-        # |T| bits per element of five progressions as long as X_1
+        # run) pair, so the prediction is per element; check's claims keep
+        # nothing per pair either, and run after the scan, so it is check's too
         T = build_family(spec)
         assert product_table(T, T).counters()["runs"] == 2 * 2**spec.k + 1
         assert check_memory(spec) == len(T) * families._ELEMENT_BYTES
-        lo, hi = progression_bounds(spec)[("X", 1)]
-        assert check_memory(spec, claims=True) == len(T) * (families._CHECK_BYTES + 5 * (hi - lo + 1) // 8)
 
     @staticmethod
     def check_peak(point) -> int:
@@ -359,11 +355,10 @@ class TestOversized:
         """The peak of check --k 1, 17 elements: the interpreter and the package."""
         return self.check_peak((1,))
 
-    # whole commands, each measured as it runs; check's peak is the scan, the
-    # labeled elements and the coverage bits
+    # whole commands, each measured as it runs; check's peak is its scan's
     @pytest.mark.parametrize("point", [(5,), (6,), (7,), (1, 1, 801), (2, 1, 201), (2, 1, 401), (1, 1, 1601)], ids=lambda p: "-".join(map(str, p)))
     def test_check_prediction_covers_measured_peak(self, point, interpreter_peak):
-        assert self.check_peak(point) <= interpreter_peak + check_memory(FamilySpec(*point), claims=True)
+        assert self.check_peak(point) <= interpreter_peak + check_memory(FamilySpec(*point))
 
     # peak RSS of `python -m nup verify --k K [--p P --q Q]` on a 2-vCPU VM,
     # Python 3.11, in MiB; the interpreter alone (verify --k 1) peaks at 15.1
