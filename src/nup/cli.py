@@ -8,15 +8,17 @@ Exit codes are a stable scripting contract:
 
 verify, check and search each build one report, a dict whose exit_status is
 the command's exit code; --json writes it under one envelope, the tool
-version and the command name.  Reports are schema-stable and carry every
-parameter, so runs are reproducible from the report alone.  Search reports
-contain no volatile fields: the same invocation with the same seed writes
-byte-identical output files.
+version and the command name, to a file opened before the command does its
+work, so that a path that cannot be written exits 2 at once.  Reports are
+schema-stable and carry every parameter, so runs are reproducible from the
+report alone.  Search reports contain no volatile fields: the same
+invocation with the same seed writes byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -35,59 +37,66 @@ def _family_spec(args) -> FamilySpec:
     return spec
 
 
-def _report(args, command: str, report: dict) -> int:
+def _json_file(args):
+    """The --json file, opened (and emptied) before the command's work; a
+    null context without --json."""
+    return open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
+
+
+def _report(out, command: str, report: dict) -> int:
     """Write the report, under the version and the command, to the --json
-    path when one is given; return the report's exit status."""
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"version": __version__, "command": command, **report}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    file out when there is one; return the report's exit status."""
+    if out is not None:
+        json.dump({"version": __version__, "command": command, **report}, out, indent=2, sort_keys=True)
+        out.write("\n")
     return report["exit_status"]
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
-    gset, table, uniques, report = scan_family(spec)
-    elapsed = time.perf_counter() - t0
-    ok = not uniques and report["set_size"] == report["expected_size"] and report["duplicates_removed"] == 0
-    print(f"set: {spec.describe()}")
-    print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
-    print(f"square: {table.total_pairs()} factorizations over {len(table)} distinct products")
-    print(f"unique products: {len(uniques)}")
-    for z, (i, j) in uniques[:10]:
-        print(f"  witness: {to_string(z)} = ({to_string(gset[i])}) * ({to_string(gset[j])})")
-    print(f"result: {'non-unique product set' if ok else 'FAILED'}  [{elapsed:.2f}s]")
-    report.update(
-        product_size=len(table),
-        total_factorizations=table.total_pairs(),
-        wall_time_s=round(elapsed, 6),
-        exit_status=0 if ok else 1,
-    )
-    return _report(args, "verify", report)
+    with _json_file(args) as out:
+        gset, table, uniques, report = scan_family(spec)
+        elapsed = time.perf_counter() - t0
+        ok = not uniques and report["set_size"] == report["expected_size"] and report["duplicates_removed"] == 0
+        print(f"set: {spec.describe()}")
+        print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
+        print(f"square: {table.total_pairs()} factorizations over {len(table)} distinct products")
+        print(f"unique products: {len(uniques)}")
+        for z, (i, j) in uniques[:10]:
+            print(f"  witness: {to_string(z)} = ({to_string(gset[i])}) * ({to_string(gset[j])})")
+        print(f"result: {'non-unique product set' if ok else 'FAILED'}  [{elapsed:.2f}s]")
+        report.update(
+            product_size=len(table),
+            total_factorizations=table.total_pairs(),
+            wall_time_s=round(elapsed, 6),
+            exit_status=0 if ok else 1,
+        )
+        return _report(out, "verify", report)
 
 
 def cmd_check(args) -> int:
     from .checker import verify_family
 
     spec = _family_spec(args)
-    report = verify_family(spec)
-    counts = report["claims_summary"]
-    print(f"set: {spec.describe()}")
-    print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
-    print(f"claims: {counts['pass']} pass, {counts['fail']} fail, {counts['typo_suspect']} typo-suspect")
-    flagged = [c for c in report["claims"] if c["status"] != "pass"]
-    for c in flagged[:10]:
-        line = f"  [{c['status']}] {c['source']} params={c['params']}"
-        if c.get("witness"):
-            line += f" witness={c['witness']}"
-        print(line)
-    if len(flagged) > 10:
-        print(f"  ... and {len(flagged) - 10} more (full list in the JSON report)")
-    print(f"coverage: {report['covered_pairs']}/{report['total_pairs']} factorizations ({report['coverage']:.6f})")
-    print(f"unique products: {report['unique_count']}; claim/scan agreement: {report['consistent']}")
-    print(f"elapsed: {report['wall_time_s']:.2f}s")
-    return _report(args, "check", report)
+    with _json_file(args) as out:
+        report = verify_family(spec)
+        counts = report["claims_summary"]
+        print(f"set: {spec.describe()}")
+        print(f"size: {report['set_size']} (formula: {report['expected_size']}), duplicates removed: {report['duplicates_removed']}")
+        print(f"claims: {counts['pass']} pass, {counts['fail']} fail, {counts['typo_suspect']} typo-suspect")
+        flagged = [c for c in report["claims"] if c["status"] != "pass"]
+        for c in flagged[:10]:
+            line = f"  [{c['status']}] {c['source']} params={c['params']}"
+            if c.get("witness"):
+                line += f" witness={c['witness']}"
+            print(line)
+        if len(flagged) > 10:
+            print(f"  ... and {len(flagged) - 10} more (full list in the JSON report)")
+        print(f"coverage: {report['covered_pairs']}/{report['total_pairs']} factorizations ({report['coverage']:.6f})")
+        print(f"unique products: {report['unique_count']}; claim/scan agreement: {report['consistent']}")
+        print(f"elapsed: {report['wall_time_s']:.2f}s")
+        return _report(out, "check", report)
 
 
 def cmd_eval(args) -> int:
@@ -117,17 +126,18 @@ def cmd_search(args) -> int:
             raise ValueError("--size is required (or use --config)")
         # flags left unset take SearchConfig's defaults
         config = SearchConfig(**{name: value for name in SearchConfig._fields if (value := getattr(args, name)) is not None})
-    t0 = time.perf_counter()
-    result = run_search(config)
-    elapsed = time.perf_counter() - t0
-    print(f"best score: {result.score} after {result.iterations} iterations [{elapsed:.2f}s]")
-    print(f"restart best scores: {result.restart_scores}")
-    for w in result.best:
-        print(f"  {to_string(w)}")
-    if args.out:
-        save_set_file(result.best, args.out, header=f"search k={config.k} size={config.size} seed={config.seed} score={result.score}")
-    report = {"parameters": config._asdict(), "result": result.as_dict(), "exit_status": 0 if result.score == 0 else 1}
-    return _report(args, "search", report)
+    with _json_file(args) as out:
+        t0 = time.perf_counter()
+        result = run_search(config)
+        elapsed = time.perf_counter() - t0
+        print(f"best score: {result.score} after {result.iterations} iterations [{elapsed:.2f}s]")
+        print(f"restart best scores: {result.restart_scores}")
+        for w in result.best:
+            print(f"  {to_string(w)}")
+        if args.out:
+            save_set_file(result.best, args.out, header=f"search k={config.k} size={config.size} seed={config.seed} score={result.score}")
+        report = {"parameters": config._asdict(), "result": result.as_dict(), "exit_status": 0 if result.score == 0 else 1}
+        return _report(out, "search", report)
 
 
 def cmd_export_set(args) -> int:

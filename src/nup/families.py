@@ -113,8 +113,8 @@ def expected_cardinality(spec: FamilySpec) -> int:
 
 
 # Largest predicted peak memory the CLI admits, in bytes.  verify builds no
-# element: less the interpreter's 15.2 MiB, it leaves 534, 589, 579 and 599
-# B per element at base k = 6..9 (19.5, 33.9, 88.2 and 315.7 MiB), mostly
+# element: less the interpreter's 14.9 MiB, it leaves 496, 517, 526 and 547
+# B per element at base k = 6..9 (18.9, 31.3, 81.2 and 289.3 MiB), mostly
 # triples and product prefixes, and export-set 409 and 456 at k = 8 and 9.
 # check peaks in the same scan: its claims, run after the table is freed,
 # keep no element and peak at 25 MiB past the interpreter at base k = 9.

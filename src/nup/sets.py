@@ -3,8 +3,8 @@
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
 element; a RunSet is a set given by its b-runs alone.  A FactorizationTable
-holds X*Y with every index pair (i, j) of X[i] * Y[j], so callers can count
-multiplicities and extract witnesses without multiplying.
+counts the distinct and the uniquely represented products of X*Y, and names
+the index pair (i, j) of each unique product, the witness that a set fails.
 
 The table rests on one fact about normal forms.  Right multiplication by b^e
 leaves the prefix (u, alpha, syllables) fixed and adds e to the integer
@@ -40,7 +40,9 @@ The table stores the square once, as weighted intervals read from the
 b-runs of both factors: one triple (prefix id, n0, run length, weight) per
 interval that rows of one row prefix meet, with nothing per row or pair.  One
 sweep over each prefix's triples, run as the table is built, counts the
-distinct and the unique products.
+distinct and the unique products.  Only a set that fails has a unique
+product; its witnesses come from a second pass over the (row, b-run) pairs,
+which expands the columns of the prefixes that the sweep found holding one.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_right
 from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -239,7 +240,7 @@ class RunProducts:
 
 
 class FactorizationTable:
-    """All factorizations of the product set X*Y, as weighted intervals.
+    """The counts of the product set X*Y, from weighted intervals.
 
     X and Y are GroupSets or RunSets, read as disjoint b-runs (head, indices)
     of rows (of X) and columns (of Y).  X[i] times a run of Y is the interval
@@ -252,51 +253,48 @@ class FactorizationTable:
     distinct (prefix, n0, run length) in the paper's sets.
 
     Triple t has prefix id triple_pid[t], start triple_n0[t], length
-    triple_len[t], weight triple_weight[t] (the (row, run) pairs that meet
-    it) and nz triple_nz[t]; the triples of prefix pid are linked from
-    last_triple[pid] through triple_prev, ending at -1.  All are flat arrays
-    of machine ints; a product beyond 64 bits is refused with a ValueError.
-    The constructor ends with the one sweep of the triples, and len,
-    unique_count, uniques and counters read the counts it stored.
-    Nothing is kept per row or pair: a row prefix's product memo lives only
-    while its rows are scanned.  key_of and element_of convert between an
-    element and its key (prefix id, n).  The pair lists recover a triple's
-    pairs, the rows n and heads c_h of its class with n + c_h = nz, from the
-    row runs.
+    triple_len[t] and weight triple_weight[t] (the (row, run) pairs that meet
+    it); the triples of prefix pid are linked from last_triple[pid] through
+    triple_prev, ending at -1.  All are flat arrays of machine ints; a
+    product beyond 64 bits is refused with a ValueError.  The constructor
+    ends with the one sweep of the triples, and len, unique_count and
+    counters read the counts it stored.  Nothing is kept per row or pair: a
+    row prefix's product memo lives only while its rows are scanned.  No
+    pair list is kept either: uniques() names a failing set's witnesses by
+    keying every (row, run) pair again.
     """
 
     __slots__ = (
         "k", "runs", "rows", "cols", "prefixes", "multiplies",
-        "triple_pid", "triple_n0", "triple_len", "triple_weight", "triple_nz", "last_triple", "triple_prev",
-        "_kernel", "_c_of", "_row_prefixes", "_sources", "_counts",
+        "triple_pid", "triple_n0", "triple_len", "triple_weight", "last_triple", "triple_prev",
+        "_kernel", "_factors", "_counts",
     )
 
     def __init__(self, x: GroupSet | RunSet, y: GroupSet | RunSet):
         self.k = k = x.params.k
         self.rows, self.cols = len(x), len(y)
+        self._factors = x, y
         cols = y.b_runs()
         rows = cols if x is y else x.b_runs()
         self.runs = [ix for _, ix in cols]
         self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
-        # for rows with an even and an odd number of b letters, the (c_h, run)
-        # of each class, named by its split with c_h = 0 (the key of (n, c_h)
+        # for rows with an even and an odd number of b letters, the c_h of
+        # each class, named by its split with c_h = 0 (the key of (n, c_h)
         # is that of (n + c_h, 0)) and its run length
-        self._c_of = c_of = ({}, {})
-        for r, (head, ix) in enumerate(cols):
+        c_of: tuple = ({}, {})
+        for head, ix in cols:
             for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, kernel.split(head)):
-                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append((c_h, r))
+                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append(c_h)
         rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
         for head, ix in rows:
             prefix, n0 = b_key(head)
             rows_of.setdefault(prefix, []).append((n0, ix))
-        self._row_prefixes = row_prefixes = list(rows_of.items())
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
-        self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight, self.triple_nz = arrays = [array(c) for c in "iqiiq"]
-        new_pid, new_n0, new_len, new_weight, new_nz = (a.append for a in arrays)
-        self._sources = sources = []  # (first triple, row prefix index, class) of each lattice
+        self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight = arrays = [array(c) for c in "iqii"]
+        new_pid, new_n0, new_len, new_weight = (a.append for a in arrays)
         try:
-            for row_prefix, ((u, alpha, syl), row_runs) in enumerate(row_prefixes):
+            for (u, alpha, syl), row_runs in rows_of.items():
                 memo: dict = {}  # the row prefix's product memo, dropped after its rows
                 syl_sum = sum(syl)
                 # the rows' n as step-2 intervals [a, b], per parity
@@ -318,14 +316,12 @@ class FactorizationTable:
                 events: dict = {}
                 for side, cs in zip(spans, c_of):
                     for cls, c_hs in cs.items() if side else ():
-                        for c, _ in c_hs:
+                        for c in c_hs:
                             lattice = events.setdefault((cls, (side[0][0] + c) & 1), {})
                             for a, b in side:
                                 lattice[a + c] = lattice.get(a + c, 0) + 1
                                 lattice[b + c + 2] = lattice.get(b + c + 2, 0) - 1
-                for (cls, _), lattice in events.items():
-                    head, length = cls
-                    sources.append((len(prev), row_prefix, cls))
+                for ((head, length), _), lattice in events.items():
                     w = 0
                     for start, end in pairwise(sorted(lattice)):
                         w += lattice[start]
@@ -339,14 +335,12 @@ class FactorizationTable:
                             new_n0(n0)
                             new_len(length)
                             new_weight(w)
-                            new_nz(nz)
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
         self._counts = self._sweep()
-
-    def _sweep(self) -> tuple[int, int, list]:
+    def _sweep(self) -> tuple[int, int, set]:
         """(distinct products, unique products, ids of the prefixes holding a
         unique product), from one sweep of every prefix's triples."""
         n0, lens, weights, prev_of = self.triple_n0, self.triple_len, self.triple_weight, self.triple_prev
@@ -356,7 +350,7 @@ class FactorizationTable:
         shift = max(weights, default=0).bit_length() + 1
         half, low = 1 << (shift - 1), (1 << shift) - 1
         distinct = unique = 0
-        pids = []
+        pids = set()
         for pid, t in enumerate(self.last_triple):
             events = []
             add = events.append
@@ -378,7 +372,7 @@ class FactorizationTable:
             distinct += covered
             if once:
                 unique += once
-                pids.append(pid)
+                pids.add(pid)
         return distinct, unique, pids
 
     def counters(self) -> dict:
@@ -391,84 +385,39 @@ class FactorizationTable:
     def __len__(self):
         return self._counts[0]
 
-    # -- products by key ------------------------------------------------------
-
-    def key_of(self, w: NormalForm) -> tuple[int, int]:
-        """The key (prefix id, n) of w; prefix id -1 when no product has w's prefix."""
-        prefix, n = b_key(w)
-        return self._kernel.prefix_id.get(prefix, -1), n
-
-    def element_of(self, key: tuple[int, int]) -> NormalForm:
-        pid, n = key
-        return _from_b_key(self.k, self.prefixes[pid], n)
-
-    # -- pair lists, rebuilt on demand ----------------------------------------
-
-    def _triples(self, pid: int):
-        """The triples of prefix pid, the last made first."""
-        t = self.last_triple[pid]
-        while t >= 0:
-            yield t
-            t = self.triple_prev[t]
-
-    def _meeting(self, pid: int, n: int) -> list[int]:
-        """The triples of prefix pid whose interval holds n."""
-        n0, lens = self.triple_n0, self.triple_len
-        return [t for t in self._triples(pid) if 0 <= n - n0[t] < lens[t]] if pid >= 0 else []
-
-    def _cells(self, t: int) -> list[tuple[int, int]]:
-        """The (row, run) pairs that meet triple t: the rows n and heads c_h of
-        its lattice's row prefix and class with n + c_h = nz."""
-        _, row_prefix, cls = self._sources[bisect_right(self._sources, t, key=itemgetter(0)) - 1]
-        (_, _, syl), row_runs = self._row_prefixes[row_prefix]
-        nz, out = self.triple_nz[t], []
-        for parity, cs in enumerate(self._c_of):
-            for c, r in cs.get(cls, ()):
-                n = nz - c
-                s = bisect_right(row_runs, n, key=itemgetter(0)) - 1
-                # a row reads the heads' split for its own parity of b letters only
-                if s >= 0 and n - row_runs[s][0] < len(row_runs[s][1]) and (sum(syl) + n) & 1 == parity:
-                    out.append((row_runs[s][1][n - row_runs[s][0]], r))
-        return out
-
-    def factorizations(self, z: NormalForm) -> list[tuple[int, int]]:
-        """Every (i, j) with X[i] * Y[j] = z, sorted; a row meets z at most once."""
-        pid, n = self.key_of(z)
-        return sorted((i, self.runs[r][n - self.triple_n0[t]]) for t in self._meeting(pid, n) for i, r in self._cells(t))
-
-    def multiplicity(self, z: NormalForm) -> int:
-        """The number of factorizations of z, from the weights of its triples."""
-        return sum(self.triple_weight[t] for t in self._meeting(*self.key_of(z)))
-
-    def _points(self, pid: int) -> list[tuple[NormalForm, list]]:
-        """Every product of one prefix with its sorted factorizations."""
-        at: dict = {}
-        for t in self._triples(pid):
-            for i, r in self._cells(t):
-                for off, j in enumerate(self.runs[r]):
-                    at.setdefault(self.triple_n0[t] + off, []).append((i, j))
-        return [(self.element_of((pid, n)), sorted(pairs)) for n, pairs in at.items()]
-
-    def items(self) -> list[tuple[NormalForm, list]]:
-        """Every product with its sorted factorizations, in canonical order."""
-        out = [item for pid in range(len(self.prefixes)) for item in self._points(pid)]
-        out.sort(key=lambda t: t[0])
-        return out
-
     def unique_count(self) -> int:
         """Number of products with exactly one factorization."""
         return self._counts[1]
 
     def uniques(self) -> list:
         """(z, (i, j)) for every product with exactly one factorization, in
-        canonical order; only the prefixes that hold one are expanded."""
-        out = [(z, pairs[0]) for pid in self._counts[2] for z, pairs in self._points(pid) if len(pairs) == 1]
-        out.sort(key=lambda t: t[0])
+        canonical order.  Only a failing set has one, so the table keeps no
+        pair list for it: one pass keys every (row, run) pair again through
+        the kernel, with fresh product memos, and counts the columns of the
+        keys whose prefix the sweep found holding a unique product."""
+        if not self._counts[1]:
+            return []
+        x, y = self._factors
+        kernel, pids, seen, memos = self._kernel, self._counts[2], {}, {}
+        cols = y.b_runs()
+        splits = [(kernel.split(head), ix) for head, ix in cols]
+        for head, ix in cols if x is y else x.b_runs():
+            prefix, n0 = b_key(head)
+            u, alpha, syl = prefix
+            memo, syl_sum = memos.setdefault(prefix, {}), sum(syl)
+            for n, i in enumerate(ix, n0):
+                for split, js in splits:
+                    pid, m0 = kernel.key(memo, u, alpha, syl, n, split[(syl_sum + n) & 1])
+                    if pid in pids:
+                        for m, j in enumerate(js, m0):
+                            seen[pid, m] = None if (pid, m) in seen else (i, j)
+        out = [(_from_b_key(self.k, self.prefixes[pid], n), pair) for (pid, n), pair in seen.items() if pair]
+        out.sort(key=itemgetter(0))
         return out
 
 
 def product_table(X: GroupSet | RunSet, Y: GroupSet | RunSet) -> FactorizationTable:
-    """Complete factorization table of X*Y, with one multiply per (row prefix, core, n mod 2^k)."""
+    """The counts of X*Y, with one multiply per (row prefix, core, n mod 2^k)."""
     if X.params != Y.params:
         raise ValueError("product of sets over different groups")
     return FactorizationTable(X, Y)

@@ -3,7 +3,8 @@
 Every one of the |X| * |Y| pairs is multiplied with NormalForm arithmetic and
 filed under its product in row-major order, so each pair list comes out
 sorted.  reference_cells names every row times every b-run of Y, one
-multiply each: the oracle for the table's shared multiplies and its triples.
+multiply each: the oracle for the table's shared multiplies and its triples,
+and, through factorizations, for every pair list of one product.
 """
 
 from __future__ import annotations
@@ -21,6 +22,23 @@ def reference_cells(X, Y) -> list[tuple]:
             prefix, n = b_key(x * Y.elements[run[0]])
             out.append((prefix, n, len(run)))
     return out
+
+
+_CELLS: dict = {}  # the last (X, Y) asked: (id(X), id(Y)) -> (X, Y, cells by prefix)
+
+
+def factorizations(X, Y, z) -> list[tuple[int, int]]:
+    """Every (i, j) with X[i] * Y[j] = z, sorted, read from reference_cells:
+    one multiply per row and b-run of Y, made once for the last (X, Y)."""
+    key = (id(X), id(Y))
+    if key not in _CELLS:
+        runs, by_prefix = b_runs(Y.elements), {}
+        for c, (prefix, n0, length) in enumerate(reference_cells(X, Y)):
+            by_prefix.setdefault(prefix, []).append((n0, length, c // len(runs), runs[c % len(runs)]))
+        _CELLS.clear()
+        _CELLS[key] = X, Y, by_prefix  # X and Y are held, so their ids stay theirs
+    prefix, n = b_key(z)
+    return sorted((i, run[n - n0]) for n0, length, i, run in _CELLS[key][2].get(prefix, ()) if 0 <= n - n0 < length)
 
 
 def brute_pairs(X, Y) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nup
-from nup import checker, families, search
+from nup import checker, cli, families, search
 from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
 from nup.search import SearchConfig
@@ -238,6 +238,22 @@ class TestUsage:
         cfg.write_text(json.dumps({"k": 1, "size": 4, "flavor": "mint"}))
         assert main(["search", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("argv", [["verify", "--k", "7"], ["check", "--k", "7"], ["search", "--k", "1", "--size", "6"]], ids=lambda a: a[0])
+    def test_unwritable_json_exits_2_before_the_work(self, argv, tmp_path, monkeypatch, capsys):
+        # a --json path in a missing directory is refused before any family
+        # is built, scanned or searched; check --k 7 ran 0.7 s, and verify
+        # printed its result, before the write failed
+        def ran(*args):
+            pytest.fail("the command worked before it opened its --json path")
+
+        monkeypatch.setattr(cli, "scan_family", ran)
+        monkeypatch.setattr(checker, "verify_family", ran)
+        monkeypatch.setattr(search, "run_search", ran)
+        path = tmp_path / "missing" / "report.json"
+        assert main([*argv, "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and str(path) in err and "No such file or directory" in err
+
 
 class TestThreads:
     """The process pool and its --threads / NUP_THREADS knob are gone."""
@@ -361,9 +377,9 @@ class TestOversized:
         assert self.check_peak(point) <= interpreter_peak + check_memory(FamilySpec(*point))
 
     # peak RSS of `python -m nup verify --k K [--p P --q Q]` on a 2-vCPU VM,
-    # Python 3.11, in MiB; the interpreter alone (verify --k 1) peaks at 15.1
-    # to 15.2 MiB
-    VERIFY_PEAK_MIB = {(6,): 19.5, (7,): 33.9, (8,): 88.2, (9,): 315.7, (1, 1, 4001): 30.5}
+    # Python 3.11, in MiB, from os.wait4; the interpreter alone (verify --k 1)
+    # peaks at 14.9 to 15.2 MiB
+    VERIFY_PEAK_MIB = {(6,): 18.9, (7,): 31.3, (8,): 81.2, (9,): 289.3, (1, 1, 4001): 27.8}
 
     @pytest.mark.parametrize("point", sorted(VERIFY_PEAK_MIB), ids=lambda p: "-".join(map(str, p)))
     def test_verify_prediction_covers_measured_peak(self, point):

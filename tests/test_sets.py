@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import random_element
@@ -57,16 +59,16 @@ class TestProductTable:
     def test_singleton(self):
         g = from_string("ab", P1)
         t = product_table(make_set(P1, [identity(P1)]), make_set(P1, [g]))
-        assert t.items() == [(g, [(0, 0)])]
+        assert len(t) == t.total_pairs() == t.unique_count() == 1
+        assert t.uniques() == [(g, (0, 0))]
 
     def test_one_a_square(self):
         X = make_set(P1, elems("1", "a"))
         t = product_table(X, X)
-        a = from_string("a", P1)
         aa = from_string("a^2", P1)
-        assert t.factorizations(identity(P1)) == [(0, 0)]
-        assert t.factorizations(a) == [(0, 1), (1, 0)]
-        assert t.factorizations(aa) == [(1, 1)]
+        # 1, a and a^2 from four pairs, a from (0, 1) and (1, 0)
+        assert (len(t), t.total_pairs()) == (3, 4)
+        assert t.uniques() == [(identity(P1), (0, 0)), (aa, (1, 1))]
 
     def test_pair_count_conservation(self, rng):
         for _ in range(20):
@@ -74,10 +76,11 @@ class TestProductTable:
             Y = make_set(P1, [random_element(rng, P1) for _ in range(rng.randrange(1, 12))])
             t = product_table(X, Y)
             assert t.total_pairs() == len(X) * len(Y)
-            for z, pairs in t.items():
-                assert pairs == sorted(pairs)
-                for i, j in pairs:
-                    assert X[i] * Y[j] == z
+            mult = Counter(x * y for x in X for y in Y)
+            assert len(t) == len(mult)
+            assert t.unique_count() == sum(c == 1 for c in mult.values())
+            for z, (i, j) in t.uniques():
+                assert X[i] * Y[j] == z and mult[z] == 1
 
     def test_mixed_params_rejected(self):
         with pytest.raises(ValueError):
@@ -95,8 +98,7 @@ class TestUniqueProducts:
         # 1:1, a:2, b:2, a^2:1, ab:1, ba:1, b^2:1
         S = make_set(P1, elems("1", "a", "b"))
         t = product_table(S, S)
-        mult = {str(z): len(pairs) for z, pairs in t.items()}
-        assert mult == {"1": 1, "a": 2, "b": 2, "a^2": 1, "a b": 1, "b a": 1, "b^2": 1}
+        assert (len(t), t.total_pairs(), t.unique_count()) == (7, 9, 5)
         uniq = unique_products(S, S)
         assert [z for z, _ in uniq] == sorted(elems("1", "a^2", "a b", "b a", "b^2"))  # canonical order
         assert len(uniq) == 5
@@ -114,9 +116,12 @@ class TestUniqueProducts:
             X = make_set(P1, [random_element(rng, P1) for _ in range(4)])
             Y = make_set(P1, [random_element(rng, P1) for _ in range(4)])
             t = product_table(X, Y)
-            t_inv = product_table(make_set(P1, [y.inverse() for y in Y]), make_set(P1, [x.inverse() for x in X]))
-            for z, pairs in t.items():
-                assert len(t_inv.factorizations(z.inverse())) == len(pairs)
+            Y_inv, X_inv = make_set(P1, [y.inverse() for y in Y]), make_set(P1, [x.inverse() for x in X])
+            t_inv = product_table(Y_inv, X_inv)
+            assert len(t_inv) == len(t) and t_inv.unique_count() == t.unique_count()
+            # (x y)^-1 = y^-1 x^-1: the witnesses correspond, inverted and swapped
+            inverted = sorted((z.inverse(), (Y_inv.index_of(Y[j].inverse()), X_inv.index_of(X[i].inverse()))) for z, (i, j) in t.uniques())
+            assert t_inv.uniques() == inverted
 
     def test_two_element_sets_always_have_unique_product(self, rng):
         for _ in range(200):

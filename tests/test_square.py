@@ -2,8 +2,9 @@
 
 tests/brute_square.py multiplies every pair; product_table does one multiply
 per (row prefix, u shift and core, residue of n mod 2^k).  They must agree on
-every pair list, multiplicity, unique product (order and witness), on the
-pair total and on the key (prefix id, n) of every pair.  The key of every
+every product's multiplicity, read from the table's triples, on every unique
+product (order and witness), on the pair total and on the key (prefix id, n)
+of every pair.  The key of every
 row times every run head must equal brute_square.reference_cells, which
 multiplies them, and the weights of the triples of each (prefix, n0, run
 length) must add up to the number of (row, run) pairs that meet it.
@@ -15,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from brute_square import brute_counts, brute_pairs, brute_uniques, reference_cells
+from brute_square import brute_counts, brute_pairs, brute_uniques, factorizations, reference_cells
 from conftest import random_element
 from nup import search, sets
 from nup.families import FamilySpec, build_family
@@ -48,23 +49,31 @@ def kernel_keys(table, X, Y):
     return key
 
 
+def multiplicities(table) -> Counter:
+    """The triples expanded: key (prefix id, n) -> the weight of the triples
+    whose interval holds n, the number of pairs whose product it names."""
+    mult: Counter = Counter()
+    for pid, n0, length, weight in zip(table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight):
+        for n in range(n0, n0 + length):
+            mult[pid, n] += weight
+    return mult
+
+
 def assert_same_as_brute(X, Y):
     table = product_table(X, Y)
     brute = brute_pairs(X, Y)
     key_of = kernel_keys(table, X, Y)
-    items = table.items()
-    assert [z for z, _ in items] == sorted(brute)
-    assert dict(items) == brute
-    assert len(table) == len(brute)
+    mult = multiplicities(table)
+    assert len(table) == len(mult) == len(brute)
     assert table.total_pairs() == sum(len(p) for p in brute.values()) == len(X) * len(Y)
-    # every pair's key names its product, both ways
+    # every pair's key names its product, and the triples give every product
+    # its multiplicity; distinct products have distinct keys, since b_key
+    # names an element and a prefix has one id
     for z, pairs in brute.items():
-        key = table.key_of(z)
-        assert table.element_of(key) == z
-        assert all(key_of(i, j) == key for i, j in pairs)
-    for z in random.Random(len(brute)).sample(sorted(brute), min(len(brute), 1500)):
-        assert table.factorizations(z) == brute[z]
-        assert table.multiplicity(z) == len(brute[z])
+        pid, n = key_of(*pairs[0])
+        assert (table.prefixes[pid], n) == b_key(z)
+        assert all(key_of(i, j) == (pid, n) for i, j in pairs)
+        assert mult[pid, n] == len(pairs)
     uniques = brute_uniques({z: [len(pairs), pairs[0]] for z, pairs in brute.items()})
     assert table.uniques() == unique_products(X, Y) == uniques
     assert table.unique_count() == len(uniques)
@@ -113,8 +122,8 @@ class TestAgainstBrute:
 
     @pytest.mark.parametrize("point", [(2,), (3,), (1, 1, 3), (2, 1, 5)])
     def test_family_with_one_element_dropped(self, point):
-        # dropping an element leaves unique products, so uniques() and the
-        # pair lists recover the pairs of triples
+        # dropping an element leaves unique products, so uniques() names
+        # their pairs in its second pass
         T = build_family(FamilySpec(*point))
         for drop in [0] + random.Random(len(T)).sample(range(1, len(T)), 2):
             S = make_set(T.params, T.elements[:drop] + T.elements[drop + 1 :])
@@ -122,18 +131,28 @@ class TestAgainstBrute:
             assert table.unique_count() > 0 or drop  # the first element's row always leaves some
             assert_same_triples(S, S)
 
+    @pytest.mark.parametrize("point", [(2,), (3,), (1, 1, 3)])
+    def test_distinct_factors_with_unique_products(self, point):
+        # X is not Y, so uniques() walks the rows of X apart from the runs of
+        # Y, and half of a family leaves unique products on either side
+        T = build_family(FamilySpec(*point))
+        X = make_set(T.params, random.Random(len(T)).sample(T.elements, len(T) // 2))
+        for A, B in ((X, T), (T, X)):
+            assert assert_same_as_brute(A, B).unique_count() > 0
+
     def test_scaled_3_1_9(self):
         # 2.3M pairs: compared by multiplicity counts, not pair lists
         T = build_family(FamilySpec(3, 1, 9))
         table = product_table(T, T)
         counts = brute_counts(T, T)
-        assert len(table) == len(counts)
+        mult = multiplicities(table)
+        assert len(table) == len(mult) == len(counts)
         assert table.total_pairs() == sum(c for c, _ in counts.values())
         assert table.uniques() == brute_uniques(counts) == []
-        rng = random.Random(9)
-        for z in rng.sample(sorted(counts), 300):
-            assert table.multiplicity(z) == counts[z][0]
-            assert table.factorizations(z)[0] == counts[z][1]
+        key_of = kernel_keys(table, T, T)
+        for z, (count, first) in counts.items():
+            pid, n = key_of(*first)
+            assert (table.prefixes[pid], n) == b_key(z) and mult[pid, n] == count
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_random_universe_subsets(self, k):
@@ -186,13 +205,13 @@ class TestAgainstBrute:
         for X, Y in ((empty, one), (one, empty), (empty, empty)):
             table = product_table(X, Y)
             assert len(table) == table.total_pairs() == table.unique_count() == 0
-            assert table.items() == [] and table.uniques() == []
+            assert table.uniques() == []
 
 
 @pytest.mark.parametrize("point", [(2,), (1, 3, 5)])
 def test_factorizations_hold_only_the_pairs_of_a_key(point):
-    # the key of (i, j) leads back to a sorted list that holds (i, j), and
-    # every pair listed for a key has that key
+    # the key of (i, j) names the element whose pairs, read from the
+    # oracle's cells, hold (i, j), and every such pair has that key
     T = build_family(FamilySpec(*point))
     table = product_table(T, T)
     key_of = kernel_keys(table, T, T)
@@ -200,19 +219,12 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     shared = 0
     for i in range(n):
         for j in range(n):
-            key = key_of(i, j)
-            pairs = table.factorizations(table.element_of(key))
-            assert (i, j) in pairs and pairs == sorted(pairs)
+            pid, m = key = key_of(i, j)
+            pairs = factorizations(T, T, sets._from_b_key(T.params.k, table.prefixes[pid], m))
+            assert (i, j) in pairs
             assert all(key_of(*pair) == key for pair in pairs)
             shared += len(pairs) > 1
     assert shared  # other rows do meet some of these products
-    # prefix id -1 (key_of's answer for a prefix no product has) is no prefix,
-    # not the last one: an element with the last prefix's n but a prefix of
-    # its own has no factorization
-    u, alpha, syl = table.prefixes[-1]
-    absent = sets._from_b_key(T.params.k, (u + n, alpha, syl), table.triple_n0[table.last_triple[-1]])
-    assert table.key_of(absent)[0] == -1
-    assert table.factorizations(absent) == [] and table.multiplicity(absent) == 0
 
 
 # a family and a set with unique products, for the tests of the one sweep
@@ -283,7 +295,6 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     # one multiply per (row prefix, u shift and core, rho), not per row and
     # run, and the count reported is the count made
     T = build_family(FamilySpec(4))
-    z = T[5] * T[7]
     calls = 0
     mul = NormalForm.__mul__
 
@@ -297,8 +308,8 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     assert calls == 1056 < 577 * 33
     assert table.counters() == {"elements": 577, "runs": 33, "multiplies": 1056, "triples": 3265, "distinct_products": len(table)}
     assert calls == 1056  # len() and counters() multiply nothing
-    table.uniques(), table.factorizations(z)
-    assert calls == 1056  # nor do the pair lists
+    assert table.unique_count() == 0 and table.uniques() == []
+    assert calls == 1056  # nor does uniques() of a set with no unique product
     # the table keeps no product memo: reading every pair's key again through
     # its kernel multiplies once per entry of fresh memos, at most the scan's
     # count again
@@ -306,14 +317,23 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     keys = [key_of(i, j) for i in range(len(T)) for j in range(len(T))]
     assert 1056 < calls <= 2 * 1056
     assert len(set(keys)) == len(table)
+    # a set with unique products: uniques() keys every (row, run) pair again
+    # through fresh memos, at most the scan's multiplies again
+    S = make_set(T.params, T.elements[1:])
+    calls = 0
+    table = product_table(S, S)
+    assert calls == table.multiplies and table.unique_count() > 0
+    witnesses = table.uniques()
+    assert table.multiplies < calls <= 2 * table.multiplies
+    assert witnesses == brute_uniques(brute_counts(S, S))
 
 
 def assert_same_triples(X, Y):
     """The triple oracle: the key of every row times every run head, read
     through the kernel, is reference_cells' (prefix, n0); the weights of each
     (prefix, n0, run length) add up to the number of (row, run) pairs that
-    meet it, and all weights to |X| times the runs; and each triple's
-    recovered pairs are its own."""
+    meet it, and all weights to |X| times the runs; and each prefix links
+    its own triples, the last made first."""
     table = product_table(X, Y)
     cells = reference_cells(X, Y)
     assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight)] == ["i", "q", "i", "i"]
@@ -327,21 +347,16 @@ def assert_same_triples(X, Y):
     assert weights == Counter(cells)
     assert sum(weight) == len(X) * len(table.runs)
     assert min(weight, default=1) >= 1
-    # the pairs recovered from each triple's nz are exactly the (row, run)
-    # pairs of its interval, and every pair is recovered from one triple
-    met: Counter = Counter()
-    for t in range(len(pid)):
-        pairs = table._cells(t)
-        assert len(pairs) == weight[t]
-        assert all(cells[i * len(table.runs) + r] == (table.prefixes[pid[t]], n0[t], length[t]) for i, r in pairs)
-        met.update(pairs)
-    assert len(met) == len(cells) and max(met.values(), default=1) == 1
-    # each prefix links its triples from the last made
     assert table.last_triple.typecode == table.triple_prev.typecode == "i"
     newest_first: dict = {}
     for t in range(len(pid)):
         newest_first.setdefault(pid[t], []).insert(0, t)
-    assert {p: list(table._triples(p)) for p in range(len(table.prefixes))} == newest_first
+    linked: dict = {}
+    for p, t in enumerate(table.last_triple):
+        while t >= 0:
+            linked.setdefault(p, []).append(t)
+            t = table.triple_prev[t]
+    assert linked == newest_first
     return table
 
 
@@ -400,9 +415,9 @@ class TestSharedMultiplies:
 
 
 def test_triples_are_machine_ints():
-    # 32 bytes per triple in flat arrays, and nothing per row or (row, run)
+    # 24 bytes per triple in flat arrays, and nothing per row or (row, run)
     # pair.  The prefixes, and the scan's events and the product memo of one
-    # row prefix at a time, add the rest: the traced peak is about 98 B per
+    # row prefix at a time, add the rest: the traced peak is about 84 B per
     # triple here
     T = build_family(FamilySpec(5))
     tracemalloc.start()
@@ -412,7 +427,7 @@ def test_triples_are_machine_ints():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight, table.triple_nz)] == ["i", "q", "i", "i", "q"]
+    assert [a.typecode for a in (table.triple_pid, table.triple_n0, table.triple_len, table.triple_weight)] == ["i", "q", "i", "i"]
     assert len(table.triple_pid) == 12673
     assert peak <= 120 * len(table.triple_pid)
 
