@@ -9,7 +9,9 @@ Exit codes are a stable scripting contract:
 verify, check and search each build one report, a dict whose exit_status is
 the command's exit code; --json writes it under one envelope, the tool
 version and the command name, to a file opened before the command does its
-work, so that a path that cannot be written exits 2 at once.  Reports are
+work, so that a path that cannot be written exits 2 at once (search opens
+its --out file early too); a run that fails before its report is written
+leaves an earlier file at that path as it was.  Reports are
 schema-stable and carry every parameter, so runs are reproducible from the
 report alone.  Search reports contain no volatile fields: the same
 invocation with the same seed writes byte-identical output files.
@@ -37,16 +39,19 @@ def _family_spec(args) -> FamilySpec:
     return spec
 
 
-def _json_file(args):
-    """The --json file, opened (and emptied) before the command's work; a
-    null context without --json."""
-    return open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
+def _opened(path):
+    """path opened to append before the command's work, so that a path that
+    cannot be written fails at once while a file already there is kept
+    until it is rewritten; a null context without a path."""
+    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
 
 
 def _report(out, command: str, report: dict) -> int:
     """Write the report, under the version and the command, to the --json
-    file out when there is one; return the report's exit status."""
+    file out when there is one, emptied first; return the report's exit
+    status."""
     if out is not None:
+        out.truncate(0)
         json.dump({"version": __version__, "command": command, **report}, out, indent=2, sort_keys=True)
         out.write("\n")
     return report["exit_status"]
@@ -55,7 +60,7 @@ def _report(out, command: str, report: dict) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _family_spec(args)
-    with _json_file(args) as out:
+    with _opened(args.json) as out:
         gset, table, uniques, report = scan_family(spec)
         elapsed = time.perf_counter() - t0
         ok = not uniques and report["set_size"] == report["expected_size"] and report["duplicates_removed"] == 0
@@ -79,7 +84,7 @@ def cmd_check(args) -> int:
     from .checker import verify_family
 
     spec = _family_spec(args)
-    with _json_file(args) as out:
+    with _opened(args.json) as out:
         report = verify_family(spec)
         counts = report["claims_summary"]
         print(f"set: {spec.describe()}")
@@ -126,7 +131,7 @@ def cmd_search(args) -> int:
             raise ValueError("--size is required (or use --config)")
         # flags left unset take SearchConfig's defaults
         config = SearchConfig(**{name: value for name in SearchConfig._fields if (value := getattr(args, name)) is not None})
-    with _json_file(args) as out:
+    with _opened(args.json) as out, _opened(args.out):
         t0 = time.perf_counter()
         result = run_search(config)
         elapsed = time.perf_counter() - t0

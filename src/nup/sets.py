@@ -179,6 +179,15 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
+def _rows_by_prefix(rows: Iterable[tuple[NormalForm, Sequence[int]]]) -> dict:
+    """The row b-runs (head, indices) as row prefix -> its runs (n0, indices)."""
+    rows_of: dict = {}
+    for head, ix in rows:
+        prefix, n0 = b_key(head)
+        rows_of.setdefault(prefix, []).append((n0, ix))
+    return rows_of
+
+
 class RunProducts:
     """The keys of x * h for b-run heads h: the product kernel that the
     square scan and the search share.
@@ -273,9 +282,9 @@ class FactorizationTable:
     def __init__(self, x: GroupSet | RunSet, y: GroupSet | RunSet):
         self.k = k = x.params.k
         self.rows, self.cols = len(x), len(y)
-        self._factors = x, y
         cols = y.b_runs()
         rows = cols if x is y else x.b_runs()
+        self._factors = rows, cols  # the b-runs (head, indices), for uniques()
         self.runs = [ix for _, ix in cols]
         self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
@@ -286,10 +295,7 @@ class FactorizationTable:
         for head, ix in cols:
             for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, kernel.split(head)):
                 cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append(c_h)
-        rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
-        for head, ix in rows:
-            prefix, n0 = b_key(head)
-            rows_of.setdefault(prefix, []).append((n0, ix))
+        rows_of = _rows_by_prefix(rows)
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
         self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight = arrays = [array(c) for c in "iqii"]
         new_pid, new_n0, new_len, new_weight = (a.append for a in arrays)
@@ -340,6 +346,7 @@ class FactorizationTable:
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
         self._counts = self._sweep()
+
     def _sweep(self) -> tuple[int, int, set]:
         """(distinct products, unique products, ids of the prefixes holding a
         unique product), from one sweep of every prefix's triples."""
@@ -393,25 +400,35 @@ class FactorizationTable:
         """(z, (i, j)) for every product with exactly one factorization, in
         canonical order.  Only a failing set has one, so the table keeps no
         pair list for it: one pass keys every (row, run) pair again through
-        the kernel, with fresh product memos, and counts the columns of the
-        keys whose prefix the sweep found holding a unique product."""
+        the kernel, row prefix by row prefix with a fresh memo each, as the
+        constructor does, and keeps the pairs whose prefix the sweep found
+        holding a unique product; a sweep of each such prefix's intervals
+        names the pair of every n that one interval alone covers."""
         if not self._counts[1]:
             return []
-        x, y = self._factors
-        kernel, pids, seen, memos = self._kernel, self._counts[2], {}, {}
-        cols = y.b_runs()
+        rows, cols = self._factors
+        kernel, pids, hits = self._kernel, self._counts[2], {}
         splits = [(kernel.split(head), ix) for head, ix in cols]
-        for head, ix in cols if x is y else x.b_runs():
-            prefix, n0 = b_key(head)
-            u, alpha, syl = prefix
-            memo, syl_sum = memos.setdefault(prefix, {}), sum(syl)
-            for n, i in enumerate(ix, n0):
-                for split, js in splits:
-                    pid, m0 = kernel.key(memo, u, alpha, syl, n, split[(syl_sum + n) & 1])
-                    if pid in pids:
-                        for m, j in enumerate(js, m0):
-                            seen[pid, m] = None if (pid, m) in seen else (i, j)
-        out = [(_from_b_key(self.k, self.prefixes[pid], n), pair) for (pid, n), pair in seen.items() if pair]
+        for (u, alpha, syl), row_runs in _rows_by_prefix(rows).items():
+            memo, syl_sum = {}, sum(syl)  # the row prefix's memo, dropped after its rows
+            for n0, ix in row_runs:
+                for n, i in enumerate(ix, n0):
+                    for split, js in splits:
+                        pid, m0 = kernel.key(memo, u, alpha, syl, n, split[(syl_sum + n) & 1])
+                        if pid in pids:
+                            hits.setdefault(pid, []).append((m0, i, js))
+        out = []
+        for pid, met in hits.items():
+            prefix = self.prefixes[pid]
+            events = sorted(e for h, (m0, _, js) in enumerate(met) for e in ((m0, 1, h), (m0 + len(js), -1, h)))
+            count = alone = prev = 0
+            for pos, step, h in events:
+                if count == 1:  # met[alone] is the one interval on [prev, pos)
+                    m0, i, js = met[alone]
+                    out += [(_from_b_key(self.k, prefix, m), (i, js[m - m0])) for m in range(prev, pos)]
+                count += step
+                alone += step * h
+                prev = pos
         out.sort(key=itemgetter(0))
         return out
 

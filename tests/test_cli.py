@@ -253,6 +253,31 @@ class TestUsage:
         assert main([*argv, "--json", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and str(path) in err and "No such file or directory" in err
+        if argv[0] == "search":
+            # and so is search's --out path
+            assert main([*argv, "--out", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and str(path) in err and "No such file or directory" in err
+
+    def test_failed_run_keeps_the_earlier_report(self, tmp_path, monkeypatch):
+        # the --json file is opened early but emptied only as the report is
+        # written: a run that fails after the open leaves the earlier report
+        path = tmp_path / "report.json"
+        assert main(["verify", "--k", "1", "--json", str(path)]) == 0
+        earlier = path.read_text()
+
+        def overflow(*args):
+            raise ValueError("a product's b-coordinate n does not fit in 64 bits")
+
+        monkeypatch.setattr(cli, "scan_family", overflow)
+        assert main(["verify", "--k", "2", "--json", str(path)]) == 2
+        assert path.read_text() == earlier
+        # a report written over a longer file leaves nothing of it behind
+        monkeypatch.undo()
+        path.write_text(earlier + " " * 10_000)
+        assert main(["verify", "--k", "1", "--json", str(path)]) == 0
+        text = path.read_text()
+        assert text.endswith("}\n") and json.loads(text)["exit_status"] == 0
 
 
 class TestThreads:

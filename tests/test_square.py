@@ -318,13 +318,14 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     assert 1056 < calls <= 2 * 1056
     assert len(set(keys)) == len(table)
     # a set with unique products: uniques() keys every (row, run) pair again
-    # through fresh memos, at most the scan's multiplies again
+    # through one fresh memo per row prefix, so it makes the scan's
+    # multiplies again, no more
     S = make_set(T.params, T.elements[1:])
     calls = 0
     table = product_table(S, S)
     assert calls == table.multiplies and table.unique_count() > 0
     witnesses = table.uniques()
-    assert table.multiplies < calls <= 2 * table.multiplies
+    assert calls == 2 * table.multiplies
     assert witnesses == brute_uniques(brute_counts(S, S))
 
 
