@@ -9,11 +9,9 @@ Exit codes are a stable scripting contract:
 verify, check and search each build one report, a dict whose exit_status is
 the command's exit code; --json writes it under one envelope, the tool
 version and the command name, to a file opened before the command does its
-work, so that a path that cannot be written exits 2 at once (search opens
-its --out file early too); a run that fails before its report is written
-leaves an earlier file at that path as it was.  Reports are
-schema-stable and carry every parameter, so runs are reproducible from the
-report alone.  Search reports contain no volatile fields: the same
+work (and search's --out file too), so that a path that cannot be written
+exits 2 at once.  Reports are schema-stable and carry every parameter, so
+runs are reproducible from the report alone.  Search reports contain no volatile fields: the same
 invocation with the same seed writes byte-identical output files.
 """
 
@@ -40,9 +38,8 @@ def _family_spec(args) -> FamilySpec:
 
 
 def _opened(path):
-    """path opened to append before the command's work, so that a path that
-    cannot be written fails at once while a file already there is kept
-    until it is rewritten; a null context without a path."""
+    """path opened to append, so that a run that fails keeps the file that
+    is there; a null context without a path."""
     return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
 
 

@@ -179,15 +179,6 @@ def b_runs(elements: Sequence[NormalForm]) -> list[list[int]]:
     return runs
 
 
-def _rows_by_prefix(rows: Iterable[tuple[NormalForm, Sequence[int]]]) -> dict:
-    """The row b-runs (head, indices) as row prefix -> its runs (n0, indices)."""
-    rows_of: dict = {}
-    for head, ix in rows:
-        prefix, n0 = b_key(head)
-        rows_of.setdefault(prefix, []).append((n0, ix))
-    return rows_of
-
-
 class RunProducts:
     """The keys of x * h for b-run heads h: the product kernel that the
     square scan and the search share.
@@ -284,7 +275,6 @@ class FactorizationTable:
         self.rows, self.cols = len(x), len(y)
         cols = y.b_runs()
         rows = cols if x is y else x.b_runs()
-        self._factors = rows, cols  # the b-runs (head, indices), for uniques()
         self.runs = [ix for _, ix in cols]
         self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
@@ -295,7 +285,11 @@ class FactorizationTable:
         for head, ix in cols:
             for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, kernel.split(head)):
                 cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append(c_h)
-        rows_of = _rows_by_prefix(rows)
+        rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
+        for head, ix in rows:
+            prefix, n0 = b_key(head)
+            rows_of.setdefault(prefix, []).append((n0, ix))
+        self._factors = rows_of, cols  # the b-runs of both factors, for uniques()
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
         self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight = arrays = [array(c) for c in "iqii"]
         new_pid, new_n0, new_len, new_weight = (a.append for a in arrays)
@@ -406,10 +400,10 @@ class FactorizationTable:
         names the pair of every n that one interval alone covers."""
         if not self._counts[1]:
             return []
-        rows, cols = self._factors
+        rows_of, cols = self._factors
         kernel, pids, hits = self._kernel, self._counts[2], {}
         splits = [(kernel.split(head), ix) for head, ix in cols]
-        for (u, alpha, syl), row_runs in _rows_by_prefix(rows).items():
+        for (u, alpha, syl), row_runs in rows_of.items():
             memo, syl_sum = {}, sum(syl)  # the row prefix's memo, dropped after its rows
             for n0, ix in row_runs:
                 for n, i in enumerate(ix, n0):
@@ -419,13 +413,12 @@ class FactorizationTable:
                             hits.setdefault(pid, []).append((m0, i, js))
         out = []
         for pid, met in hits.items():
-            prefix = self.prefixes[pid]
             events = sorted(e for h, (m0, _, js) in enumerate(met) for e in ((m0, 1, h), (m0 + len(js), -1, h)))
             count = alone = prev = 0
             for pos, step, h in events:
                 if count == 1:  # met[alone] is the one interval on [prev, pos)
                     m0, i, js = met[alone]
-                    out += [(_from_b_key(self.k, prefix, m), (i, js[m - m0])) for m in range(prev, pos)]
+                    out += [(_from_b_key(self.k, self.prefixes[pid], m), (i, js[m - m0])) for m in range(prev, pos)]
                 count += step
                 alone += step * h
                 prev = pos
