@@ -9,10 +9,10 @@ Exit codes are a stable scripting contract:
 verify, check and search each build one report, a dict whose exit_status is
 the command's exit code; --json writes it under one envelope, the tool
 version and the command name, to a file opened before the command does its
-work (and search's --out file too), so that a path that cannot be written
-exits 2 at once.  Reports are schema-stable and carry every parameter, so
-runs are reproducible from the report alone.  Search reports contain no volatile fields: the same
-invocation with the same seed writes byte-identical output files.
+work, as are the --out files of search and export-set, so that a path that
+cannot be written exits 2 at once.  Reports are schema-stable and carry every
+parameter, so runs are reproducible from the report alone.  Search reports contain
+no volatile fields: the same invocation with the same seed writes byte-identical output files.
 """
 
 from __future__ import annotations
@@ -144,10 +144,11 @@ def cmd_search(args) -> int:
 
 def cmd_export_set(args) -> int:
     spec = _family_spec(args)
-    gset = build_family(spec)
-    save_set_file(gset, args.out, header=spec.describe())
-    print(f"wrote {len(gset)} elements to {args.out}")
-    return 0
+    with _opened(args.out):
+        gset = build_family(spec)
+        save_set_file(gset, args.out, header=spec.describe())
+        print(f"wrote {len(gset)} elements to {args.out}")
+        return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -173,9 +173,7 @@ def scan_family(spec: FamilySpec, gset: Optional[GroupSet] = None) -> tuple[Opti
     uniques = table.uniques()
     if uniques and gset is None:  # never for the paper's sets
         gset = build_family(spec)
-        index = {p: gset.index_of(_from_b_key(spec.k, prefix, n0 + t)) for head, ix in S.runs
-                 for prefix, n0 in [b_key(head)] for t, p in enumerate(ix)}
-        uniques = [(z, (index[i], index[j])) for z, (i, j) in uniques]
+        uniques = product_table(gset, gset).uniques()
     report = {
         "parameters": {"k": spec.k, "p": spec.p, "q": spec.q},
         "set_size": table.cols,

@@ -41,8 +41,8 @@ b-runs of both factors: one triple (prefix id, n0, run length, weight) per
 interval that rows of one row prefix meet, with nothing per row or pair.  One
 sweep over each prefix's triples, run as the table is built, counts the
 distinct and the unique products.  Only a set that fails has a unique
-product; its witnesses come from a second pass over the (row, b-run) pairs,
-which expands the columns of the prefixes that the sweep found holding one.
+product; its witnesses come from a second walk of the square, which keys
+nothing and expands the triples of the prefixes holding one into their pairs.
 
 Set file format: UTF-8 text, one word per line in the word grammar, "#"
 starts a comment, blank lines are ignored, and an optional trailing
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_right
 from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -259,9 +260,8 @@ class FactorizationTable:
     product beyond 64 bits is refused with a ValueError.  The constructor
     ends with the one sweep of the triples, and len, unique_count and
     counters read the counts it stored.  Nothing is kept per row or pair: a
-    row prefix's product memo lives only while its rows are scanned.  No
-    pair list is kept either: uniques() names a failing set's witnesses by
-    keying every (row, run) pair again.
+    row prefix's product memo lives only while its rows are scanned, and
+    uniques() walks the square again for a failing set's witnesses.
     """
 
     __slots__ = (
@@ -278,68 +278,74 @@ class FactorizationTable:
         self.runs = [ix for _, ix in cols]
         self._kernel = kernel = RunProducts(k)
         product_key = kernel.key
-        # for rows with an even and an odd number of b letters, the c_h of
-        # each class, named by its split with c_h = 0 (the key of (n, c_h)
-        # is that of (n + c_h, 0)) and its run length
+        # for rows with an even and an odd number of b letters, (c_h, run
+        # indices) of each class, named by its split with c_h = 0 (the key of
+        # (n, c_h) is that of (n + c_h, 0)) and its run length
         c_of: tuple = ({}, {})
         for head, ix in cols:
             for cs, (core_key, mask, c_h, beta, flip, du, core) in zip(c_of, kernel.split(head)):
-                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append(c_h)
+                cs.setdefault(((core_key, mask, 0, beta, flip, du, core), len(ix)), []).append((c_h, ix))
         rows_of: dict = {}  # row prefix -> its row runs (n0, indices)
         for head, ix in rows:
             prefix, n0 = b_key(head)
             rows_of.setdefault(prefix, []).append((n0, ix))
-        self._factors = rows_of, cols  # the b-runs of both factors, for uniques()
+        self._factors = rows_of, c_of  # the walk's input, for uniques()
         self.last_triple, self.triple_prev = last, prev = array("i"), array("i")
         self.triple_pid, self.triple_n0, self.triple_len, self.triple_weight = arrays = [array(c) for c in "iqii"]
         new_pid, new_n0, new_len, new_weight = (a.append for a in arrays)
         try:
             for (u, alpha, syl), row_runs in rows_of.items():
                 memo: dict = {}  # the row prefix's product memo, dropped after its rows
-                syl_sum = sum(syl)
-                # the rows' n as step-2 intervals [a, b], per parity
-                spans: tuple = ([], [])
-                row_runs.sort(key=itemgetter(0))
-                for (n0, ix), before in zip(row_runs, [None] + row_runs):
-                    if before and n0 < before[0] + len(before[1]):
-                        raise ValueError(f"two row b-runs share the element {_from_b_key(k, (u, alpha, syl), n0)}")
-                    end = n0 + len(ix) - 1
-                    for a in range(n0, min(n0 + 1, end) + 1):
-                        side, b = spans[(syl_sum + a) & 1], end - ((end - a) & 1)
-                        if side and side[-1][1] + 2 == a:
-                            side[-1][1] = b
-                        else:
-                            side.append([a, b])
-                # the weight of nz in a class is #{(n, c) : n + c = nz}: +1 at
-                # a + c and -1 at b + c + 2 per interval and c, on the lattice
-                # of nz's parity, with the rows of both parities in one sum
-                events: dict = {}
-                for side, cs in zip(spans, c_of):
-                    for cls, c_hs in cs.items() if side else ():
-                        for c in c_hs:
-                            lattice = events.setdefault((cls, (side[0][0] + c) & 1), {})
-                            for a, b in side:
-                                lattice[a + c] = lattice.get(a + c, 0) + 1
-                                lattice[b + c + 2] = lattice.get(b + c + 2, 0) - 1
-                for ((head, length), _), lattice in events.items():
-                    w = 0
-                    for start, end in pairwise(sorted(lattice)):
-                        w += lattice[start]
-                        for nz in range(start, end, 2) if w else ():
-                            pid, n0 = product_key(memo, u, alpha, syl, nz, head)
-                            if pid == len(last):
-                                last.append(-1)
-                            prev.append(last[pid])
-                            last[pid] = len(prev) - 1
-                            new_pid(pid)
-                            new_n0(n0)
-                            new_len(length)
-                            new_weight(w)
+                for (head, length), w, start, end in self._walk((u, alpha, syl), row_runs):
+                    for nz in range(start, end, 2):
+                        pid, n0 = product_key(memo, u, alpha, syl, nz, head)
+                        if pid == len(last):
+                            last.append(-1)
+                        prev.append(last[pid])
+                        last[pid] = len(prev) - 1
+                        new_pid(pid)
+                        new_n0(n0)
+                        new_len(length)
+                        new_weight(w)
         except OverflowError:
             raise ValueError("a product's b-coordinate n does not fit in 64 bits") from None
         self.prefixes = list(kernel.prefix_id)
         self.multiplies = kernel.multiplies
         self._counts = self._sweep()
+
+    def _walk(self, prefix: tuple, row_runs: list):
+        """The walk of the square at a row prefix, its row runs (n0, indices) sorted in place: (class, w,
+        start, end) per step-2 range [start, end) of nz met by w = #{(n, c_h) : n + c_h = nz} > 0, in one order."""
+        syl_sum = sum(prefix[2])
+        # the rows' n as step-2 intervals [a, b], per parity
+        spans: tuple = ([], [])
+        row_runs.sort(key=itemgetter(0))
+        for (n0, ix), before in zip(row_runs, [None] + row_runs):
+            if before and n0 < before[0] + len(before[1]):
+                raise ValueError(f"two row b-runs share the element {_from_b_key(self.k, prefix, n0)}")
+            end = n0 + len(ix) - 1
+            for a in range(n0, min(n0 + 1, end) + 1):
+                side, b = spans[(syl_sum + a) & 1], end - ((end - a) & 1)
+                if side and side[-1][1] + 2 == a:
+                    side[-1][1] = b
+                else:
+                    side.append([a, b])
+        # +1 at a + c and -1 at b + c + 2 per interval and c, on the lattice
+        # of nz's parity, with the rows of both parities in one sum
+        events: dict = {}
+        for side, cs in zip(spans, self._factors[1]):
+            for cls, runs in cs.items() if side else ():
+                for c, _ in runs:
+                    lattice = events.setdefault((cls, (side[0][0] + c) & 1), {})
+                    for a, b in side:
+                        lattice[a + c] = lattice.get(a + c, 0) + 1
+                        lattice[b + c + 2] = lattice.get(b + c + 2, 0) - 1
+        for (cls, _), lattice in events.items():
+            w = 0
+            for start, end in pairwise(sorted(lattice)):
+                w += lattice[start]
+                if w:
+                    yield cls, w, start, end
 
     def _sweep(self) -> tuple[int, int, set]:
         """(distinct products, unique products, ids of the prefixes holding a
@@ -392,25 +398,25 @@ class FactorizationTable:
 
     def uniques(self) -> list:
         """(z, (i, j)) for every product with exactly one factorization, in
-        canonical order.  Only a failing set has one, so the table keeps no
-        pair list for it: one pass keys every (row, run) pair again through
-        the kernel, row prefix by row prefix with a fresh memo each, as the
-        constructor does, and keeps the pairs whose prefix the sweep found
-        holding a unique product; a sweep of each such prefix's intervals
-        names the pair of every n that one interval alone covers."""
+        canonical order.  The constructor's walk, run again with no key,
+        meets triple t as its t-th nz; a triple of a prefix holding a unique
+        product has a pair per side and (c_h, run) of its class whose row
+        n = nz - c_h has that side's parity, and a sweep of each such
+        prefix's pairs names the one of every n that it alone covers."""
         if not self._counts[1]:
             return []
-        rows_of, cols = self._factors
-        kernel, pids, hits = self._kernel, self._counts[2], {}
-        splits = [(kernel.split(head), ix) for head, ix in cols]
-        for (u, alpha, syl), row_runs in rows_of.items():
-            memo, syl_sum = {}, sum(syl)  # the row prefix's memo, dropped after its rows
-            for n0, ix in row_runs:
-                for n, i in enumerate(ix, n0):
-                    for split, js in splits:
-                        pid, m0 = kernel.key(memo, u, alpha, syl, n, split[(syl_sum + n) & 1])
-                        if pid in pids:
-                            hits.setdefault(pid, []).append((m0, i, js))
+        (rows_of, c_of), pids, hits, t = self._factors, self._counts[2], {}, 0
+        for prefix, row_runs in rows_of.items():
+            syl_sum, starts = sum(prefix[2]), [n0 for n0, _ in row_runs]  # sorted by the constructor's walk
+            for cls, _, start, end in self._walk(prefix, row_runs):
+                for nz in range(start, end, 2):
+                    if (pid := self.triple_pid[t]) in pids:
+                        for side, cs in enumerate(c_of):
+                            for c, js in cs.get(cls, ()):  # the row n = nz - c_h of this side's parity, if any
+                                r = bisect_right(starts, n := nz - c) - 1
+                                if (syl_sum + n) & 1 == side and 0 <= n - starts[r] < len(ix := row_runs[r][1]):
+                                    hits.setdefault(pid, []).append((self.triple_n0[t], ix[n - starts[r]], js))
+                    t += 1
         out = []
         for pid, met in hits.items():
             events = sorted(e for h, (m0, _, js) in enumerate(met) for e in ((m0, 1, h), (m0 + len(js), -1, h)))

@@ -238,24 +238,30 @@ class TestUsage:
         cfg.write_text(json.dumps({"k": 1, "size": 4, "flavor": "mint"}))
         assert main(["search", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("argv", [["verify", "--k", "7"], ["check", "--k", "7"], ["search", "--k", "1", "--size", "6"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--k", "7", "--json"], ["check", "--k", "7", "--json"], ["search", "--k", "1", "--size", "6", "--json"], ["export-set", "--k", "8", "-o"]],
+        ids=lambda a: a[0],
+    )
     def test_unwritable_json_exits_2_before_the_work(self, argv, tmp_path, monkeypatch, capsys):
-        # a --json path in a missing directory is refused before any family
-        # is built, scanned or searched; check --k 7 ran 0.7 s, and verify
-        # printed its result, before the write failed
+        # a --json or -o path in a missing directory is refused before any
+        # family is built, scanned or searched; check --k 7 ran 0.7 s, and
+        # verify printed its result, before the write failed, and
+        # export-set --k 8 built for 1.1 s
         def ran(*args):
-            pytest.fail("the command worked before it opened its --json path")
+            pytest.fail("the command worked before it opened its output path")
 
         monkeypatch.setattr(cli, "scan_family", ran)
+        monkeypatch.setattr(cli, "build_family", ran)
         monkeypatch.setattr(checker, "verify_family", ran)
         monkeypatch.setattr(search, "run_search", ran)
         path = tmp_path / "missing" / "report.json"
-        assert main([*argv, "--json", str(path)]) == 2
+        assert main([*argv, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and str(path) in err and "No such file or directory" in err
         if argv[0] == "search":
             # and so is search's --out path
-            assert main([*argv, "--out", str(path)]) == 2
+            assert main([*argv[:-1], "--out", str(path)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and str(path) in err and "No such file or directory" in err
 

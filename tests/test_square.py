@@ -227,13 +227,14 @@ def test_factorizations_hold_only_the_pairs_of_a_key(point):
     assert shared  # other rows do meet some of these products
 
 
+def with_uniques():
+    return make_set(GroupParams(1), [from_string(t, GroupParams(1)) for t in ("1", "a", "b", "ab", "B^2", "bAb")])
+
+
 # a family and a set with unique products, for the tests of the one sweep
 SWEPT = pytest.mark.parametrize(
     "make",
-    [
-        lambda: build_family(FamilySpec(2, 1, 5)),
-        lambda: make_set(GroupParams(1), [from_string(t, GroupParams(1)) for t in ("1", "a", "b", "ab", "B^2", "bAb")]),
-    ],
+    [lambda: build_family(FamilySpec(2, 1, 5)), with_uniques],
     ids=["T(2,1,5)", "with-uniques"],
 )
 
@@ -284,6 +285,30 @@ def test_counts_are_fixed_when_the_table_is_built(make, monkeypatch):
     assert table.uniques() == brute_uniques(counts)
 
 
+def less_one(spec, middle=False):
+    """The family with its first or its middle element dropped."""
+    elements = list(build_family(spec).elements)
+    del elements[len(elements) // 2 if middle else 0]
+    return make_set(spec.params, elements)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [with_uniques, lambda: less_one(FamilySpec(3), middle=True), lambda: less_one(FamilySpec(1, 1, 3))],
+    ids=["with-uniques", "T(3)-less-middle", "(1,1,3)-less-first"],
+)
+def test_every_triple_expanded(make):
+    # with every product prefix marked as holding a unique product,
+    # uniques() expands every triple into its (row, run) pairs; a wrong
+    # expansion anywhere shows as a false witness or a missing one
+    S = make()
+    table = product_table(S, S)
+    assert table.unique_count()
+    distinct, unique, _ = table._counts
+    table._counts = distinct, unique, set(range(len(table.prefixes)))
+    assert table.uniques() == brute_uniques(brute_counts(S, S))
+
+
 def test_b_coordinate_beyond_64_bits_refused():
     P = GroupParams(1)
     S = make_set(P, [from_string(f"b^{2**64}", P), generator(P, "a")])
@@ -317,15 +342,15 @@ def test_one_multiply_per_row_and_run(monkeypatch):
     keys = [key_of(i, j) for i in range(len(T)) for j in range(len(T))]
     assert 1056 < calls <= 2 * 1056
     assert len(set(keys)) == len(table)
-    # a set with unique products: uniques() keys every (row, run) pair again
-    # through one fresh memo per row prefix, so it makes the scan's
-    # multiplies again, no more
+    # a set with unique products: uniques() walks the constructor's lattices
+    # again and expands triples from their classes, keying nothing, so it
+    # multiplies nothing
     S = make_set(T.params, T.elements[1:])
     calls = 0
     table = product_table(S, S)
     assert calls == table.multiplies and table.unique_count() > 0
     witnesses = table.uniques()
-    assert calls == 2 * table.multiplies
+    assert calls == table.multiplies
     assert witnesses == brute_uniques(brute_counts(S, S))
 
 
