@@ -13,7 +13,6 @@ from .words import (
     generator,
     identity,
     parse,
-    to_string,
 )
 from .sets import (
     FactorizationTable,
@@ -43,7 +42,6 @@ __all__ = [
     "make_set",
     "parse",
     "product_table",
-    "to_string",
     "unique_products",
     "__version__",
 ]

@@ -28,7 +28,7 @@ from . import __version__
 # checker and search are imported by the commands that run them
 from .families import FamilySpec, build_family, check_memory, scan_family
 from .sets import save_set_file
-from .words import GroupParams, ParseError, from_string, to_string
+from .words import GroupParams, ParseError, from_string
 
 
 def _family_spec(args) -> FamilySpec:
@@ -66,7 +66,7 @@ def cmd_verify(args) -> int:
         print(f"square: {table.total_pairs()} factorizations over {len(table)} distinct products")
         print(f"unique products: {len(uniques)}")
         for z, (i, j) in uniques[:10]:
-            print(f"  witness: {to_string(z)} = ({to_string(gset[i])}) * ({to_string(gset[j])})")
+            print(f"  witness: {z} = ({gset[i]}) * ({gset[j]})")
         print(f"result: {'non-unique product set' if ok else 'FAILED'}  [{elapsed:.2f}s]")
         report.update(
             product_size=len(table),
@@ -104,7 +104,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     params = GroupParams(args.k)
     w = from_string(args.word, params)
-    print(to_string(w))
+    print(w)
     if args.classify:
         print(f"class: {w.classify()}")
     if args.sigma:
@@ -135,7 +135,7 @@ def cmd_search(args) -> int:
         print(f"best score: {result.score} after {result.iterations} iterations [{elapsed:.2f}s]")
         print(f"restart best scores: {result.restart_scores}")
         for w in result.best:
-            print(f"  {to_string(w)}")
+            print(f"  {w}")
         if args.out:
             save_set_file(result.best, args.out, header=f"search k={config.k} size={config.size} seed={config.seed} score={result.score}")
         report = {"parameters": config._asdict(), "result": result.as_dict(), "exit_status": 0 if result.score == 0 else 1}

@@ -20,8 +20,9 @@ numbers a product by its key (prefix id, n) and multiplies only once per
 (row prefix, u shift and core, residue of n mod 2^k).  The counts of the
 current square are updated only on the pairs that meet out and into; a
 rejected move is undone from the same ids, and only an accepted one is
-sorted into the next state.  A mutate-one move multiplies an element by a
-generator once per (element, generator), through a memo of the state.
+sorted into the next state.  A memo of the state names an element times a
+generator, one multiply per (element, generator); mutate-one moves draw
+from it, and the table steps through it by b^-1 and b to find a b-run.
 The table drops its rows, ids and memos once it holds more than
 max(2 * size, MAX_UNIVERSE_SIZE // len(universe)) of them, so its memory does
 not grow with the budget.  score() stays the exact recheck of the answer;
@@ -33,12 +34,11 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from typing import NamedTuple, Optional
 
 from .families import FamilySpec, build_family
-from .sets import GroupSet, RunProducts, _from_b_key, b_key, make_set, product_table
+from .sets import GroupSet, RunProducts, b_key, make_set, product_table
 from .words import GroupParams, NormalForm, generator, identity
 
 _NEIGHBORHOODS = ("swap-one", "mutate-one")
@@ -165,9 +165,15 @@ class _State:
         self.symmetric = symmetric
         self.atoms = [generator(params, g, s) for g in ("a", "b") for s in (1, -1)]
         self.identity = self.uindex[identity(params)]
-        # 4 * i + atom -> universe index of universe[i] * atom, None outside
-        # the universe; filled by mutate-one moves, at most 4 * |universe| entries
-        self.steps = {}
+        self.steps = {}  # 4 * i + atom -> step(i, atom), at most 4 * |universe| entries
+
+    def step(self, i, atom) -> Optional[int]:
+        """The universe index of universe[i] times atom 0..3 (a, a^-1, b,
+        b^-1), None outside the universe; one multiply per (i, atom)."""
+        j = self.steps.get(4 * i + atom, -1)
+        if j == -1:
+            j = self.steps[4 * i + atom] = self.uindex.get(self.universe[i] * self.atoms[atom])
+        return j
 
     def as_set(self, idxs) -> GroupSet:
         return make_set(self.params, [self.universe[i] for i in idxs])
@@ -197,10 +203,7 @@ class _State:
         if kind == "mutate-one":
             for _ in range(8):
                 i = idxs[rng.randrange(len(idxs))]
-                step = 4 * i + rng.randrange(4)
-                i2 = self.steps.get(step, -1)
-                if i2 == -1:
-                    i2 = self.steps[step] = self.uindex.get(self.universe[i] * self.atoms[step & 3])
+                i2 = self.step(i, rng.randrange(4))
                 if i2 is None or i2 in current:
                     continue
                 move = self._move(current, i, i2)
@@ -233,11 +236,12 @@ class _State:
 class _Counts:
     """Multiplicities of a state's square, read from a lazily filled table of
     product ids: row i of the table is created on first use, and on the
-    first use of entry (i, j) the whole b-run of column j in row i is named
-    from one lookup of the product kernel."""
+    first use of entry (i, j) the whole b-run of column j in row i, found by
+    the state's steps, is named from one lookup of the product kernel."""
 
-    def __init__(self, universe, size):
-        self.universe = universe
+    def __init__(self, state, size):
+        self.state = state
+        self.universe = universe = state.universe
         self.max_rows = max(2 * size, MAX_UNIVERSE_SIZE // len(universe))
         # universe index -> array of product ids, -1 until named
         self.rows = defaultdict(lambda: array("i", [-1]) * len(universe))
@@ -261,24 +265,17 @@ class _Counts:
 
     def _run(self, j) -> tuple:
         """(columns, splits) of the b-run of column j: the universe indices of
-        its elements in order, found by bisection in the sorted universe, and
-        its head's splits."""
+        its elements in order, stepped to by b^-1 from j to the run's head and
+        then by b to its end, and the head's splits."""
         run = self.run_of.get(j)
         if run is None:
-            universe = self.universe
-            prefix, n = b_key(universe[j])
-
-            def column(m):
-                w = _from_b_key(self.kernel.k, prefix, m)
-                c = bisect_left(universe, w)
-                return c if c < len(universe) and universe[c] == w else None
-
-            while column(n - 1) is not None:
-                n -= 1
-            cols = []
-            while (c := column(n + len(cols))) is not None:
+            step = self.state.step
+            while (c := step(j, 3)) is not None:
+                j = c
+            cols = [j]
+            while (c := step(cols[-1], 2)) is not None:
                 cols.append(c)
-            run = (cols, self.kernel.split(universe[cols[0]]))
+            run = (cols, self.kernel.split(self.universe[j]))
             for c in cols:
                 self.run_of[c] = run
         return run
@@ -365,16 +362,16 @@ def run_search(config: SearchConfig) -> SearchResult:
             raise ValueError("initial set lies outside the word-length-capped universe; raise the cap")
         init_idxs = tuple(sorted(state.uindex[w] for w in T))
 
-    counts = _Counts(universe, config.size)
+    counts = _Counts(state, config.size)
     per_restart = config.budget // config.restarts
-    best_overall = None  # (score, restart, iterations, idxs)
+    best_overall = None  # (score, idxs) of the first restart to reach the lowest score
     restart_scores = []
     total_iters = 0
     for r in range(config.restarts):
         rng = random.Random(_restart_seed(config.seed, r))
         idxs = init_idxs if init_idxs is not None else state.random_state(rng, config.size)
         cur_score = counts.reset(idxs)
-        best_score, best_idxs, best_at = cur_score, idxs, 0
+        best_score, best_idxs = cur_score, idxs
         temp = config.temp0
         it = 0
         while it < per_restart and best_score > 0:
@@ -388,16 +385,15 @@ def run_search(config: SearchConfig) -> SearchResult:
                     idxs = tuple(sorted([i for i in idxs if i not in out] + list(into)))
                     cur_score = new_score
                     if cur_score < best_score:
-                        best_score, best_idxs, best_at = cur_score, idxs, it
+                        best_score, best_idxs = cur_score, idxs
                 else:
                     counts.undo()
             temp *= config.cooling
         total_iters += it
         restart_scores.append(best_score)
-        key = (best_score, r)
-        if best_overall is None or key < (best_overall[0], best_overall[1]):
-            best_overall = (best_score, r, best_at, best_idxs)
-    best_set = state.as_set(best_overall[3])
+        if best_overall is None or best_score < best_overall[0]:
+            best_overall = (best_score, best_idxs)
+    best_set = state.as_set(best_overall[1])
     final_score = score(best_set)  # recomputed exactly on the final answer
     if final_score != best_overall[0]:
         raise AssertionError("recomputed score disagrees with search bookkeeping")

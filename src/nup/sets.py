@@ -2,7 +2,8 @@
 
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
 NormalForms in the canonical order, optionally carrying one label per
-element; a RunSet is a set given by its b-runs alone.  A FactorizationTable
+element, and finds an element by bisection, since tuple order is the
+canonical order; a RunSet is a set given by its b-runs alone.  A FactorizationTable
 counts the distinct and the uniquely represented products of X*Y, and names
 the index pair (i, j) of each unique product, the witness that a set fails.
 
@@ -53,23 +54,22 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .words import INTEGER, GroupParams, NormalForm, from_string, to_string
+from .words import INTEGER, GroupParams, NormalForm, from_string
 
 
 class GroupSet:
-    __slots__ = ("params", "elements", "labels", "duplicates_removed", "_index")
+    __slots__ = ("params", "elements", "labels", "duplicates_removed")
 
     def __init__(self, params: GroupParams, elements: tuple, labels: Optional[tuple], duplicates_removed: int):
         self.params = params
         self.elements = elements
         self.labels = labels
         self.duplicates_removed = duplicates_removed
-        self._index = None
 
     def __len__(self):
         return len(self.elements)
@@ -81,7 +81,7 @@ class GroupSet:
         return self.elements[i]
 
     def __contains__(self, w):
-        return w in self._position_map()
+        return self.index_of(w) is not None
 
     def __eq__(self, other):
         if not isinstance(other, GroupSet):
@@ -91,16 +91,10 @@ class GroupSet:
     def __repr__(self):
         return f"GroupSet(k={self.params.k}, size={len(self.elements)})"
 
-    def _position_map(self) -> dict:
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.elements)}
-        return self._index
-
-    def index_of(self, w: NormalForm) -> Optional[int]:
-        return self._position_map().get(w)
-
-    def label_of(self, i: int):
-        return None if self.labels is None else self.labels[i]
+    def index_of(self, w) -> Optional[int]:
+        """The position of w, found by bisection; None when w is not an element."""
+        i = bisect_left(self.elements, w) if isinstance(w, NormalForm) else len(self.elements)
+        return i if i < len(self.elements) and self.elements[i] == w else None
 
     def b_runs(self) -> list[tuple[NormalForm, list[int]]]:
         """The maximal b-runs as (head, positions of the run's elements)."""
@@ -452,14 +446,13 @@ def save_set_file(gset: GroupSet, path: str | os.PathLike, header: str = "") -> 
     if header:
         for h in header.splitlines():
             lines.append(f"# {h}")
-    for i, w in enumerate(gset.elements):
-        lab = gset.label_of(i)
+    for w, lab in zip(gset.elements, gset.labels or [None] * len(gset)):
         if lab is None:
-            lines.append(to_string(w))
+            lines.append(str(w))
         elif isinstance(lab, tuple):
-            lines.append(f"{to_string(w)} | {' '.join(str(x) for x in lab)}")
+            lines.append(f"{w} | {' '.join(str(x) for x in lab)}")
         else:
-            lines.append(f"{to_string(w)} | {lab}")
+            lines.append(f"{w} | {lab}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

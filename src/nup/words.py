@@ -107,10 +107,6 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def params(self) -> GroupParams:
-        return GroupParams(self.k)
-
     def is_identity(self) -> bool:
         return self.u == 0 and self.v == 0 and self.alpha == 0 and not self.syllables and self.beta == 0
 
@@ -204,7 +200,7 @@ class NormalForm(namedtuple("NormalForm", "k u v alpha n_syllables syllables bet
             if lead != trail:
                 break
             if lead == "a":
-                s = _atom(w.k, "a", 1)
+                s = NormalForm._make(w.k, 0, 0, 1, (), 0)
             else:
                 s = NormalForm._make(w.k, 0, 0, 0, (), w.syllables[0])
             w = s.inverse() * w * s
@@ -292,13 +288,6 @@ def _fold(k: int, u: int, v: int, alpha: int, syl: Sequence[int], beta: int, wor
     return NormalForm._make(k, u, v, alpha, tuple(syl), beta)
 
 
-def _atom(k: int, gen: str, sign: int) -> NormalForm:
-    M = 1 << k
-    if gen == "a":
-        return NormalForm._make(k, 0, 0, 1, (), 0) if sign > 0 else NormalForm._make(k, -1, 0, 1, (), 0)
-    return NormalForm._make(k, 0, 0, 0, (), 1) if sign > 0 else NormalForm._make(k, 0, -1, 0, (), M - 1)
-
-
 def identity(params: GroupParams) -> NormalForm:
     return NormalForm._make(params.k, 0, 0, 0, (), 0)
 
@@ -307,7 +296,7 @@ def generator(params: GroupParams, gen: str, sign: int = 1) -> NormalForm:
     """The NormalForm of a single generator letter."""
     if gen not in ("a", "b") or sign not in (1, -1):
         raise ValueError(f"bad generator letter {gen!r}^{sign}")
-    return _atom(params.k, gen, sign)
+    return from_word(((gen, sign),), params)
 
 
 def from_word(word: Iterable[Token], params: GroupParams) -> NormalForm:
@@ -349,7 +338,3 @@ def parse(text: str) -> tuple[Token, ...]:
 
 def from_string(text: str, params: GroupParams) -> NormalForm:
     return from_word(parse(text), params)
-
-
-def to_string(w: NormalForm) -> str:
-    return str(w)

@@ -251,6 +251,25 @@ class TestTamperedSets:
         # no claim may have marked a pair whose product is actually unique
         assert summary["soundness_ok"]
 
+    def test_soundness_reads_no_marked_row(self, monkeypatch):
+        # T(4) less element 0 has 40 unique products; each is tested against
+        # its row's intervals, so only the uncovered sample builds a row's
+        # set of marked columns
+        spec = FamilySpec(4)
+        T = build_family(spec)
+        calls = 0
+        marked = Inventory.marked
+
+        def counting(self, i):
+            nonlocal calls
+            calls += 1
+            return marked(self, i)
+
+        monkeypatch.setattr(Inventory, "marked", counting)
+        summary = verify_family(spec, make_set(spec.params, T.elements[1:], T.labels[1:]))
+        assert summary["unique_count"] > 0 and summary["soundness_ok"] and summary["consistent"]
+        assert len(summary["uncovered_sample"]) == 10 and calls <= 10
+
     def test_unlabeled_set_rejected(self):
         spec = FamilySpec(1)
         plain = make_set(spec.params, build_family(spec).elements)

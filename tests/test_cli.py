@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from nup import checker, cli, families, search
 from nup.cli import main
 from nup.families import MEMORY_BUDGET, FamilySpec, build_family, check_memory, expected_cardinality
 from nup.search import SearchConfig
-from nup.sets import load_set_file, product_table
+from nup.sets import RunSet, load_set_file, make_set, product_table
 from nup.words import MAX_K, GroupParams, from_string
 
 DATA = Path(__file__).parent / "data"
@@ -89,6 +90,26 @@ class TestVerify:
         assert data["parameters"]["k"] == 1
         assert "version" in data
 
+    def test_witnesses_printed(self, monkeypatch, capsys):
+        # T(2) less element 0, scanned from its runs; each printed witness
+        # is a factor pair of its product
+        spec = FamilySpec(2)
+        T = build_family(spec)
+        S = make_set(spec.params, T.elements[1:], T.labels[1:])
+        runs, start = [], 0
+        for head, ix in S.b_runs():
+            runs.append((head, range(start, start + len(ix))))
+            start += len(ix)
+        monkeypatch.setattr(families, "family_runs", lambda spec: RunSet(spec.params, runs))
+        monkeypatch.setattr(families, "build_family", lambda spec: S)
+        assert main(["verify", "--k", "2"]) == 1
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("  witness: ")]
+        assert len(lines) == min(10, int(re.search(r"unique products: (\d+)", out)[1])) > 0
+        for line in lines:
+            z, x, y = (from_string(t, spec.params) for t in re.fullmatch(r"  witness: (.+) = \((.+)\) \* \((.+)\)", line).groups())
+            assert x * y == z
+
 
 class TestCheck:
     def test_base_k2(self, capsys):
@@ -109,6 +130,17 @@ class TestCheck:
         assert data["unique_count"] == 0
         statuses = {c["status"] for c in data["claims"]}
         assert "typo-suspect" in statuses
+
+    def test_flagged_claims_listed(self, monkeypatch, capsys):
+        # ten flagged claims are printed with their witnesses, the rest counted
+        report = checker.verify_family(FamilySpec(2))
+        flagged = [dict(c, status="fail", witness={"reason": "products differ"}) for c in report["claims"][:12]]
+        monkeypatch.setattr(checker, "verify_family", lambda spec: dict(report, claims=flagged + report["claims"][12:], exit_status=1))
+        assert main(["check", "--k", "2"]) == 1
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("  [fail] ")]
+        assert len(lines) == 10 and all(line.endswith(" witness={'reason': 'products differ'}") for line in lines)
+        assert "  ... and 2 more (full list in the JSON report)" in out
 
 
 class TestSearchCommand:

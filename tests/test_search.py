@@ -47,6 +47,7 @@ class TestConfig:
             dict(k=1, size=4, cooling=True),
             dict(k=1, size=4, budget=1, restarts=5),
             dict(k=1, size=17, init="base", symmetric=True),
+            dict(k=1, size=4, restarts=0),
         ],
     )
     def test_rejects(self, kwargs):
@@ -98,6 +99,8 @@ class TestScore:
         assert score(make_set(P, [identity(P)])) == 1
         small = make_set(P, [from_string(t, P) for t in ("1", "a", "b")])
         assert score(small) >= 1
+        with pytest.raises(ValueError, match="empty set"):
+            score(make_set(P, []))
 
     def test_score_matches_unique_products(self, rng):
         # oracle equivalence on sampled candidates
@@ -124,7 +127,7 @@ class TestCounts:
         P = GroupParams(k)
         U = candidate_universe(P, cap)
         state = search._State(U, P, symmetric)
-        counts = search._Counts(U, size)
+        counts = search._Counts(state, size)
         if low_bound:
             counts.max_rows = size
         fresh = lambda idxs: score(make_set(P, [U[i] for i in idxs]))
@@ -176,6 +179,11 @@ class TestRunSearch:
     def test_base_init_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run_search(SearchConfig(k=1, size=10, init="base"))
+        # the cap-1 ball has 5 elements, and the cap-2 ball's 17 miss T(1)
+        with pytest.raises(ValueError, match="universe of 5 words cannot fill a set of size 17"):
+            run_search(SearchConfig(k=1, size=17, init="base", word_length_cap=1))
+        with pytest.raises(ValueError, match="initial set lies outside the word-length-capped universe"):
+            run_search(SearchConfig(k=1, size=17, init="base", word_length_cap=2))
 
     def test_determinism(self):
         cfg = SearchConfig(k=1, size=6, seed=20240817, budget=250, restarts=3)

@@ -54,6 +54,19 @@ class TestMakeSet:
     def test_base_family_size_k1(self):
         assert len(build_family(FamilySpec(1))) == 17
 
+    @pytest.mark.parametrize("point", [(1,), (2,), (3,), (1, 1, 3)])
+    def test_index_of_and_membership(self, point):
+        # elements are found at their positions; a non-element before,
+        # between or past them, another group's element and an object that
+        # is no NormalForm are not
+        T = build_family(FamilySpec(*point))
+        assert [T.index_of(w) for w in T] == list(range(len(T))) and all(w in T for w in T)
+        steps = elems("a^2", "b", "B", "a^-2 b", params=T.params)
+        outside = {w * g for w in T for g in steps} - set(T.elements)
+        assert len(outside) > len(T) // 2
+        for w in [*outside, from_string("ab", GroupParams(T.params.k + 1)), None, "ab"]:
+            assert T.index_of(w) is None and w not in T
+
 
 class TestProductTable:
     def test_singleton(self):
@@ -163,6 +176,15 @@ class TestSetFiles:
         s = load_set_file(path, P1)
         assert len(s) == 2
         assert from_string("ab", P1) in s
+
+    def test_plain_string_labels_round_trip(self, tmp_path):
+        # a label that is no slice label is written and read back as text
+        s = make_set(P1, elems("a", "b", "ab"), ["first", None, "X 1"])
+        path = tmp_path / "labeled.txt"
+        save_set_file(s, path)
+        assert path.read_text().splitlines() == ["b", "a | first", "a b | X 1"]
+        back = load_set_file(path, P1)
+        assert back.elements == s.elements and back.labels == s.labels
 
     def test_unlabeled_round_trip(self, tmp_path):
         s = make_set(P1, elems("a", "b", "ab"))

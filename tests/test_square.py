@@ -531,7 +531,7 @@ def test_search_ids_name_products(k, cap):
     # products are equal, with the entries named in a random order of blocks
     P = GroupParams(k)
     U = candidate_universe(P, cap)
-    counts = search._Counts(U, 8)
+    counts = search._Counts(search._State(U, P, False), 8)
     rng = random.Random(k)
     order = list(range(len(U)))
     for _ in range(6):

@@ -17,7 +17,6 @@ from nup.words import (
     generator,
     identity,
     parse,
-    to_string,
 )
 
 
@@ -223,12 +222,12 @@ class TestGroupAxioms:
 
 class TestParsePrint:
     def test_identity_prints_as_one(self):
-        assert to_string(identity(GroupParams(1))) == "1"
+        assert str(identity(GroupParams(1))) == "1"
         assert from_string("1", GroupParams(1)).is_identity()
 
     def test_canonical_expansion(self):
         w = nf(2, 1, -1, 1, (2,), 0)
-        assert to_string(w) == "a^2 b^-4 a b^2 a"
+        assert str(w) == "a^2 b^-4 a b^2 a"
 
     def test_case_and_exponents(self):
         P = GroupParams(1)
@@ -242,7 +241,7 @@ class TestParsePrint:
             P = GroupParams(k)
             for _ in range(400):
                 w = random_element(rng, P)
-                assert from_string(to_string(w), P) == w
+                assert from_string(str(w), P) == w
 
     @pytest.mark.parametrize(
         "text,pos",
