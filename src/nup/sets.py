@@ -1,11 +1,11 @@
 """Finite subsets of the group and the factorizations of their products.
 
 A GroupSet is a strictly increasing (hence duplicate-free) tuple of
-NormalForms in the canonical order, optionally carrying one label per
-element, and finds an element by bisection, since tuple order is the
-canonical order; a RunSet is a set given by its b-runs alone.  A FactorizationTable
-counts the distinct and the uniquely represented products of X*Y, and names
-the index pair (i, j) of each unique product, the witness that a set fails.
+NormalForms in the canonical order, which is tuple order, so it finds an
+element by bisection; it may carry one label per element.  A RunSet is a
+set given by its b-runs alone.  A FactorizationTable counts the distinct and
+the uniquely represented products of X*Y, and names the index pair (i, j)
+of each unique product, the witness that a set fails.
 
 The table rests on one fact about normal forms.  Right multiplication by b^e
 leaves the prefix (u, alpha, syllables) fixed and adds e to the integer

@@ -252,7 +252,7 @@ class TestTamperedSets:
         assert summary["soundness_ok"]
 
     def test_soundness_reads_no_marked_row(self, monkeypatch):
-        # T(4) less element 0 has 40 unique products; each is tested against
+        # T(4) less element 0 has 49 unique products; each is tested against
         # its row's intervals, so only the uncovered sample builds a row's
         # set of marked columns
         spec = FamilySpec(4)
@@ -267,7 +267,7 @@ class TestTamperedSets:
 
         monkeypatch.setattr(Inventory, "marked", counting)
         summary = verify_family(spec, make_set(spec.params, T.elements[1:], T.labels[1:]))
-        assert summary["unique_count"] > 0 and summary["soundness_ok"] and summary["consistent"]
+        assert summary["unique_count"] == 49 and summary["soundness_ok"] and summary["consistent"]
         assert len(summary["uncovered_sample"]) == 10 and calls <= 10
 
     def test_unlabeled_set_rejected(self):
